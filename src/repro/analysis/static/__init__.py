@@ -1,11 +1,12 @@
 """Physics-aware static analysis for the reproduction codebase.
 
-An AST-based checker with fourteen rules, each mapped to a real
-failure mode of this repository (see DESIGN.md, "Static analysis"):
+An AST-based checker with seven rules, each mapped to a real failure
+mode of this repository (see DESIGN.md, "Static analysis").  Rule
+numbers are stable: numbers of removed rules are never reused.
 
 * ``unit-consistency`` (R1) — dimension mismatches and magic material
   constants, driven by the machine-readable tables in
-  :mod:`repro.units`;
+  :mod:`repro.units` and :mod:`repro.materials`;
 * ``cache-invalidation`` (R2) — thermal-network mutation without
   ``invalidate()``, the PR-1 stale-LU bug generalized;
 * ``hash-determinism`` (R3) — nondeterminism reaching content-hash /
@@ -14,55 +15,29 @@ failure mode of this repository (see DESIGN.md, "Static analysis"):
   state at the process-pool boundary;
 * ``float-equality`` (R5) — exact float comparison outside declared
   sentinels;
-* ``unit-flow`` (R6) — *interprocedural* dimension mismatches: wrong
-  units flowing through call sites, returns that contradict their
-  ``units.quantity`` annotation, Kelvin/Celsius scale mixing;
-* ``pool-safety`` (R7) — functions reachable from campaign pool
-  workers mutating module-level or closed-over state;
 * ``obs-taxonomy`` (R8) — span/metric names outside the
   :mod:`repro.obs.taxonomy` registry, spans opened outside ``with``;
-* ``shape-flow`` (R9) — *interprocedural* symbolic array-shape
-  mismatches: a ``(K, n_nodes)`` state passed where ``(n_nodes, K)``
-  is declared, returns contradicting their ``units.array_shape``
-  annotation, provably incompatible broadcasts;
-* ``cache-alias-mutation`` (R10) — in-place mutation (aug-assign,
-  slice assignment, ``out=``, mutating methods) of arrays aliasing
-  process-wide caches (the analytic kernel LRU, the steady LU factor
-  cache) without an intervening ``.copy()``;
-* ``dtype-flow`` (R11) — complex leakage past an ``irfft2``/``.real``
-  boundary, silent float32 downcasts into declared-float64 solver
-  state, true division over grid-dimension tokens;
 * ``lock-discipline`` (R12) — mutation of a lock-guarded attribute
   (declared via ``units.guarded_by`` or inferred from consistent
   locking) without its lock held, and inconsistent two-lock
-  acquisition order (deadlock potential);
-* ``fork-spawn-safety`` (R13) — pool-worker-reachable acquisition of
-  fork-inherited module-level locks, undeclared thread spawning in
-  workers, nested functions submitted to a pool (unpicklable under
-  spawn);
-* ``blocking-in-hot-path`` (R14) — sleep / flock / blocking queue
-  ``put`` reachable from a solver/rcmodel span, an ``async`` handler,
-  or a declared ``units.hot_path()`` root.
+  acquisition order (deadlock potential).
 
-R6/R7, the array-contract rules R9–R11, and the concurrency rules
-R12–R14 are whole-program rules
-(:class:`ProjectRule`): the runner
-compiles every file to a cacheable module summary, links a project
-symbol table and call graph, propagates dimension signatures to a
-fixpoint, then checks flows across module boundaries.  Per-file
-outcomes are cached on content hash and fan out over a process pool
-(``repro analyze -j N``); ``--diff REF``/``--changed-only`` narrow
-reporting to git-changed files for fast PR gating.
+R12 is the one whole-program rule (:class:`ProjectRule`): the runner
+compiles every file to a cacheable module summary, links the
+summaries into a project :class:`SymbolTable`, then checks lock use
+across module boundaries.  Per-file outcomes are cached on content
+hash and fan out over a process pool (``repro analyze -j N``);
+``--diff REF``/``--changed-only`` narrow reporting to git-changed
+files for fast PR gating.
 
 Run it via ``repro analyze [paths]`` (text/JSON/SARIF output, committed
 baseline, CI gating) or programmatically through
 :func:`analyze_paths`.
 """
 
-from .arrays import ArrayValue, broadcast_shapes, eval_adesc, join_dtype
 from .baseline import DEFAULT_BASELINE, Baseline, finding_fingerprint
 from .cache import AnalysisCache, config_fingerprint
-from .callgraph import CallGraph, ModuleSummary, SymbolTable, extract_summary
+from .callgraph import ModuleSummary, SymbolTable, extract_summary
 from .core import (
     RULE_ALIASES,
     Finding,
@@ -75,7 +50,6 @@ from .core import (
     severity_rank,
 )
 from .dimensions import DIMENSIONLESS, Dimension, DimensionError, parse_dimension
-from .interp import ProjectContext, build_project
 from .report import format_json, format_sarif, format_text
 from .runner import (
     AnalysisResult,
@@ -88,16 +62,13 @@ from .runner import (
 __all__ = [
     "AnalysisCache",
     "AnalysisResult",
-    "ArrayValue",
     "Baseline",
-    "CallGraph",
     "DEFAULT_BASELINE",
     "DIMENSIONLESS",
     "Dimension",
     "DimensionError",
     "Finding",
     "ModuleSummary",
-    "ProjectContext",
     "ProjectRule",
     "RULE_ALIASES",
     "Rule",
@@ -105,9 +76,6 @@ __all__ = [
     "SymbolTable",
     "analyze_file",
     "analyze_paths",
-    "broadcast_shapes",
-    "build_project",
-    "eval_adesc",
     "canonical_rule_name",
     "config_fingerprint",
     "extract_summary",
@@ -117,7 +85,6 @@ __all__ = [
     "format_text",
     "git_changed_files",
     "iter_python_files",
-    "join_dtype",
     "make_rules",
     "parse_dimension",
     "rule_names",

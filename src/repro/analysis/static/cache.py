@@ -3,10 +3,11 @@
 A file's analysis outcome — raw per-file findings plus its
 :class:`~repro.analysis.static.callgraph.ModuleSummary` — depends only
 on the file's bytes and the analyzer configuration (the units tables,
-the obs taxonomy, and the rule set).  Both are hashed into the cache
-key, so a warm run re-parses nothing: it loads JSON payloads and goes
-straight to the interprocedural pass.  Editing a file, or any
-configuration table, changes the key and transparently re-analyzes.
+the material constants, the obs taxonomy, and the rule set).  Both are
+hashed into the cache key, so a warm run re-parses nothing: it loads
+JSON payloads and goes straight to the whole-program pass.  Editing a
+file, or any configuration table, changes the key and transparently
+re-analyzes.
 
 Same layout discipline as the campaign result cache: one JSON file per
 entry under a fan-out directory, atomic ``os.replace`` writes so a
@@ -24,7 +25,7 @@ import tempfile
 from typing import Dict, Optional
 
 #: Bump to invalidate every cached outcome (e.g. when a rule changes).
-ANALYSIS_CACHE_VERSION = 3
+ANALYSIS_CACHE_VERSION = 4
 
 _ENV_CACHE_DIR = "REPRO_ANALYZE_CACHE_DIR"
 
@@ -41,14 +42,22 @@ def default_cache_dir() -> str:
 
 def config_fingerprint() -> str:
     """Hash of everything that invalidates cached outcomes globally."""
+    from ... import units
     from ...obs import taxonomy
-    from ...units import signature_tables
     from .core import rule_names
+    from .rules_units import material_constants
 
     payload = json.dumps(
         {
             "version": ANALYSIS_CACHE_VERSION,
-            "tables": signature_tables(),
+            "dimensions": units.DIMENSIONS,
+            "attributes": units.ATTRIBUTE_DIMENSIONS,
+            # R1's magic-number check reads these values: a
+            # recalibrated material must re-judge every cached file
+            "materials": {
+                symbol: value
+                for value, symbol in material_constants().items()
+            },
             "spans": sorted(taxonomy.SPAN_NAMES),
             "metrics": sorted(taxonomy.METRIC_NAMES),
             "prefixes": list(taxonomy.METRIC_PREFIXES),

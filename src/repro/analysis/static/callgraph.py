@@ -1,42 +1,31 @@
-"""Project-wide symbol table and call graph over module summaries.
+"""Module summaries and the project-wide symbol table.
 
 The whole-program pass never holds more than one AST at a time:
 :func:`extract_summary` compiles a parsed file down to a
-:class:`ModuleSummary` — functions, their parameters and annotations,
-symbolic return/argument descriptors (:mod:`.signatures`), call sites,
-module-state mutations, import aliases, and pragma lines — and the
-summary is what gets cached per content hash and re-loaded on warm
-runs.  :class:`SymbolTable` links summaries together (resolving
-imports and ``from x import y`` re-export aliases to fully-qualified
-names) and :class:`CallGraph` answers reachability queries for the
-pool-safety rule.
+:class:`ModuleSummary` — functions with their call sites, lock
+acquisitions and attribute mutations (each carrying the locks held at
+that point), class-body ``guarded_by`` contracts, import aliases, and
+pragma lines — and the summary is what gets cached per content hash
+and re-loaded on warm runs.  :class:`SymbolTable` links summaries
+together, resolving imports and ``from x import y`` re-export aliases
+to fully-qualified names; it is the project the lock-discipline rule
+checks.
 
 Module names are derived structurally: a file's dotted name is built
 by walking parent directories for as long as they contain an
-``__init__.py``, so ``src/repro/convection/flow.py`` becomes
-``repro.convection.flow`` without any configuration, and fixture
-packages resolve the same way under ``tests/``.
+``__init__.py``, so ``src/repro/obs/events.py`` becomes
+``repro.obs.events`` without any configuration, and fixture packages
+resolve the same way under ``tests/``.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from .arrays import (
-    ADesc,
-    ARRAY_MUTATING_METHODS,
-    AUNKNOWN,
-    ArrayInferer,
-    ArrayMutation,
-    BroadcastSite,
-    IntDivSite,
-    canonical_dtype,
-)
 from .core import SourceFile, iter_functions
-from .signatures import Desc, SymbolicInferer, UNKNOWN, load_unit_tables
 
 #: Method names whose call on a container mutates it in place.
 MUTATING_METHODS = frozenset(
@@ -44,21 +33,7 @@ MUTATING_METHODS = frozenset(
      "pop", "popitem", "remove", "discard", "clear"}
 )
 
-_SUMMARY_VERSION = 3
-
-#: Callables whose construction at module level creates a lock-like
-#: synchronization primitive (the R13 fork-inherited-lock check).
-_LOCK_FACTORIES = frozenset(
-    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
-)
-
-#: Fallback blocking-call table when the units module is unavailable;
-#: normally :func:`repro.units.signature_tables` supplies this.
-_DEFAULT_BLOCKING_CALLS = {
-    "sleep": "blocks-on-io",
-    "flock": "blocks-on-io",
-    "put": "blocks-on-io",
-}
+_SUMMARY_VERSION = 4
 
 
 @dataclass
@@ -67,80 +42,8 @@ class CallSite:
 
     line: int
     col: int
-    callee: str                      # dotted name as written ("np.sqrt")
-    args: List[Desc] = field(default_factory=list)
-    kwargs: Dict[str, Desc] = field(default_factory=dict)
-    #: array descriptors of the same arguments (the v3 pass)
-    arr_args: List[ADesc] = field(default_factory=list)
-    arr_kwargs: Dict[str, ADesc] = field(default_factory=dict)
-    #: lock names held at the call site (the v4 effect pass)
-    locks: List[str] = field(default_factory=list)
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "callee": self.callee,
-                "args": self.args, "kwargs": self.kwargs,
-                "arr_args": self.arr_args, "arr_kwargs": self.arr_kwargs,
-                "locks": self.locks}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "CallSite":
-        return cls(
-            line=int(data["line"]), col=int(data["col"]),
-            callee=str(data["callee"]),
-            args=list(data.get("args", [])),  # type: ignore[arg-type]
-            kwargs=dict(data.get("kwargs", {})),  # type: ignore[arg-type]
-            arr_args=list(data.get("arr_args", [])),  # type: ignore[arg-type]
-            arr_kwargs=dict(data.get("arr_kwargs", {})),  # type: ignore[arg-type]
-            locks=list(data.get("locks", [])),  # type: ignore[arg-type]
-        )
-
-
-@dataclass
-class AddSite:
-    """An addition/subtraction whose operand dimensions may conflict.
-
-    Recorded when both sides have *symbolic* information but local
-    extraction cannot prove them equal (one references a parameter or
-    a call); R6 evaluates both sides once signatures are known.
-    """
-
-    line: int
-    col: int
-    op: str  # "+" | "-"
-    left: Desc = field(default_factory=lambda: list(UNKNOWN))
-    right: Desc = field(default_factory=lambda: list(UNKNOWN))
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "op": self.op,
-                "left": self.left, "right": self.right}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "AddSite":
-        return cls(line=int(data["line"]), col=int(data["col"]),
-                   op=str(data["op"]),
-                   left=list(data.get("left", UNKNOWN)),  # type: ignore[arg-type]
-                   right=list(data.get("right", UNKNOWN)))  # type: ignore[arg-type]
-
-
-@dataclass
-class Mutation:
-    """A write to module-level or closed-over state."""
-
-    line: int
-    col: int
-    name: str
-    kind: str  # "global" | "nonlocal" | "subscript" | "method" | "augassign"
-    detail: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "name": self.name,
-                "kind": self.kind, "detail": self.detail}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "Mutation":
-        return cls(line=int(data["line"]), col=int(data["col"]),
-                   name=str(data["name"]), kind=str(data["kind"]),
-                   detail=str(data.get("detail", "")))
+    callee: str                      # dotted name as written ("self._job")
+    locks: List[str] = field(default_factory=list)  # locks held at the call
 
 
 @dataclass
@@ -151,8 +54,7 @@ class LockSite:
     component of its context expression's dotted name contains
     ``lock`` — ``self._lock``, ``self._counters_lock()``, a bare
     ``lock``.  Lock identity is that last component: the analyzer
-    unifies lock names project-wide the way it unifies
-    :data:`repro.units.PARAMETER_DIMENSIONS` names.
+    unifies lock names project-wide.
     """
 
     line: int
@@ -160,16 +62,6 @@ class LockSite:
     name: str                        # lock identity ("_lock")
     base: str                        # dotted expr as written ("self._lock")
     held: List[str] = field(default_factory=list)  # locks already held
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "name": self.name,
-                "base": self.base, "held": self.held}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "LockSite":
-        return cls(line=int(data["line"]), col=int(data["col"]),
-                   name=str(data["name"]), base=str(data["base"]),
-                   held=list(data.get("held", [])))  # type: ignore[arg-type]
 
 
 @dataclass
@@ -185,41 +77,6 @@ class AttrUse:
     locks: List[str] = field(default_factory=list)  # locks held at the site
     detail: str = ""
 
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "attr": self.attr,
-                "base": self.base, "kind": self.kind, "locks": self.locks,
-                "detail": self.detail}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "AttrUse":
-        return cls(line=int(data["line"]), col=int(data["col"]),
-                   attr=str(data["attr"]), base=str(data["base"]),
-                   kind=str(data["kind"]),
-                   locks=list(data.get("locks", [])),  # type: ignore[arg-type]
-                   detail=str(data.get("detail", "")))
-
-
-@dataclass
-class EffectSite:
-    """One syntactic concurrency effect inside a function body:
-    a blocking call (sleep / flock / blocking queue put) or a
-    thread/Manager construction."""
-
-    line: int
-    col: int
-    kind: str                        # "blocks-on-io" | "spawns-thread"
-    detail: str = ""
-
-    def to_json(self) -> Dict[str, object]:
-        return {"line": self.line, "col": self.col, "kind": self.kind,
-                "detail": self.detail}
-
-    @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "EffectSite":
-        return cls(line=int(data["line"]), col=int(data["col"]),
-                   kind=str(data["kind"]),
-                   detail=str(data.get("detail", "")))
-
 
 @dataclass
 class FunctionSummary:
@@ -228,105 +85,26 @@ class FunctionSummary:
     qualname: str
     line: int
     col: int
-    params: List[str] = field(default_factory=list)
-    #: param name (or "return") -> unit text from a quantity annotation
-    annotations: Dict[str, str] = field(default_factory=dict)
-    #: param name (or "return") -> array contract from array_shape /
-    #: array_dtype / cache_shared annotations ({"shape": [...],
-    #: "dtype": str, "prov": str} subsets)
-    array_annotations: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    returns: List[Desc] = field(default_factory=list)
-    #: array descriptors of the same return expressions
-    array_returns: List[ADesc] = field(default_factory=list)
     calls: List[CallSite] = field(default_factory=list)
-    adds: List[AddSite] = field(default_factory=list)
-    mutations: List[Mutation] = field(default_factory=list)
-    array_mutations: List[ArrayMutation] = field(default_factory=list)
-    broadcasts: List[BroadcastSite] = field(default_factory=list)
-    intdivs: List[IntDivSite] = field(default_factory=list)
-    #: lock acquisitions / attribute mutations / blocking+spawn effects
-    #: (the v4 concurrency pass)
     acquires: List[LockSite] = field(default_factory=list)
     attr_uses: List[AttrUse] = field(default_factory=list)
-    effects: List[EffectSite] = field(default_factory=list)
-    #: effect kinds acknowledged via ``units.effects(...)``/``hot_path()``
-    declared_effects: List[str] = field(default_factory=list)
-    #: constant names of ``.span(...)``/``.trace(...)`` sites opened here
-    span_names: List[str] = field(default_factory=list)
-    is_async: bool = False
     is_method: bool = False
     is_nested: bool = False
-    runner_registered: bool = False
-
-    def array_mutated_params(self) -> Set[str]:
-        """Parameters this function mutates in place (R10 call checks)."""
-        return {
-            m.param for m in self.array_mutations
-            if m.param is not None and m.param not in ("self", "cls")
-        }
 
     def to_json(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname, "line": self.line, "col": self.col,
-            "params": self.params, "annotations": self.annotations,
-            "array_annotations": self.array_annotations,
-            "returns": self.returns,
-            "array_returns": self.array_returns,
-            "calls": [call.to_json() for call in self.calls],
-            "adds": [a.to_json() for a in self.adds],
-            "mutations": [m.to_json() for m in self.mutations],
-            "array_mutations": [m.to_json() for m in self.array_mutations],
-            "broadcasts": [b.to_json() for b in self.broadcasts],
-            "intdivs": [d.to_json() for d in self.intdivs],
-            "acquires": [s.to_json() for s in self.acquires],
-            "attr_uses": [u.to_json() for u in self.attr_uses],
-            "effects": [e.to_json() for e in self.effects],
-            "declared_effects": self.declared_effects,
-            "span_names": self.span_names,
-            "is_async": self.is_async,
-            "is_method": self.is_method, "is_nested": self.is_nested,
-            "runner_registered": self.runner_registered,
-        }
+        return asdict(self)
 
     @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "FunctionSummary":
+    def from_json(cls, data: Dict[str, Any]) -> "FunctionSummary":
         return cls(
             qualname=str(data["qualname"]),
-            line=int(data["line"]), col=int(data["col"]),
-            params=list(data.get("params", [])),  # type: ignore[arg-type]
-            annotations=dict(data.get("annotations", {})),  # type: ignore[arg-type]
-            array_annotations={
-                str(name): dict(entry)  # type: ignore[arg-type]
-                for name, entry in dict(
-                    data.get("array_annotations", {})  # type: ignore[arg-type]
-                ).items()
-            },
-            returns=list(data.get("returns", [])),  # type: ignore[arg-type]
-            array_returns=list(data.get("array_returns", [])),  # type: ignore[arg-type]
-            calls=[CallSite.from_json(c)  # type: ignore[arg-type]
-                   for c in data.get("calls", [])],  # type: ignore[union-attr]
-            adds=[AddSite.from_json(a)  # type: ignore[arg-type]
-                  for a in data.get("adds", [])],  # type: ignore[union-attr]
-            mutations=[Mutation.from_json(m)  # type: ignore[arg-type]
-                       for m in data.get("mutations", [])],  # type: ignore[union-attr]
-            array_mutations=[ArrayMutation.from_json(m)  # type: ignore[arg-type]
-                             for m in data.get("array_mutations", [])],  # type: ignore[union-attr]
-            broadcasts=[BroadcastSite.from_json(b)  # type: ignore[arg-type]
-                        for b in data.get("broadcasts", [])],  # type: ignore[union-attr]
-            intdivs=[IntDivSite.from_json(d)  # type: ignore[arg-type]
-                     for d in data.get("intdivs", [])],  # type: ignore[union-attr]
-            acquires=[LockSite.from_json(s)  # type: ignore[arg-type]
-                      for s in data.get("acquires", [])],  # type: ignore[union-attr]
-            attr_uses=[AttrUse.from_json(u)  # type: ignore[arg-type]
-                       for u in data.get("attr_uses", [])],  # type: ignore[union-attr]
-            effects=[EffectSite.from_json(e)  # type: ignore[arg-type]
-                     for e in data.get("effects", [])],  # type: ignore[union-attr]
-            declared_effects=list(data.get("declared_effects", [])),  # type: ignore[arg-type]
-            span_names=list(data.get("span_names", [])),  # type: ignore[arg-type]
-            is_async=bool(data.get("is_async", False)),
-            is_method=bool(data.get("is_method", False)),
-            is_nested=bool(data.get("is_nested", False)),
-            runner_registered=bool(data.get("runner_registered", False)),
+            line=int(data["line"]),
+            col=int(data["col"]),
+            calls=[CallSite(**c) for c in data["calls"]],
+            acquires=[LockSite(**s) for s in data["acquires"]],
+            attr_uses=[AttrUse(**u) for u in data["attr_uses"]],
+            is_method=bool(data["is_method"]),
+            is_nested=bool(data["is_nested"]),
         )
 
 
@@ -338,11 +116,6 @@ class ModuleSummary:
     module: Optional[str]
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionSummary] = field(default_factory=dict)
-    module_mutables: List[str] = field(default_factory=list)
-    #: dotted names of callables handed to a pool submit/map call
-    submit_targets: List[str] = field(default_factory=list)
-    #: module-level names bound to lock-like primitives (R13 raw material)
-    module_locks: List[str] = field(default_factory=list)
     #: attr name -> lock names, from ``Annotated[..., guarded_by(...)]``
     #: class-body declarations (explicit R12 contracts)
     guarded_attrs: Dict[str, List[str]] = field(default_factory=dict)
@@ -358,9 +131,6 @@ class ModuleSummary:
             "imports": self.imports,
             "functions": {name: fn.to_json()
                           for name, fn in self.functions.items()},
-            "module_mutables": self.module_mutables,
-            "submit_targets": self.submit_targets,
-            "module_locks": self.module_locks,
             "guarded_attrs": self.guarded_attrs,
             "pragmas": {str(line): rules
                         for line, rules in self.pragmas.items()},
@@ -369,31 +139,22 @@ class ModuleSummary:
         }
 
     @classmethod
-    def from_json(cls, data: Dict[str, object]) -> "ModuleSummary":
+    def from_json(cls, data: Dict[str, Any]) -> "ModuleSummary":
         return cls(
             path=str(data["path"]),
-            module=data["module"] if data["module"] is None else str(data["module"]),
-            imports=dict(data.get("imports", {})),  # type: ignore[arg-type]
+            module=data["module"],
+            imports=dict(data["imports"]),
             functions={
-                str(name): FunctionSummary.from_json(fn)  # type: ignore[arg-type]
-                for name, fn in dict(data.get("functions", {})).items()  # type: ignore[arg-type]
+                name: FunctionSummary.from_json(fn)
+                for name, fn in data["functions"].items()
             },
-            module_mutables=list(data.get("module_mutables", [])),  # type: ignore[arg-type]
-            submit_targets=list(data.get("submit_targets", [])),  # type: ignore[arg-type]
-            module_locks=list(data.get("module_locks", [])),  # type: ignore[arg-type]
-            guarded_attrs={
-                str(attr): [str(lock) for lock in locks]  # type: ignore[union-attr]
-                for attr, locks in dict(
-                    data.get("guarded_attrs", {})  # type: ignore[arg-type]
-                ).items()
-            },
+            guarded_attrs=dict(data["guarded_attrs"]),
             pragmas={
-                int(line): (None if rules is None else list(rules))
-                for line, rules in dict(data.get("pragmas", {})).items()  # type: ignore[arg-type]
+                int(line): rules for line, rules in data["pragmas"].items()
             },
             anchor_lines={
-                int(line): str(text)
-                for line, text in dict(data.get("anchor_lines", {})).items()  # type: ignore[arg-type]
+                int(line): text
+                for line, text in data["anchor_lines"].items()
             },
         )
 
@@ -435,33 +196,6 @@ def _resolve_relative(module: Optional[str], level: int,
     return ".".join(base) if base else None
 
 
-def _quantity_annotation(node: Optional[ast.expr]) -> Optional[str]:
-    """Unit text of an ``Annotated[..., quantity("...")]`` annotation."""
-    if not isinstance(node, ast.Subscript):
-        return None
-    base = node.value
-    base_name = base.attr if isinstance(base, ast.Attribute) else (
-        base.id if isinstance(base, ast.Name) else None
-    )
-    if base_name != "Annotated":
-        return None
-    inner = node.slice
-    elements = inner.elts if isinstance(inner, ast.Tuple) else [inner]
-    for element in elements:
-        if not isinstance(element, ast.Call):
-            continue
-        func = element.func
-        func_name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if func_name != "quantity" or not element.args:
-            continue
-        arg = element.args[0]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-    return None
-
-
 def _annotated_metadata(node: Optional[ast.expr]) -> List[ast.Call]:
     """The metadata Call elements of an ``Annotated[...]`` expression."""
     if not isinstance(node, ast.Subscript):
@@ -477,40 +211,6 @@ def _annotated_metadata(node: Optional[ast.expr]) -> List[ast.Call]:
     return [element for element in elements if isinstance(element, ast.Call)]
 
 
-def _array_annotation(node: Optional[ast.expr]) -> Optional[Dict[str, object]]:
-    """Array contract of an ``Annotated[..., units.array_shape(...)]``
-    (and/or ``array_dtype``/``cache_shared``) annotation."""
-    info: Dict[str, object] = {}
-    for element in _annotated_metadata(node):
-        func = element.func
-        func_name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if func_name == "array_shape":
-            dims: List[object] = []
-            for arg in element.args:
-                if isinstance(arg, ast.Constant) and isinstance(
-                    arg.value, (str, int)
-                ) and not isinstance(arg.value, bool):
-                    value = arg.value
-                    dims.append(
-                        value.replace(" ", "") if isinstance(value, str)
-                        else value
-                    )
-                else:
-                    dims.append(None)
-            info["shape"] = dims
-        elif func_name == "array_dtype" and element.args:
-            arg = element.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                dtype = canonical_dtype(arg.value)
-                if dtype is not None:
-                    info["dtype"] = dtype
-        elif func_name == "cache_shared":
-            info["prov"] = "cache"
-    return info or None
-
-
 def _dotted(node: ast.AST) -> Optional[str]:
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
@@ -520,53 +220,6 @@ def _dotted(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-_POOL_HINTS = ("pool", "executor")
-_SUBMIT_METHODS = frozenset(
-    {"submit", "map", "apply", "apply_async", "imap", "imap_unordered",
-     "starmap"}
-)
-
-
-def _module_mutables(tree: ast.Module) -> List[str]:
-    names: List[str] = []
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if value is None:
-            continue
-        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
-                              ast.ListComp, ast.SetComp)):
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id not in names:
-                    names.append(target.id)
-    return names
-
-
-def _module_locks(tree: ast.Module) -> List[str]:
-    """Module-level names bound to lock-like primitives (R13 input)."""
-    names: List[str] = []
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if not isinstance(value, ast.Call):
-            continue
-        last = (_dotted(value.func) or "").split(".")[-1]
-        if last not in _LOCK_FACTORIES:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id not in names:
-                names.append(target.id)
-    return names
 
 
 def _guarded_attrs(tree: ast.Module) -> Dict[str, List[str]]:
@@ -600,26 +253,6 @@ def _guarded_attrs(tree: ast.Module) -> Dict[str, List[str]]:
     return guarded
 
 
-def _effect_annotations(node) -> List[str]:
-    """Effect kinds declared on the return annotation via
-    ``units.effects(...)`` / ``units.hot_path()``."""
-    declared: List[str] = []
-    for element in _annotated_metadata(getattr(node, "returns", None)):
-        func = element.func
-        func_name = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None
-        )
-        if func_name == "effects":
-            for arg in element.args:
-                if isinstance(arg, ast.Constant) and isinstance(
-                    arg.value, str
-                ) and arg.value not in declared:
-                    declared.append(arg.value)
-        elif func_name == "hot_path" and "hot-path" not in declared:
-            declared.append("hot-path")
-    return declared
-
-
 def _imports(tree: ast.Module, module: Optional[str]) -> Dict[str, str]:
     table: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -643,78 +276,15 @@ def _imports(tree: ast.Module, module: Optional[str]) -> Dict[str, str]:
 
 
 class _FunctionExtractor:
-    """Walks one function body collecting calls/returns/mutations."""
+    """Walks one function body collecting calls, lock acquisitions and
+    attribute mutations, each with the locks held at that point."""
 
-    def __init__(self, info, symbols: Dict[str, str],
-                 attributes: Dict[str, str],
-                 dim_params: Optional[List[str]] = None,
-                 blocking_calls: Optional[Dict[str, str]] = None) -> None:
-        self.node = info.node
-        self.params = _param_names(self.node)
-        self.inferer = SymbolicInferer(symbols, attributes, self.params)
-        self.arr = ArrayInferer(self.params, dim_params or [])
-        self.blocking_calls = (
-            blocking_calls if blocking_calls is not None
-            else dict(_DEFAULT_BLOCKING_CALLS)
-        )
+    def __init__(self, node) -> None:
+        self.node = node
         self.calls: List[CallSite] = []
-        self.returns: List[Desc] = []
-        self.array_returns: List[ADesc] = []
-        self.adds: List[AddSite] = []
-        self.mutations: List[Mutation] = []
-        self.array_mutations: List[ArrayMutation] = []
-        self.broadcasts: List[BroadcastSite] = []
         self.acquires: List[LockSite] = []
         self.attr_uses: List[AttrUse] = []
-        self.effects: List[EffectSite] = []
-        self.span_names: List[str] = []
         self._held: List[str] = []  # lock-acquisition stack during the walk
-        self.global_names: Set[str] = set()
-        self.nonlocal_names: Set[str] = set()
-        self.local_names: Set[str] = set(self.params)
-        self._collect_locals()
-
-    def _collect_locals(self) -> None:
-        for node in self._own_nodes():
-            targets: List[ast.expr] = []
-            if isinstance(node, ast.Assign):
-                targets = list(node.targets)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                targets = [node.target]
-            elif isinstance(node, (ast.For, ast.comprehension)):
-                targets = [node.target]
-            elif isinstance(node, ast.withitem) and node.optional_vars:
-                targets = [node.optional_vars]
-            elif isinstance(node, ast.Global):
-                self.global_names.update(node.names)
-            elif isinstance(node, ast.Nonlocal):
-                self.nonlocal_names.update(node.names)
-            for target in targets:
-                self._bind_names(target)
-        self.local_names -= self.global_names
-        self.local_names -= self.nonlocal_names
-
-    def _bind_names(self, target: ast.expr) -> None:
-        """Record names *bound* by a target (not Subscript/Attribute
-        stores, which mutate an existing object rather than binding)."""
-        if isinstance(target, ast.Name):
-            self.local_names.add(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._bind_names(element)
-        elif isinstance(target, ast.Starred):
-            self._bind_names(target.value)
-
-    def _own_nodes(self):
-        """Every node of this function body, not descending into defs."""
-        stack = list(ast.iter_child_nodes(self.node))
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
 
     def run(self) -> None:
         self._walk_body(self.node.body)
@@ -725,14 +295,6 @@ class _FunctionExtractor:
                                  ast.ClassDef)):
                 continue
             self._visit_stmt(stmt)
-            # keep the assignment environments flowing in order
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    self.inferer.bind(target, stmt.value)
-                    self.arr.bind(target, stmt.value)
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                self.inferer.bind(stmt.target, stmt.value)
-                self.arr.bind(stmt.target, stmt.value)
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 # thread the lock context through the body so every
                 # call / attribute-mutation site knows what is held
@@ -749,17 +311,11 @@ class _FunctionExtractor:
         for node in _shallow_walk(stmt):
             if isinstance(node, ast.Call):
                 self._record_call(node)
-            elif isinstance(node, ast.Return) and node.value is not None:
-                self.returns.append(self.inferer.infer(node.value))
-                self.array_returns.append(self.arr.infer(node.value))
-            elif isinstance(node, ast.BinOp):
-                if isinstance(node.op, (ast.Add, ast.Sub)):
-                    self._record_add(node)
-                self._record_broadcast(node)
-            elif isinstance(node, ast.Subscript):
-                self.arr.scan_index(node)
-        self._record_mutations(stmt)
-        self._record_array_writes(stmt)
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    self._mutation_target(target, "assign")
+            elif isinstance(node, ast.AugAssign):
+                self._mutation_target(node.target, "augassign")
 
     def _record_acquires(self, stmt) -> List[str]:
         """Lock names acquired by one ``with`` statement's items."""
@@ -780,219 +336,24 @@ class _FunctionExtractor:
             acquired.append(name)
         return acquired
 
-    def _record_add(self, node: ast.BinOp) -> None:
-        """Keep +/- sites R6 must re-check once signatures are known:
-        both sides carry information, at least one is symbolic, and
-        local inference could not prove them equal."""
-        from .signatures import NUM
-
-        left = self.inferer.infer(node.left)
-        right = self.inferer.infer(node.right)
-        if left in (UNKNOWN, NUM) or right in (UNKNOWN, NUM):
-            return
-        if left == right:
-            return
-        symbolic = {"param", "ret", "mul", "div", "pow"}
-        if left[0] not in symbolic and right[0] not in symbolic:
-            return  # both concrete: the per-file unit rule owns this
-        self.adds.append(
-            AddSite(
-                line=node.lineno, col=node.col_offset,
-                op="+" if isinstance(node.op, ast.Add) else "-",
-                left=left, right=right,
-            )
-        )
-
-    _BROADCAST_OPS = {
-        ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
-        ast.MatMult: "@",
-    }
-
-    def _record_broadcast(self, node: ast.BinOp) -> None:
-        """Keep elementwise/matmul sites R9 must re-check once array
-        signatures are known: both sides carry array information, at
-        least one is symbolic, and they are not trivially identical."""
-        from .arrays import is_symbolic
-
-        op = self._BROADCAST_OPS.get(type(node.op))
-        if op is None:
-            return
-        left = self.arr.infer(node.left)
-        right = self.arr.infer(node.right)
-        if left == AUNKNOWN or right == AUNKNOWN or left == right:
-            return
-        if not (is_symbolic(left) or is_symbolic(right)):
-            return  # both locally concrete: nothing new to learn later
-        self.broadcasts.append(
-            BroadcastSite(line=node.lineno, col=node.col_offset,
-                          op=op, left=left, right=right)
-        )
-
-    def _record_array_writes(self, stmt: ast.stmt) -> None:
-        """Record in-place writes to array values (R10's raw material)."""
-        if isinstance(stmt, ast.AugAssign):
-            op = self._BROADCAST_OPS.get(type(stmt.op), "?") + "="
-            target = stmt.target
-            if isinstance(target, ast.Name):
-                self._array_mutation(
-                    target, self.arr.infer(target), "augassign",
-                    f"{target.id} {op}",
-                )
-            elif isinstance(target, ast.Subscript) and isinstance(
-                target.value, ast.Name
-            ):
-                self._array_mutation(
-                    target, self.arr.infer(target.value), "augassign",
-                    f"{target.value.id}[...] {op}",
-                )
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Name
-                ):
-                    self._array_mutation(
-                        target, self.arr.infer(target.value), "slice-assign",
-                        f"{target.value.id}[...] =",
-                    )
-
-    def _array_mutation(self, node: ast.AST, desc: ADesc, kind: str,
-                        detail: str) -> None:
-        if desc == AUNKNOWN:
-            return
-        param = str(desc[1]) if desc[0] == "aparam" else None
-        self.array_mutations.append(
-            ArrayMutation(line=getattr(node, "lineno", 1),
-                          col=getattr(node, "col_offset", 0),
-                          kind=kind, detail=detail, target=desc,
-                          param=param)
-        )
-
     def _record_call(self, node: ast.Call) -> None:
         dotted = _dotted(node.func)
         if dotted is not None:
             self.calls.append(
-                CallSite(
-                    line=node.lineno, col=node.col_offset, callee=dotted,
-                    args=[self.inferer.infer(arg) for arg in node.args
-                          if not isinstance(arg, ast.Starred)],
-                    kwargs={
-                        kw.arg: self.inferer.infer(kw.value)
-                        for kw in node.keywords if kw.arg is not None
-                    },
-                    arr_args=[self.arr.infer(arg) for arg in node.args
-                              if not isinstance(arg, ast.Starred)],
-                    arr_kwargs={
-                        kw.arg: self.arr.infer(kw.value)
-                        for kw in node.keywords if kw.arg is not None
-                    },
-                    locks=list(self._held),
-                )
+                CallSite(line=node.lineno, col=node.col_offset,
+                         callee=dotted, locks=list(self._held))
             )
-            self._record_effect(node, dotted)
-        # ``out=`` kwargs write their destination in place
-        for keyword in node.keywords:
-            if keyword.arg == "out":
-                name = _dotted(keyword.value) or "out"
-                self._array_mutation(
-                    keyword.value, self.arr.infer(keyword.value),
-                    "out", f"out={name}",
-                )
-        # ndarray mutating methods (x.sort(), x.fill(0), ...)
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ARRAY_MUTATING_METHODS:
-            name = _dotted(func.value) or "array"
-            self._array_mutation(
-                node, self.arr.infer(func.value),
-                "method", f"{name}.{func.attr}()",
-            )
-        # pool submissions double as pool-safety roots
         func = node.func
         if (
             isinstance(func, ast.Attribute)
-            and func.attr in _SUBMIT_METHODS
-            and any(h in (_dotted(func.value) or "").lower()
-                    for h in _POOL_HINTS)
-            and node.args
+            and func.attr in MUTATING_METHODS
+            and isinstance(func.value, ast.Attribute)
         ):
-            target = _dotted(node.args[0])
-            if target is not None:
-                self.calls.append(
-                    CallSite(line=node.lineno, col=node.col_offset,
-                             callee=target, args=[], kwargs={})
-                )
-                self.submit_target = target
-
-    def _record_effect(self, node: ast.Call, dotted: str) -> None:
-        """Classify one call as a blocking / thread-spawning effect."""
-        last = dotted.split(".")[-1]
-        if last in ("span", "trace") and node.args:
-            first = node.args[0]
-            if isinstance(first, ast.Constant) and isinstance(first.value, str):
-                self.span_names.append(first.value)
-            return
-        kind: Optional[str] = None
-        detail = f"{dotted}()"
-        blocking = self.blocking_calls.get(last)
-        if blocking is not None and last != "put":
-            kind = blocking
-        elif blocking is not None:  # .put: only queue-ish receivers block
-            receiver = ""
-            if "." in dotted:
-                receiver = dotted.rsplit(".", 2)[-2].lower()
-            nonblocking = any(
-                kw.arg == "block"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in node.keywords
-            )
-            if not nonblocking and (
-                "queue" in receiver or "sink" in receiver or receiver == "q"
-            ):
-                kind = blocking
-                detail = f"{dotted}() may block on a full queue"
-        elif last.endswith("Thread") or last == "Timer":
-            kind = "spawns-thread"
-        elif last == "Manager":
-            kind = "spawns-thread"
-            detail = f"{dotted}() starts a manager process"
-        if kind is not None:
-            self.effects.append(
-                EffectSite(line=node.lineno, col=node.col_offset,
-                           kind=kind, detail=detail)
-            )
-
-    def _record_mutations(self, stmt: ast.stmt) -> None:
-        for node in _shallow_walk(stmt):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    self._mutation_target(target, "assign")
-            elif isinstance(node, ast.AugAssign):
-                self._mutation_target(node.target, "augassign")
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in MUTATING_METHODS
-                ):
-                    if isinstance(func.value, ast.Name):
-                        self._add_mutation(func.value, func.value.id,
-                                           "method", func.attr)
-                    elif isinstance(func.value, ast.Attribute):
-                        self._attr_use(func.value, "method",
-                                       f".{func.attr}()")
+            self._attr_use(func.value, "method", f".{func.attr}()")
 
     def _mutation_target(self, target: ast.expr, how: str) -> None:
-        if isinstance(target, ast.Name):
-            if target.id in self.global_names:
-                self._add_mutation(target, target.id, "global", how)
-            elif target.id in self.nonlocal_names:
-                self._add_mutation(target, target.id, "nonlocal", how)
-        elif isinstance(target, ast.Attribute):
+        if isinstance(target, ast.Attribute):
             self._attr_use(target, how)
-        elif isinstance(target, ast.Subscript) and isinstance(
-            target.value, ast.Name
-        ):
-            self._add_mutation(target, target.value.id, "subscript", how)
         elif isinstance(target, ast.Subscript) and isinstance(
             target.value, ast.Attribute
         ):
@@ -1014,54 +375,6 @@ class _FunctionExtractor:
                     attr=node.attr, base=base, kind=kind,
                     locks=list(self._held), detail=detail)
         )
-
-    def _add_mutation(self, node: ast.AST, name: str, kind: str,
-                      detail: str) -> None:
-        if kind in ("subscript", "method") and name in self.local_names:
-            return  # a local shadows the module-level name
-        self.mutations.append(
-            Mutation(line=getattr(node, "lineno", 1),
-                     col=getattr(node, "col_offset", 0),
-                     name=name, kind=kind, detail=detail)
-        )
-
-
-def _param_names(node) -> List[str]:
-    args = node.args
-    names = [a.arg for a in getattr(args, "posonlyargs", [])]
-    names += [a.arg for a in args.args]
-    return names
-
-
-def _param_annotations(node) -> Dict[str, str]:
-    annotations: Dict[str, str] = {}
-    args = node.args
-    for arg in list(getattr(args, "posonlyargs", [])) + list(args.args) + list(
-        args.kwonlyargs
-    ):
-        unit = _quantity_annotation(arg.annotation)
-        if unit is not None:
-            annotations[arg.arg] = unit
-    unit = _quantity_annotation(node.returns)
-    if unit is not None:
-        annotations["return"] = unit
-    return annotations
-
-
-def _array_annotations(node) -> Dict[str, Dict[str, object]]:
-    """Per-parameter (and ``"return"``) array contracts from metadata."""
-    contracts: Dict[str, Dict[str, object]] = {}
-    args = node.args
-    for arg in list(getattr(args, "posonlyargs", [])) + list(args.args) + list(
-        args.kwonlyargs
-    ):
-        contract = _array_annotation(arg.annotation)
-        if contract is not None:
-            contracts[arg.arg] = contract
-    contract = _array_annotation(node.returns)
-    if contract is not None:
-        contracts["return"] = contract
-    return contracts
 
 
 def _nested_bodies(stmt: ast.stmt):
@@ -1093,16 +406,11 @@ def _shallow_walk(stmt: ast.stmt):
 
 def extract_summary(source: SourceFile) -> ModuleSummary:
     """Compile one parsed file into its cacheable module summary."""
-    tables = load_unit_tables()
-    symbols = tables["dimensions"]
-    attributes = tables["attributes"]
     module = module_name_for(source.path)
     summary = ModuleSummary(
         path=source.path,
         module=module,
         imports=_imports(source.tree, module),
-        module_mutables=_module_mutables(source.tree),
-        module_locks=_module_locks(source.tree),
         guarded_attrs=_guarded_attrs(source.tree),
         pragmas={
             line: (None if rules is None else sorted(rules))
@@ -1110,72 +418,22 @@ def extract_summary(source: SourceFile) -> ModuleSummary:
         },
     )
     anchor_lines: Set[int] = set(summary.pragmas)
-    dim_params = [str(d) for d in tables.get("dimension_parameters", [])]
-    concurrency = tables.get("concurrency", {})
-    blocking_calls = dict(
-        concurrency.get("blocking_calls", _DEFAULT_BLOCKING_CALLS)
-    )
     for info in iter_functions(source.tree):
-        extractor = _FunctionExtractor(
-            info, symbols, attributes, dim_params=dim_params,
-            blocking_calls=blocking_calls,
-        )
+        extractor = _FunctionExtractor(info.node)
         extractor.run()
-        registered = any(
-            isinstance(dec, ast.Call)
-            and (_dotted(dec.func) or "").split(".")[-1] == "runner"
-            for dec in info.node.decorator_list
-        )
-        span_names = list(extractor.span_names)
-        for dec in info.node.decorator_list:
-            # @tracer.trace("name") decorators mark hot spans too
-            if (
-                isinstance(dec, ast.Call)
-                and (_dotted(dec.func) or "").split(".")[-1] == "trace"
-                and dec.args
-                and isinstance(dec.args[0], ast.Constant)
-                and isinstance(dec.args[0].value, str)
-            ):
-                span_names.append(dec.args[0].value)
         function = FunctionSummary(
             qualname=info.qualname,
             line=info.node.lineno,
             col=info.node.col_offset,
-            params=extractor.params,
-            annotations=_param_annotations(info.node),
-            returns=extractor.returns,
             calls=extractor.calls,
-            adds=extractor.adds,
-            mutations=extractor.mutations,
-            is_method=info.parent_class is not None,
-            is_nested=info.parent_function is not None,
-            runner_registered=registered,
-            array_annotations=_array_annotations(info.node),
-            array_returns=extractor.array_returns,
-            array_mutations=extractor.array_mutations,
-            broadcasts=extractor.broadcasts,
-            intdivs=list(extractor.arr.intdivs),
             acquires=extractor.acquires,
             attr_uses=extractor.attr_uses,
-            effects=extractor.effects,
-            declared_effects=_effect_annotations(info.node),
-            span_names=span_names,
-            is_async=isinstance(info.node, ast.AsyncFunctionDef),
+            is_method=info.parent_class is not None,
+            is_nested=info.parent_function is not None,
         )
         summary.functions[info.qualname] = function
-        anchor_lines.add(function.line)
-        anchor_lines.update(call.line for call in function.calls)
-        anchor_lines.update(a.line for a in function.adds)
-        anchor_lines.update(m.line for m in function.mutations)
-        anchor_lines.update(m.line for m in function.array_mutations)
-        anchor_lines.update(b.line for b in function.broadcasts)
-        anchor_lines.update(d.line for d in function.intdivs)
         anchor_lines.update(s.line for s in function.acquires)
         anchor_lines.update(u.line for u in function.attr_uses)
-        anchor_lines.update(e.line for e in function.effects)
-        submit = getattr(extractor, "submit_target", None)
-        if submit is not None and submit not in summary.submit_targets:
-            summary.submit_targets.append(submit)
     summary.anchor_lines = {
         line: source.line_text(line).strip() for line in sorted(anchor_lines)
     }
@@ -1233,42 +491,3 @@ class SymbolTable:
     def lookup(self, fqn: str) -> Optional[FunctionSummary]:
         entry = self.functions.get(fqn)
         return entry[1] if entry is not None else None
-
-    def module_of(self, fqn: str) -> Optional[ModuleSummary]:
-        entry = self.functions.get(fqn)
-        return entry[0] if entry is not None else None
-
-
-class CallGraph:
-    """Resolved caller -> callee edges plus reachability queries."""
-
-    def __init__(self, table: SymbolTable) -> None:
-        self.table = table
-        self.edges: Dict[str, Set[str]] = {}
-        for summary in table.summaries:
-            if summary.module is None:
-                continue
-            for qualname, function in summary.functions.items():
-                caller = f"{summary.module}.{qualname}"
-                targets = self.edges.setdefault(caller, set())
-                for call in function.calls:
-                    resolved = table.resolve(summary, call.callee)
-                    if resolved is not None:
-                        targets.add(resolved)
-
-    def callees(self, fqn: str) -> Set[str]:
-        return self.edges.get(fqn, set())
-
-    def reachable_from(self, roots: List[str]) -> Dict[str, str]:
-        """BFS closure: reachable fqn -> the root it is reachable from."""
-        seen: Dict[str, str] = {}
-        frontier = [(root, root) for root in roots]
-        while frontier:
-            fqn, root = frontier.pop()
-            if fqn in seen:
-                continue
-            seen[fqn] = root
-            for callee in self.callees(fqn):
-                if callee not in seen:
-                    frontier.append((callee, root))
-        return seen

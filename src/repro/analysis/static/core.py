@@ -19,7 +19,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type,
+)
+
+if TYPE_CHECKING:
+    from .callgraph import SymbolTable
 
 #: Severity names, ordered from least to most severe.
 SEVERITIES = ("note", "warning", "error")
@@ -29,23 +34,17 @@ _SEVERITY_RANK = {name: rank for rank, name in enumerate(SEVERITIES)}
 _PRAGMA_RE = re.compile(r"#\s*repro-ok(?::\s*(?P<rules>[\w\s,-]+))?")
 
 #: Short ``R<n>`` aliases for the rule names, usable in ``--rules`` and
-#: in pragmas (``repro-ok: R2,R6``).  The numbering matches the
-#: DESIGN.md rule catalogue and is stable across releases.
+#: in pragmas (``repro-ok: R2,R5``).  The numbering matches the
+#: DESIGN.md rule catalogue and is stable across releases: numbers of
+#: removed rules are never reused.
 RULE_ALIASES: Dict[str, str] = {
     "R1": "unit-consistency",
     "R2": "cache-invalidation",
     "R3": "hash-determinism",
     "R4": "pickle-safety",
     "R5": "float-equality",
-    "R6": "unit-flow",
-    "R7": "pool-safety",
     "R8": "obs-taxonomy",
-    "R9": "shape-flow",
-    "R10": "cache-alias-mutation",
-    "R11": "dtype-flow",
     "R12": "lock-discipline",
-    "R13": "fork-spawn-safety",
-    "R14": "blocking-in-hot-path",
 }
 
 
@@ -250,18 +249,18 @@ class ProjectRule(Rule):
     """Base class for whole-program rules.
 
     Where a plain :class:`Rule` sees one :class:`SourceFile` at a time,
-    a project rule runs once per analysis over a
-    :class:`~repro.analysis.static.interp.ProjectContext` — the module
-    summaries, symbol table, call graph, and dimension signatures of
-    every analyzed file — and may anchor findings in any of them.
-    Subclasses implement :meth:`check_project`; :meth:`check` is a
-    no-op so project rules compose with the per-file driver.
+    a project rule runs once per analysis over the
+    :class:`~repro.analysis.static.callgraph.SymbolTable` linking the
+    module summaries of every analyzed file, and may anchor findings
+    in any of them.  Subclasses implement :meth:`check_project`;
+    :meth:`check` is a no-op so project rules compose with the
+    per-file driver.
     """
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         return iter(())
 
-    def check_project(self, project: "object") -> Iterator[Finding]:
+    def check_project(self, table: "SymbolTable") -> Iterator[Finding]:
         """Yield findings over the whole analyzed project."""
         raise NotImplementedError
 
@@ -323,15 +322,12 @@ def make_rules(names: Optional[Iterable[str]] = None) -> List[Rule]:
 def _load_rule_modules() -> None:
     """Import the rules_* modules so their ``@register`` calls run."""
     from . import (  # noqa: F401  (imported for registration side effect)
-        rules_arrays,
         rules_cache,
         rules_concurrency,
         rules_determinism,
         rules_float,
-        rules_interp,
         rules_obs,
         rules_pickle,
-        rules_pool,
         rules_units,
     )
 

@@ -1,26 +1,21 @@
-"""Rules: concurrency safety (R12 lock-discipline, R13
-fork-spawn-safety, R14 blocking-in-hot-path).
+"""Rule: lock discipline (R12), the analyzer's one whole-program rule.
 
-PR 8 made the runtime genuinely concurrent — heartbeat daemon threads,
-Manager queues crossing fork *and* spawn pools, an flock-guarded
-counter file, a registry-wide metrics lock — and the planned campaign
-daemon multiplies that surface.  These three whole-program rules ride
-the v4 effect-and-lock extraction in :mod:`.callgraph` (per-function
-:class:`~.callgraph.LockSite` / :class:`~.callgraph.AttrUse` /
-:class:`~.callgraph.EffectSite` records plus the lock context threaded
-through every call site).
+The campaign runtime is genuinely concurrent — heartbeat daemon
+threads, Manager queues crossing fork and spawn pools, an
+flock-guarded counter file, a registry-wide metrics lock.  R12 rides
+the lock-aware extraction in :mod:`.callgraph`: per-function
+:class:`~.callgraph.LockSite` and :class:`~.callgraph.AttrUse` records
+plus the lock context threaded through every call site.
 
-Shared machinery, computed once per analysis and memoized on the
-:class:`~.interp.ProjectContext`:
+The model, built once per analysis over the project's
+:class:`~.callgraph.SymbolTable`:
 
 * **guarded-attribute map** — attr name -> protecting lock name(s).
   Sources: explicit class-body ``Annotated[..., units.guarded_by(...)]``
   declarations, unioned with *inference*: an attribute mutated under the
   same lock in two or more distinct functions project-wide is taken to
-  be guarded by that lock.  Names are rigid symbols project-wide, the
-  same convention :data:`repro.units.PARAMETER_DIMENSIONS` uses for
-  dimensions — so only distinctively-named attributes should carry
-  explicit contracts.
+  be guarded by that lock.  Names are rigid symbols project-wide, so
+  only distinctively-named attributes should carry explicit contracts.
 * **held-lock contexts** — an interprocedural fixpoint assigning each
   *private* function the set of locks every known caller provably
   holds at the call site (``CampaignProgress._job`` mutates state on
@@ -41,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+from .callgraph import SymbolTable
 from .core import Finding, ProjectRule, register
 
 #: Functions whose unguarded attribute writes are structural, not racy:
@@ -52,16 +48,6 @@ _EXEMPT_FUNCTIONS = frozenset(
 )
 
 _MAX_PASSES = 10
-
-_FALLBACK_HOT_PREFIXES = ("solver.", "rcmodel.")
-
-
-def _hot_span_prefixes(project) -> Tuple[str, ...]:
-    concurrency = project.tables.get("concurrency", {})
-    prefixes = concurrency.get("hot_span_prefixes")
-    if prefixes:
-        return tuple(str(p) for p in prefixes)
-    return _FALLBACK_HOT_PREFIXES
 
 
 def _leaf(qualname: str) -> str:
@@ -75,7 +61,7 @@ def _is_private_helper(qualname: str) -> bool:
 
 @dataclass
 class ConcurrencyInfo:
-    """The shared whole-program concurrency model (memoized)."""
+    """The whole-program lock model R12 checks against."""
 
     #: attr name -> lock names that protect it
     guards: Dict[str, Set[str]] = field(default_factory=dict)
@@ -90,22 +76,19 @@ class ConcurrencyInfo:
     )
 
 
-def concurrency_info(project) -> ConcurrencyInfo:
-    """Build (once) the guard map, held contexts, and order graph."""
-    cached = getattr(project, "_concurrency_info", None)
-    if isinstance(cached, ConcurrencyInfo):
-        return cached
+def concurrency_info(table: SymbolTable) -> ConcurrencyInfo:
+    """Build the guard map, held contexts, and order graph."""
     info = ConcurrencyInfo()
 
     # -- guarded-attribute map: explicit contracts first ---------------
-    for summary in project.summaries:
+    for summary in table.summaries:
         for attr, locks in summary.guarded_attrs.items():
             info.guards.setdefault(attr, set()).update(locks)
             info.explicit.add(attr)
 
     # -- inference: same lock protecting the same attr in >= 2 funcs --
     writers: Dict[Tuple[str, str], Set[str]] = {}
-    for summary in project.summaries:
+    for summary in table.summaries:
         if summary.module is None:
             continue
         for qualname, function in summary.functions.items():
@@ -124,7 +107,7 @@ def concurrency_info(project) -> ConcurrencyInfo:
     # -- held-lock contexts (private helpers only) ---------------------
     callers: Dict[str, List[Tuple[str, Set[str]]]] = {}
     universe: Set[str] = set()
-    for summary in project.summaries:
+    for summary in table.summaries:
         if summary.module is None:
             continue
         for qualname, function in summary.functions.items():
@@ -136,18 +119,18 @@ def concurrency_info(project) -> ConcurrencyInfo:
                 if call.callee.startswith("self.") and function.is_method:
                     cls = qualname.rsplit(".", 1)[0] if "." in qualname else ""
                     candidate = f"{summary.module}.{cls}.{call.callee[5:]}"
-                    if candidate in project.table.functions:
+                    if candidate in table.functions:
                         target = candidate
                 if target is None:
-                    target = project.table.resolve(summary, call.callee)
+                    target = table.resolve(summary, call.callee)
                 if target is None:
                     continue
                 callers.setdefault(target, []).append(
                     (caller, set(call.locks))
                 )
     held: Dict[str, Set[str]] = {}
-    for fqn in project.table.functions:
-        function = project.table.lookup(fqn)
+    for fqn in table.functions:
+        function = table.lookup(fqn)
         if (
             function is not None
             and _is_private_helper(fqn)
@@ -170,7 +153,7 @@ def concurrency_info(project) -> ConcurrencyInfo:
     info.held_context = held
 
     # -- acquisition-order graph ---------------------------------------
-    for summary in project.summaries:
+    for summary in table.summaries:
         if summary.module is None:
             continue
         for qualname, function in summary.functions.items():
@@ -185,7 +168,6 @@ def concurrency_info(project) -> ConcurrencyInfo:
                         (summary.path, site.line, site.col, fqn),
                     )
 
-    project._concurrency_info = info
     return info
 
 
@@ -203,10 +185,10 @@ class LockDisciplineRule(ProjectRule):
         "both orders (deadlock potential)."
     )
 
-    def check_project(self, project) -> Iterator[Finding]:
-        info = concurrency_info(project)
+    def check_project(self, table: SymbolTable) -> Iterator[Finding]:
+        info = concurrency_info(table)
         seen: Set[Tuple[str, int, str]] = set()
-        for summary in project.summaries:
+        for summary in table.summaries:
             if summary.module is None:
                 continue
             for qualname, function in summary.functions.items():
@@ -282,190 +264,3 @@ class LockDisciplineRule(ProjectRule):
                     f"{pair[0]} and {pair[1]} and use it everywhere"
                 ),
             )
-
-
-@register
-class ForkSpawnSafetyRule(ProjectRule):
-    """Flag fork/spawn hazards in pool-worker-reachable code."""
-
-    name = "fork-spawn-safety"
-    severity = "warning"
-    description = (
-        "A pool-worker-reachable function acquires a module-level lock "
-        "(duplicated by fork, reset by spawn), spawns threads without "
-        "declaring the effect, or a nested function is submitted to a "
-        "pool (unpicklable under the spawn start method)."
-    )
-
-    def check_project(self, project) -> Iterator[Finding]:
-        roots: List[str] = []
-        for summary in project.summaries:
-            if summary.module is None:
-                continue
-            for qualname, function in summary.functions.items():
-                if function.runner_registered:
-                    roots.append(f"{summary.module}.{qualname}")
-            for target in summary.submit_targets:
-                resolved = project.table.resolve(summary, target)
-                if resolved is not None:
-                    roots.append(resolved)
-                else:
-                    yield from self._nested_submit(summary, target)
-        if not roots:
-            return
-        reachable = project.graph.reachable_from(sorted(set(roots)))
-        for fqn in sorted(reachable):
-            root = reachable[fqn]
-            summary = project.table.module_of(fqn)
-            function = project.table.lookup(fqn)
-            if summary is None or function is None:
-                continue
-            via = "" if fqn == root else f" (reachable from {root})"
-            module_locks = set(summary.module_locks)
-            for site in function.acquires:
-                if "." in site.base or site.base not in module_locks:
-                    continue
-                yield self.project_finding(
-                    path=summary.path,
-                    line=site.line,
-                    col=site.col,
-                    message=(
-                        f"{function.qualname}() runs in pool worker "
-                        f"processes{via} and acquires module-level lock "
-                        f"{site.base!r}: fork duplicates a possibly-held "
-                        "lock into the child (deadlock), spawn resets "
-                        "it (no exclusion)"
-                    ),
-                    hint=(
-                        "create the lock inside the worker (e.g. a "
-                        "pool initializer) or use a file/Manager lock "
-                        "designed to cross processes"
-                    ),
-                )
-            for effect in function.effects:
-                if effect.kind != "spawns-thread":
-                    continue
-                if "spawns-thread" in function.declared_effects:
-                    continue
-                yield self.project_finding(
-                    path=summary.path,
-                    line=effect.line,
-                    col=effect.col,
-                    message=(
-                        f"{function.qualname}() runs in pool worker "
-                        f"processes{via} and spawns a thread "
-                        f"({effect.detail}); worker threads die with "
-                        "the worker and their state never reaches the "
-                        "parent"
-                    ),
-                    hint=(
-                        "declare the contract with `-> Annotated[..., "
-                        'units.effects("spawns-thread")]` if the '
-                        "thread is intentionally worker-local"
-                    ),
-                )
-
-    def _nested_submit(self, summary, target: str) -> Iterator[Finding]:
-        """An unresolvable submit target that names a nested function
-        is unpicklable under the spawn start method."""
-        leaf = _leaf(target)
-        for qualname, function in summary.functions.items():
-            if not function.is_nested:
-                continue
-            if not qualname.endswith(f".<locals>.{leaf}"):
-                continue
-            site = self._submit_site(summary, target)
-            if site is None:
-                continue
-            yield self.project_finding(
-                path=summary.path,
-                line=site[0],
-                col=site[1],
-                message=(
-                    f"nested function {qualname}() is submitted to a "
-                    "process pool; nested functions cannot be pickled, "
-                    "so this breaks under the spawn start method "
-                    "(the macOS/Windows default)"
-                ),
-                hint="move the worker function to module level",
-                severity="error",
-            )
-            return
-
-    @staticmethod
-    def _submit_site(summary, target: str) -> Optional[Tuple[int, int]]:
-        for function in summary.functions.values():
-            for call in function.calls:
-                if call.callee == target:
-                    return (call.line, call.col)
-        return None
-
-
-@register
-class BlockingHotPathRule(ProjectRule):
-    """Flag blocking operations reachable from solver hot paths."""
-
-    name = "blocking-in-hot-path"
-    severity = "warning"
-    description = (
-        "A blocking operation (sleep, flock, blocking queue put) is "
-        "reachable from a hot path: a function opening a solver/rcmodel "
-        "span, an async function, or a declared units.hot_path() root. "
-        "The future campaign daemon's event loop cannot afford to "
-        "stall there."
-    )
-
-    def check_project(self, project) -> Iterator[Finding]:
-        prefixes = _hot_span_prefixes(project)
-        roots: List[str] = []
-        for summary in project.summaries:
-            if summary.module is None:
-                continue
-            for qualname, function in summary.functions.items():
-                hot = (
-                    function.is_async
-                    or "hot-path" in function.declared_effects
-                    or any(
-                        name.startswith(prefixes)
-                        for name in function.span_names
-                    )
-                )
-                if hot:
-                    roots.append(f"{summary.module}.{qualname}")
-        if not roots:
-            return
-        reachable = project.graph.reachable_from(sorted(set(roots)))
-        seen: Set[Tuple[str, int]] = set()
-        for fqn in sorted(reachable):
-            root = reachable[fqn]
-            summary = project.table.module_of(fqn)
-            function = project.table.lookup(fqn)
-            if summary is None or function is None:
-                continue
-            for effect in function.effects:
-                if effect.kind != "blocks-on-io":
-                    continue
-                if "blocks-on-io" in function.declared_effects:
-                    continue
-                key = (summary.path, effect.line)
-                if key in seen:
-                    continue
-                seen.add(key)
-                via = "" if fqn == root else f", reachable from {root}"
-                yield self.project_finding(
-                    path=summary.path,
-                    line=effect.line,
-                    col=effect.col,
-                    message=(
-                        f"{function.qualname}() blocks ({effect.detail}) "
-                        f"on a hot path{via}; a stalled solver span or "
-                        "async handler holds up every queued campaign "
-                        "job"
-                    ),
-                    hint=(
-                        "move the blocking call off the hot path, use a "
-                        "non-blocking variant (put_nowait), or declare "
-                        "the contract with `-> Annotated[..., "
-                        'units.effects("blocks-on-io")]`'
-                    ),
-                )

@@ -44,7 +44,7 @@ def _load_symbol_dimensions() -> Tuple[Dict[str, Dimension], Dict[str, Dimension
     return symbols, attributes
 
 
-def _load_material_constants() -> Dict[float, str]:
+def material_constants() -> Dict[float, str]:
     """Distinctive material property values -> canonical symbol path.
 
     A value is *distinctive* when its decimal mantissa carries at least
@@ -166,7 +166,7 @@ class UnitConsistencyRule(Rule):
 
     def __init__(self) -> None:
         self.symbols, self.attributes = _load_symbol_dimensions()
-        self.material_constants = _load_material_constants()
+        self.material_constants = material_constants()
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         yield from self._check_dimensions(source)

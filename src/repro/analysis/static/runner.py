@@ -12,19 +12,20 @@ and the CLI).  One run has three stages:
    pool.  Unreadable or syntactically-broken files become findings
    (``unreadable-file`` / ``parse-error``), never crashes.
 2. **Whole-program** — the summaries link into a
-   :class:`~repro.analysis.static.interp.ProjectContext` and the
+   :class:`~repro.analysis.static.callgraph.SymbolTable` and the
    :class:`~repro.analysis.static.core.ProjectRule` subclasses run
    over it.
 3. **Reporting** — ``# repro-ok`` pragma suppression is applied
    centrally (so it also covers whole-program findings produced from
    cached summaries), pragmas that suppressed nothing become
-   ``unused-pragma`` notes, findings are fingerprinted, and the
-   baseline partitions new from accepted.
+   ``unused-pragma`` notes (as do pragmas naming a rule that does not
+   exist), findings are fingerprinted, and the baseline partitions
+   new from accepted.
 
 ``changed_only``/``diff_ref`` narrow *reporting* to files touched per
 git, while the summary/link stages still see the whole project — an
-interprocedural mismatch needs both sides' signatures even when only
-one side changed.
+unlocked mutation in one file can break a lock contract declared in
+another that did not change.
 """
 
 from __future__ import annotations
@@ -34,15 +35,22 @@ import subprocess
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ...errors import ConfigurationError
 from .baseline import Baseline, fingerprint_findings, normalize_path
 from .cache import AnalysisCache, config_fingerprint, outcome_key
-from .callgraph import ModuleSummary, extract_summary, module_name_for
+from .callgraph import (
+    ModuleSummary,
+    SymbolTable,
+    extract_summary,
+    module_name_for,
+)
 from .core import (
     Finding,
     ProjectRule,
     Rule,
     SourceFile,
     make_rules,
+    rule_names as registered_rule_names,
     severity_rank,
 )
 
@@ -59,7 +67,16 @@ UNUSED_PRAGMA_RULE = "unused-pragma"
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
-    """Expand files/directories into a sorted stream of ``.py`` paths."""
+    """Expand files/directories into a sorted stream of ``.py`` paths.
+
+    A path that does not exist raises :class:`ConfigurationError`: a
+    misspelled path in a CI gate must fail, not analyze nothing.
+    """
+    missing = [path for path in paths if not os.path.exists(path)]
+    if missing:
+        raise ConfigurationError(
+            f"no such file or directory: {', '.join(missing)}"
+        )
     seen = set()
     collected: List[str] = []
     for path in paths:
@@ -272,12 +289,10 @@ def _project_findings(
     project_rules = [r for r in rules if isinstance(r, ProjectRule)]
     if not project_rules or not summaries:
         return []
-    from .interp import build_project
-
-    project = build_project(summaries)
+    table = SymbolTable(summaries)
     findings: List[Finding] = []
     for rule in project_rules:
-        findings.extend(rule.check_project(project))
+        findings.extend(rule.check_project(table))
     return findings
 
 
@@ -350,37 +365,45 @@ def analyze_paths(
         if allowed is None:
             used.add((finding.path, finding.line))
         elif allowed != () and finding.rule in allowed:
-            # per-rule accounting: a multi-rule pragma (R9,R10) may
+            # per-rule accounting: a multi-rule pragma (R2,R5) may
             # suppress one rule while the other never fires — the rot
             # scan then names only the unfired rule
             used_rules.add((finding.path, finding.line, finding.rule))
         else:
             kept.append(finding)
     full_run = rule_names is None
+    known = set(registered_rule_names())
     for path, pragmas in sorted(pragma_maps.items()):
         for line, names in sorted(pragmas.items()):
             if names is None:
                 if (path, line) in used or not full_run:
                     continue  # used, or a partial run proves nothing
-                what = "suppresses no finding"
+                whats = ["suppresses no finding; remove it"]
             else:
-                if not set(names) <= selected:
-                    continue  # some named rules were not run
-                unfired = sorted(
-                    name for name in names
-                    if (path, line, name) not in used_rules
-                )
-                if not unfired:
-                    continue
-                what = (
-                    f"suppresses no {', '.join(unfired)} finding"
-                )
-            kept.append(Finding(
-                rule=UNUSED_PRAGMA_RULE, severity="note", path=path,
-                line=line, col=0,
-                message=f"'# repro-ok' pragma {what}; remove it",
-                hint="stale pragmas hide future regressions at this line",
-            ))
+                # a typo or a removed rule's alias suppresses nothing,
+                # whichever rules ran
+                whats = [
+                    f"names unknown rule {name!r}; fix or remove it"
+                    for name in sorted(set(names) - known)
+                ]
+                named = set(names) & known
+                if named <= selected:  # else some named rules did not run
+                    unfired = sorted(
+                        name for name in named
+                        if (path, line, name) not in used_rules
+                    )
+                    if unfired:
+                        whats.append(
+                            f"suppresses no {', '.join(unfired)} finding; "
+                            "remove it"
+                        )
+            for what in whats:
+                kept.append(Finding(
+                    rule=UNUSED_PRAGMA_RULE, severity="note", path=path,
+                    line=line, col=0,
+                    message=f"'# repro-ok' pragma {what}",
+                    hint="stale pragmas hide future regressions at this line",
+                ))
 
     if changed is not None:
         kept = [

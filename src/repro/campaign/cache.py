@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Annotated, Any, Dict, Iterator, Optional, Union,
+    TYPE_CHECKING, Any, Dict, Iterator, Optional, Union,
 )
 
 try:
@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
-from .. import obs, units
+from .. import obs
 
 #: Environment knobs: ``REPRO_CACHE_DIR`` relocates the store,
 #: ``REPRO_DISK_CACHE=0`` disables it (solves always recompute).
@@ -124,9 +124,7 @@ class ResultCache:
                 if isinstance(v, (int, float))}
 
     @contextlib.contextmanager
-    def _counters_lock(
-        self,
-    ) -> Annotated[Iterator[None], units.effects("blocks-on-io")]:
+    def _counters_lock(self) -> Iterator[None]:
         """Advisory cross-process lock for the counters read-modify-write.
 
         ``flock`` on a sidecar lockfile serializes concurrent campaigns'
@@ -144,9 +142,7 @@ class ResultCache:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _bump(
-        self, name: str, n: int = 1
-    ) -> Annotated[None, units.effects("blocks-on-io")]:
+    def _bump(self, name: str, n: int = 1) -> None:
         """Count one cache event: session, global metrics, and on disk.
 
         The on-disk update is a read-modify-write under an advisory

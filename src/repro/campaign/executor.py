@@ -38,7 +38,6 @@ import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import (
-    Annotated,
     Any,
     Callable,
     ContextManager,
@@ -48,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from .. import obs, units
+from .. import obs
 from ..errors import CampaignError
 from .cache import JobResult, ResultCache
 from .manifest import CampaignSummary, ManifestWriter, summarize
@@ -255,15 +254,10 @@ class CampaignRun:
         return roots
 
 
-def _backoff_sleep(
-    backoff: float, attempt: int
-) -> Annotated[None, units.effects("blocks-on-io")]:
+def _backoff_sleep(backoff: float, attempt: int) -> None:
     """Exponential-backoff delay between submit retries.
 
-    Deliberately blocking — retry pacing is its whole purpose — and
-    declared as such so the blocking-in-hot-path rule (R14) knows this
-    sleep is a contract, not an accident, should a solver span ever
-    grow a path into the retry machinery.
+    Deliberately blocking: retry pacing is its whole purpose.
     """
     if backoff > 0:
         time.sleep(backoff * (2 ** attempt))

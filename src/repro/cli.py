@@ -211,8 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="physics-aware static analysis (units, cache invalidation, "
-             "hash determinism, pickle safety, float equality, array "
-             "shape/dtype contracts, cache-alias mutation)",
+             "hash determinism, pickle safety, float equality, obs "
+             "taxonomy, lock discipline)",
     )
     analyze.add_argument("paths", nargs="*", default=["src"],
                          help="files/directories to analyze (default: src)")

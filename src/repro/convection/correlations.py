@@ -19,23 +19,17 @@ laminar formula to a turbulent flow.
 
 from __future__ import annotations
 
-from typing import Annotated
-
 import numpy as np
 
 from ..errors import ConvectionError
 from ..materials import Fluid
-from ..units import quantity, require_positive
+from ..units import require_positive
 
 #: Transition Reynolds number for flow over a smooth flat plate.
 LAMINAR_TRANSITION_REYNOLDS = 5.0e5
 
 
-def reynolds(
-    velocity: Annotated[float, quantity("m/s")],
-    length: Annotated[float, quantity("m")],
-    fluid: Fluid,
-) -> float:
+def reynolds(velocity: float, length: float, fluid: Fluid) -> float:
     """Reynolds number ``Re = v L / nu`` at distance/length ``length``."""
     require_positive("velocity", velocity)
     require_positive("length", length)
@@ -52,10 +46,10 @@ def _check_laminar(re_l: float) -> None:
 
 
 def average_heat_transfer_coefficient(
-    velocity: Annotated[float, quantity("m/s")],
-    length: Annotated[float, quantity("m")],
+    velocity: float,
+    length: float,
     fluid: Fluid,
-) -> Annotated[float, quantity("W/(m^2*K)")]:
+) -> float:
     """Overall ``h_L`` over a plate of length ``length`` (paper Eqn 2).
 
     ``h_L = 0.664 (k / L) Re_L^0.5 Pr^(1/3)`` in W/(m^2 K).
@@ -67,11 +61,11 @@ def average_heat_transfer_coefficient(
 
 
 def local_heat_transfer_coefficient(
-    velocity: Annotated[float, quantity("m/s")],
+    velocity: float,
     x,
     fluid: Fluid,
-    plate_length: Annotated[float, quantity("m")],
-) -> Annotated[np.ndarray, quantity("W/(m^2*K)")]:
+    plate_length: float,
+) -> np.ndarray:
     """Local ``h(x)`` at distance ``x`` from the leading edge (Eqn 8).
 
     ``h(x) = 0.332 (k / x) Re_x^0.5 Pr^(1/3)``.  ``x`` may be an array.
@@ -89,10 +83,10 @@ def local_heat_transfer_coefficient(
 
 
 def thermal_boundary_layer_thickness(
-    velocity: Annotated[float, quantity("m/s")],
-    length: Annotated[float, quantity("m")],
+    velocity: float,
+    length: float,
     fluid: Fluid,
-) -> Annotated[float, quantity("m")]:
+) -> float:
     """Thermal boundary layer thickness ``delta_t`` at the trailing edge
     (paper Eqn 4): ``4.91 L / (Pr^(1/3) sqrt(Re_L))`` in meters.
     """
@@ -102,11 +96,11 @@ def thermal_boundary_layer_thickness(
 
 
 def convection_resistance(
-    velocity: Annotated[float, quantity("m/s")],
-    length: Annotated[float, quantity("m")],
-    area: Annotated[float, quantity("m^2")],
+    velocity: float,
+    length: float,
+    area: float,
     fluid: Fluid,
-) -> Annotated[float, quantity("K/W")]:
+) -> float:
     """Overall convection resistance ``Rconv = 1 / (h_L A)`` (Eqn 1), K/W."""
     require_positive("area", area)
     h_l = average_heat_transfer_coefficient(velocity, length, fluid)
@@ -114,11 +108,11 @@ def convection_resistance(
 
 
 def convection_capacitance(
-    velocity: Annotated[float, quantity("m/s")],
-    length: Annotated[float, quantity("m")],
-    area: Annotated[float, quantity("m^2")],
+    velocity: float,
+    length: float,
+    area: float,
     fluid: Fluid,
-) -> Annotated[float, quantity("J/K")]:
+) -> float:
     """Effective oil thermal capacitance ``C = rho c_p A delta_t``
     (Eqn 3), J/K.
     """

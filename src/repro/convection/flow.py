@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Annotated, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..materials import MINERAL_OIL, Fluid
-from ..units import quantity, require_positive
+from ..units import require_positive
 from .correlations import (
     average_heat_transfer_coefficient,
     local_heat_transfer_coefficient,
@@ -98,15 +98,11 @@ class FlowSpec:
         if self.target_resistance is not None:
             require_positive("target_resistance", self.target_resistance)
 
-    def flow_length(
-        self, die_width: float, die_height: float
-    ) -> Annotated[float, quantity("m")]:
+    def flow_length(self, die_width: float, die_height: float) -> float:
         """Plate length along the flow direction."""
         return die_width if self.direction.horizontal else die_height
 
-    def overall_h(
-        self, die_width: float, die_height: float
-    ) -> Annotated[float, quantity("W/(m^2*K)")]:
+    def overall_h(self, die_width: float, die_height: float) -> float:
         """Area-effective overall heat transfer coefficient (W/m^2 K)."""
         length = self.flow_length(die_width, die_height)
         area = die_width * die_height
@@ -116,23 +112,21 @@ class FlowSpec:
             self.velocity, length, self.fluid
         )
 
-    def overall_resistance(
-        self, die_width: float, die_height: float
-    ) -> Annotated[float, quantity("K/W")]:
+    def overall_resistance(self, die_width: float, die_height: float) -> float:
         """Overall ``Rconv`` of the surface (Eqn 1), K/W."""
         area = die_width * die_height
         return 1.0 / (self.overall_h(die_width, die_height) * area)
 
     def boundary_layer_thickness(
         self, die_width: float, die_height: float
-    ) -> Annotated[float, quantity("m")]:
+    ) -> float:
         """Trailing-edge thermal boundary layer thickness (Eqn 4), m."""
         length = self.flow_length(die_width, die_height)
         return thermal_boundary_layer_thickness(self.velocity, length, self.fluid)
 
     def capacitance_per_area(
         self, die_width: float, die_height: float
-    ) -> Annotated[float, quantity("J/(K*m^2)")]:
+    ) -> float:
         """Oil capacitance per unit surface area (Eqn 3 / A), J/(K m^2)."""
         delta_t = self.boundary_layer_thickness(die_width, die_height)
         return self.fluid.volumetric_heat * delta_t
@@ -142,9 +136,9 @@ def local_h_field(
     flow: FlowSpec,
     cell_x: np.ndarray,
     cell_y: np.ndarray,
-    die_width: Annotated[float, quantity("m")],
-    die_height: Annotated[float, quantity("m")],
-) -> Annotated[np.ndarray, quantity("W/(m^2*K)")]:
+    die_width: float,
+    die_height: float,
+) -> np.ndarray:
     """Per-cell heat transfer coefficient field over the die surface.
 
     In uniform mode all cells get the overall coefficient.  In local mode
@@ -175,12 +169,12 @@ def local_h_field(
 
 
 def velocity_for_resistance(
-    target_resistance: Annotated[float, quantity("K/W")],
-    die_width: Annotated[float, quantity("m")],
-    die_height: Annotated[float, quantity("m")],
+    target_resistance: float,
+    die_width: float,
+    die_height: float,
     fluid: Fluid = MINERAL_OIL,
     horizontal: bool = True,
-) -> Annotated[float, quantity("m/s")]:
+) -> float:
     """Velocity at which Eqns 1-2 give the requested overall ``Rconv``.
 
     Inverts ``Rconv = 1 / (0.664 (k/L) Re^0.5 Pr^(1/3) A)`` for the

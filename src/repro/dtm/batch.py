@@ -14,11 +14,10 @@ identical to running that controller alone.
 
 from __future__ import annotations
 
-from typing import Annotated, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .. import units
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..solver.transient import TrapezoidalStepper
@@ -29,13 +28,8 @@ def run_dtm_batch(
     controllers: Sequence[DTMController],
     traces: Sequence[PowerTrace],
     x0s: Optional[Sequence[Optional[np.ndarray]]] = None,
-) -> Annotated[List[DTMRun], units.hot_path()]:
+) -> List[DTMRun]:
     """Run K (controller, trace) pairs in lockstep on one shared model.
-
-    Declared a :func:`repro.units.hot_path` root for the
-    blocking-in-hot-path rule (R14): the lockstep stepping loop is the
-    tightest per-sample path in the codebase, so nothing reachable
-    from here may sleep, flock, or block on a queue.
 
     All controllers must reference the *same* model instance (one
     network, one factorization) and all traces must share one time

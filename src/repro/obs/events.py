@@ -266,10 +266,7 @@ def job_telemetry(
     kind: str,
     registry: MetricsRegistry,
     before: Optional[Snapshot] = None,
-) -> Annotated[
-    Tuple[Optional[EventPublisher], Optional[_HeartbeatThread]],
-    units.effects("spawns-thread"),
-]:
+) -> Tuple[Optional[EventPublisher], Optional[_HeartbeatThread]]:
     """Start job-lifecycle streaming for one worker-side job.
 
     Publishes ``job_started`` and launches the heartbeat thread;

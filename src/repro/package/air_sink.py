@@ -12,14 +12,13 @@ negligible for AIR-SINK) plus a lumped coolant capacitance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
 from ..materials import COPPER, SILICON, THERMAL_INTERFACE
 from ..units import (
     DEFAULT_AMBIENT_KELVIN,
     mm,
-    quantity,
     require_positive,
     um,
 )
@@ -60,16 +59,14 @@ DEFAULT_CONVECTION_CAPACITANCE = 140.4
 
 
 def air_sink_package(
-    die_width: Annotated[float, quantity("m")],
-    die_height: Annotated[float, quantity("m")],
-    convection_resistance: Annotated[float, quantity("K/W")] = 1.0,
-    die_thickness: Annotated[float, quantity("m")] = um(500.0),
+    die_width: float,
+    die_height: float,
+    convection_resistance: float = 1.0,
+    die_thickness: float = um(500.0),
     geometry: Optional[AirSinkGeometry] = None,
-    convection_capacitance: Annotated[float, quantity("J/K")] = (
-        DEFAULT_CONVECTION_CAPACITANCE
-    ),
+    convection_capacitance: float = DEFAULT_CONVECTION_CAPACITANCE,
     include_secondary: bool = False,
-    ambient: Annotated[float, quantity("K")] = DEFAULT_AMBIENT_KELVIN,
+    ambient: float = DEFAULT_AMBIENT_KELVIN,
 ) -> CoolingConfig:
     """Build the AIR-SINK cooling configuration.
 

@@ -14,7 +14,7 @@ documented in :mod:`repro.materials`.
 
 from __future__ import annotations
 
-from typing import Annotated, Optional
+from typing import Optional
 
 from ..convection.flow import FlowDirection, FlowSpec
 from ..materials import (
@@ -25,7 +25,7 @@ from ..materials import (
     PCB,
     SOLDER_BALLS,
 )
-from ..units import mm, quantity, um
+from ..units import mm, um
 from .config import SecondaryPath
 from .layers import ConvectionBoundary, Layer
 
@@ -41,11 +41,11 @@ NATURAL_CONVECTION_PCB_RESISTANCE = 120.0
 
 
 def default_secondary_path(
-    die_width: Annotated[float, quantity("m")],
-    die_height: Annotated[float, quantity("m")],
+    die_width: float,
+    die_height: float,
     oil_flow: Optional[FlowSpec] = None,
-    substrate_size: Annotated[float, quantity("m")] = mm(30.0),
-    pcb_size: Annotated[float, quantity("m")] = mm(100.0),
+    substrate_size: float = mm(30.0),
+    pcb_size: float = mm(100.0),
 ) -> SecondaryPath:
     """Build the standard secondary path for a flip-chip BGA part.
 
@@ -96,9 +96,7 @@ def default_secondary_path(
     return SecondaryPath(layers=layers, boundary=boundary)
 
 
-def default_pcb_oil_flow(
-    velocity: Annotated[float, quantity("m/s")] = 10.0,
-) -> FlowSpec:
+def default_pcb_oil_flow(velocity: float = 10.0) -> FlowSpec:
     """The oil stream over the PCB underside in the IR-imaging bench.
 
     Uniform-h mode: the board's far side is well away from the die and

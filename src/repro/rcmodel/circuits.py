@@ -22,12 +22,12 @@ the full grid model's step responses in the Fig. 7 bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..materials import Material, SILICON
-from ..units import quantity, require_positive
+from ..units import require_positive
 
 
 @dataclass(frozen=True)
@@ -81,10 +81,10 @@ class LumpedRC:
 
 
 def silicon_vertical_resistance(
-    area: Annotated[float, quantity("m^2")],
-    thickness: Annotated[float, quantity("m")],
+    area: float,
+    thickness: float,
     material: Material = SILICON,
-) -> Annotated[float, quantity("K/W")]:
+) -> float:
     """Through-die conduction resistance ``t / (k A)`` in K/W.
 
     For the paper's 20 mm x 20 mm x 0.5 mm die this is the 0.0125 K/W
@@ -96,10 +96,10 @@ def silicon_vertical_resistance(
 
 
 def silicon_capacitance(
-    area: Annotated[float, quantity("m^2")],
-    thickness: Annotated[float, quantity("m")],
+    area: float,
+    thickness: float,
     material: Material = SILICON,
-) -> Annotated[float, quantity("J/K")]:
+) -> float:
     """Die thermal capacitance ``rho c_p V`` in J/K."""
     require_positive("area", area)
     require_positive("thickness", thickness)
@@ -107,25 +107,25 @@ def silicon_capacitance(
 
 
 def air_sink_short_term_time_constant(
-    silicon_resistance: Annotated[float, quantity("K/W")],
-    silicon_cap: Annotated[float, quantity("J/K")],
-) -> Annotated[float, quantity("s")]:
+    silicon_resistance: float,
+    silicon_cap: float,
+) -> float:
     """Paper Eqn 5: ``tau_short,sink = R_th,Si * C_th,Si``."""
     return silicon_resistance * silicon_cap
 
 
 def air_sink_long_term_time_constant(
-    convection_resistance: Annotated[float, quantity("K/W")],
-    sink_cap: Annotated[float, quantity("J/K")],
-) -> Annotated[float, quantity("s")]:
+    convection_resistance: float,
+    sink_cap: float,
+) -> float:
     """Long-term AIR-SINK constant: ``Rconv * C_sink`` (Section 4.1.2)."""
     return convection_resistance * sink_cap
 
 
 def oil_silicon_time_constant(
-    convection_resistance: Annotated[float, quantity("K/W")],
-    silicon_cap: Annotated[float, quantity("J/K")],
-    oil_cap: Annotated[float, quantity("J/K")] = 0.0,
-) -> Annotated[float, quantity("s")]:
+    convection_resistance: float,
+    silicon_cap: float,
+    oil_cap: float = 0.0,
+) -> float:
     """Paper Eqn 6: ``tau_all,oil = Rconv * (C_th,Si + C_th,oil)``."""
     return convection_resistance * (silicon_cap + oil_cap)

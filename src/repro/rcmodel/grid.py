@@ -9,12 +9,11 @@ docstring of :mod:`repro.rcmodel` and DESIGN.md Section 5.1.
 from __future__ import annotations
 
 import time
-from typing import Annotated, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
-from .. import units
 from ..convection.flow import local_h_field
 from ..errors import ConfigurationError
 from ..floorplan.block import Floorplan
@@ -325,9 +324,7 @@ class ThermalGridModel:
 
     def node_power(
         self, block_power: Union[np.ndarray, Dict[str, float], Sequence[float]]
-    ) -> Annotated[
-        np.ndarray, units.array_shape("n_nodes"), units.array_dtype("float64")
-    ]:
+    ) -> np.ndarray:
         """Expand per-block power (W) into the full node power vector.
 
         Accepts either a vector in floorplan order or a name->Watts

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Annotated, Dict, Sequence, Union
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
 from ... import obs
-from ... import units
 from ...errors import SolverError
 from ...rcmodel.grid import ThermalGridModel
 from .images import forward_modes, inverse_modes
@@ -115,10 +114,7 @@ class AnalyticSteadyEngine:
 
     # -- solves -------------------------------------------------------------
 
-    def solve_cells(
-        self,
-        cell_power: Annotated[np.ndarray, units.array_shape("n_cells")],
-    ) -> AnalyticSolution:
+    def solve_cells(self, cell_power: np.ndarray) -> AnalyticSolution:
         """Solve for a per-cell power map on the active silicon layer.
 
         ``cell_power`` is flat grid order, Watts, shape
@@ -171,14 +167,7 @@ class AnalyticSteadyEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _solve_spectral(
-        self,
-        power: Annotated[
-            np.ndarray,
-            units.array_shape("n_cells"),
-            units.array_dtype("float64"),
-        ],
-    ) -> AnalyticSolution:
+    def _solve_spectral(self, power: np.ndarray) -> AnalyticSolution:
         stack, kernel = self.stack, self.kernel
         ny, nx = stack.ny, stack.nx
         active = stack.active_index

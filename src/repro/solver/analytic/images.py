@@ -18,17 +18,11 @@ engine cannot disagree on conventions.
 
 from __future__ import annotations
 
-from typing import Annotated
-
 import numpy as np
 from scipy import fft as _fft
 
-from ... import units
 
-
-def even_extend(
-    field: Annotated[np.ndarray, units.array_shape("ny", "nx")],
-) -> Annotated[np.ndarray, units.array_shape("2*ny", "2*nx")]:
+def even_extend(field: np.ndarray) -> np.ndarray:
     """Half-sample-even (mirror) extension of a ``(ny, nx)`` field.
 
     Lays out the four image quadrants ``[[F, F_x], [F_y, F_xy]]`` where
@@ -40,13 +34,7 @@ def even_extend(
     return np.concatenate([wide, wide[::-1, :]], axis=0)
 
 
-def forward_modes(
-    field: Annotated[np.ndarray, units.array_shape("ny", "nx")],
-) -> Annotated[
-    np.ndarray,
-    units.array_shape("2*ny", "nx+1"),
-    units.array_dtype("complex"),
-]:
+def forward_modes(field: np.ndarray) -> np.ndarray:
     """Spectral coefficients of a field's even extension.
 
     Returns the ``rfft2`` of :func:`even_extend`, shape
@@ -55,25 +43,13 @@ def forward_modes(
     return _fft.rfft2(even_extend(field))
 
 
-def inverse_modes(
-    modes: Annotated[
-        np.ndarray,
-        units.array_shape("2*ny", "nx+1"),
-        units.array_dtype("complex"),
-    ],
-    ny: int,
-    nx: int,
-) -> Annotated[
-    np.ndarray, units.array_shape("ny", "nx"), units.array_dtype("float64")
-]:
+def inverse_modes(modes: np.ndarray, ny: int, nx: int) -> np.ndarray:
     """Invert :func:`forward_modes` and crop to the physical quadrant."""
     full = _fft.irfft2(modes, s=(2 * ny, 2 * nx))
     return np.ascontiguousarray(full[:ny, :nx])
 
 
-def neumann_eigenvalues(
-    n: int, n_modes: int
-) -> Annotated[np.ndarray, units.array_shape("n_modes")]:
+def neumann_eigenvalues(n: int, n_modes: int) -> np.ndarray:
     """Eigenvalues of the 1-D Neumann path Laplacian on ``n`` cells.
 
     ``lam[q] = 2 (1 - cos(pi q / n))`` for ``q = 0 .. n_modes - 1`` —

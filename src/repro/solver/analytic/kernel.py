@@ -22,7 +22,6 @@ directions, or triage screens of one package pay the build once.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Annotated
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ... import obs
 from ...errors import SolverError
 from .images import neumann_eigenvalues
 from .stack import SlabStack
-from ... import units
 
 _KERNEL_BUILDS = obs.metrics().counter("solver.analytic.kernel_builds")
 _KERNEL_CACHE_HITS = obs.metrics().counter("solver.analytic.kernel_cache_hits")
@@ -103,13 +101,7 @@ class SpectralKernel:
         self._response.setflags(write=False)
         self._column = {layer: k for k, layer in enumerate(injection)}
 
-    def response(
-        self, out_layer: int, in_layer: int
-    ) -> Annotated[
-        np.ndarray,
-        units.array_shape("2*ny", "nx+1"),
-        units.cache_shared(),
-    ]:
+    def response(self, out_layer: int, in_layer: int) -> np.ndarray:
         """Per-mode response at ``out_layer`` to injection at ``in_layer``.
 
         ``in_layer`` must be one of the stack's injection indices;

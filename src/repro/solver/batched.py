@@ -30,12 +30,11 @@ Two entry points cover the two serial integrators:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import obs
-from .. import units
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
 from .events import PiecewiseConstantSchedule
@@ -198,7 +197,7 @@ def _resolve_tags(
 
 def _initial_states(
     x0s: Sequence[Optional[np.ndarray]], n_nodes: int
-) -> Annotated[np.ndarray, units.array_shape("n_nodes", "K")]:
+) -> np.ndarray:
     x = np.zeros((n_nodes, len(x0s)))
     for k, x0 in enumerate(x0s):
         if x0 is None:
@@ -234,7 +233,7 @@ def _make_observer(
 
 def _materialize(
     columns: Sequence[_PowerColumn], times: np.ndarray, n_nodes: int
-) -> Annotated[np.ndarray, units.array_shape("n_times", "K", "n_nodes")]:
+) -> np.ndarray:
     """Power tensor at ``times``: shape ``(len(times), K, n_nodes)``.
 
     Scenario-major layout so each column's block lands as contiguous

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import time
-from typing import Annotated, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse
 
 from .. import obs
-from .. import units
 from ..errors import SolverError
 from ..rcmodel.grid import ThermalGridModel
 from ..rcmodel.network import ThermalNetwork
@@ -87,13 +86,9 @@ def _factorize(
 
 def steady_state(
     network: ThermalNetwork,
-    node_power: Annotated[
-        np.ndarray, units.array_shape("n_nodes"), units.array_dtype("float64")
-    ],
+    node_power: np.ndarray,
     backend: Optional[str] = None,
-) -> Annotated[
-    np.ndarray, units.array_shape("n_nodes"), units.array_dtype("float64")
-]:
+) -> np.ndarray:
     """Solve for node temperature rises given a node power vector (W)."""
     node_power = np.asarray(node_power, dtype=float)
     if node_power.shape != (network.n_nodes,):

@@ -64,161 +64,10 @@ ATTRIBUTE_DIMENSIONS = {
     "area": "m^2",
 }
 
-#: Dimensions of well-known *parameter* names: the interprocedural
-#: analyzer (:mod:`repro.analysis.static.signatures`) seeds function
-#: dimension signatures from these when a parameter carries no explicit
-#: :func:`quantity` annotation.  Only names whose meaning is unambiguous
-#: across this codebase belong here — a generic name (``x``, ``value``,
-#: ``scale``) would cause false positives.
-PARAMETER_DIMENSIONS = {
-    "temp_c": "degC",
-    "ambient_c": "degC",
-    "temp_k": "K",
-    "ambient_k": "K",
-    "ambient": "K",
-    "velocity": "m/s",
-    "area": "m^2",
-    "conductivity": "W/(m*K)",
-    "specific_heat": "J/(kg*K)",
-    "density": "kg/m^3",
-    "kinematic_viscosity": "m^2/s",
-    "heat_transfer_coefficient": "W/(m^2*K)",
-    "convection_resistance": "K/W",
-    "target_resistance": "K/W",
-    "total_resistance": "K/W",
-    "silicon_resistance": "K/W",
-    "die_width": "m",
-    "die_height": "m",
-    "plate_length": "m",
-    "length": "m",
-    "thickness": "m",
-    "capacitance": "J/K",
-    "silicon_cap": "J/K",
-    "sink_cap": "J/K",
-    "oil_cap": "J/K",
-    "total_capacitance": "J/K",
-    "conductance": "W/K",
-    "power": "W",
-}
-
-#: Symbolic shapes of well-known *parameter* names: the array-contract
-#: pass (:mod:`repro.analysis.static.arrays`) seeds function shape
-#: signatures from these when a parameter carries no explicit
-#: :func:`array_shape` annotation.  Values are tuples of dimension
-#: tokens; the same token always denotes the same extent project-wide,
-#: so only names with one unambiguous layout belong here.
-PARAMETER_SHAPES = {
-    "node_power": ("n_nodes",),
-    "cell_power": ("n_cells",),
-    "node_rise": ("n_nodes",),
-    "power_modes": ("2*ny", "nx+1"),
-}
-
-#: Integer parameter/attribute names that denote array extents.  When
-#: one of these appears in a shape expression (``np.zeros((n_nodes,
-#: K))``, ``field.reshape(ny, nx)``, ``stack.nx``), the analyzer reads
-#: it as the symbolic dimension of that name, unifying extents across
-#: call edges the same way :data:`PARAMETER_DIMENSIONS` unifies units.
-DIMENSION_PARAMETERS = (
-    "n_nodes", "n_cells", "n_layers", "n_blocks", "n_modes",
-    "n_scenarios", "n_times", "n_records", "n_steps", "n_injection",
-    "K", "nx", "ny", "nz",
-)
-
-#: Prefix that :func:`quantity` attaches to its unit string inside
+#: Prefix that :func:`guarded_by` attaches to its lock names inside
 #: ``typing.Annotated`` metadata, so annotations survive as plain
 #: strings at runtime while remaining recognizable to the analyzer.
-QUANTITY_PREFIX = "unit:"
-
-#: Prefixes for the array-contract annotations (:func:`array_shape`,
-#: :func:`array_dtype`, :func:`cache_shared`).
-SHAPE_PREFIX = "shape:"
-DTYPE_PREFIX = "dtype:"
-PROVENANCE_PREFIX = "prov:"
-
-#: Prefixes for the concurrency-contract annotations (:func:`guarded_by`,
-#: :func:`effects`, :func:`hot_path`).
 GUARDED_PREFIX = "guarded:"
-EFFECT_PREFIX = "effect:"
-
-#: Span-name prefixes that mark *hot paths* for the blocking-in-hot-path
-#: rule (R14): any function opening an ``obs.span``/``obs.trace`` whose
-#: name starts with one of these is a latency-sensitive root, and
-#: nothing reachable from it may sleep, flock, or block on a queue.
-HOT_SPAN_PREFIXES = ("solver.", "rcmodel.")
-
-#: Call-name suffixes the effect extractor treats as blocking
-#: operations, mapped to the effect kind they produce.  Matched against
-#: the last component of the dotted callee (``time.sleep`` → ``sleep``,
-#: ``fcntl.flock`` → ``flock``); ``put`` only counts when the receiver
-#: looks like a queue (name contains ``queue``/``sink``) and the call is
-#: not explicitly non-blocking.
-BLOCKING_CALLS = {
-    "sleep": "blocks-on-io",
-    "flock": "blocks-on-io",
-    "put": "blocks-on-io",
-}
-
-
-def quantity(unit: str) -> str:
-    """Declare the physical unit of an annotated value.
-
-    Used inside ``typing.Annotated`` to give a parameter or return
-    value a machine-checkable dimension::
-
-        def convection_resistance(
-            area: Annotated[float, quantity("m^2")], ...
-        ) -> Annotated[float, quantity("K/W")]: ...
-
-    At runtime this is just a tagged string (``Annotated[float, ...]``
-    behaves as ``float``); the static analyzer parses the unit with
-    :mod:`repro.analysis.static.dimensions` and verifies both the
-    function body and every call site against it.
-    """
-    return f"{QUANTITY_PREFIX}{unit}"
-
-
-def array_shape(*dims: Union[str, int]) -> str:
-    """Declare the symbolic shape of an annotated numpy array.
-
-    Used inside ``typing.Annotated`` to give an array parameter or
-    return value a machine-checkable layout contract::
-
-        def advance(
-            state: Annotated[np.ndarray, array_shape("n_nodes", "K")],
-        ) -> Annotated[np.ndarray, array_shape("n_nodes", "K")]: ...
-
-    Dimension tokens are rigid symbols: ``"n_nodes"`` always means the
-    node-count extent, project-wide, so passing a ``(K, n_nodes)``
-    array where ``(n_nodes, K)`` is declared is flagged even when the
-    two extents happen to be equal at runtime.  Tokens may be integers
-    or arithmetic over tokens (``"2*ny"``, ``"nx+1"``, ``"nx//2+1"``).
-    At runtime this is just a tagged string; the static analyzer
-    (:mod:`repro.analysis.static.arrays`) does the checking.
-    """
-    return SHAPE_PREFIX + ",".join(str(d).replace(" ", "") for d in dims)
-
-
-def array_dtype(name: str) -> str:
-    """Declare the dtype of an annotated numpy array.
-
-    Canonical names: ``"float64"``, ``"float32"``, ``"complex"``,
-    ``"int"``, ``"bool"``.  The analyzer's dtype-flow rule flags
-    complex values leaking past a declared-real boundary and silent
-    float32 downcasts into declared-float64 state.
-    """
-    return f"{DTYPE_PREFIX}{name}"
-
-
-def cache_shared() -> str:
-    """Declare that a returned array aliases process-wide cache storage.
-
-    Callers must :meth:`~numpy.ndarray.copy` before mutating — an
-    in-place op on the shared array would corrupt every later cache
-    hit.  The analyzer's cache-alias-mutation rule propagates this
-    provenance through assignments and wrapper returns.
-    """
-    return f"{PROVENANCE_PREFIX}cache-shared"
 
 
 def guarded_by(*locks: str) -> str:
@@ -239,55 +88,6 @@ def guarded_by(*locks: str) -> str:
     """
     return GUARDED_PREFIX + ",".join(locks)
 
-
-def effects(*kinds: str) -> str:
-    """Declare a function's intentional concurrency effects.
-
-    Used inside ``typing.Annotated`` on a *return* annotation to
-    acknowledge effects the analyzer would otherwise flag::
-
-        def job_telemetry(...) -> Annotated[
-            Tuple[...], effects("spawns-thread")
-        ]: ...
-
-    Known kinds: ``"blocks-on-io"`` (sleep / flock / blocking queue
-    put), ``"spawns-thread"`` (thread or Manager construction).  A
-    declared effect silences R13/R14 for matching sites inside the
-    function body — it is a reviewed contract, not a suppression.
-    """
-    return EFFECT_PREFIX + ",".join(kinds)
-
-
-def hot_path() -> str:
-    """Declare a function as a latency-sensitive hot-path root (R14).
-
-    Equivalent to opening a :data:`HOT_SPAN_PREFIXES` span: nothing
-    reachable from the function may sleep, flock, or block on a queue.
-    Use on solver entry points and would-be async handlers that carry
-    no span of their own.
-    """
-    return f"{EFFECT_PREFIX}hot-path"
-
-
-def signature_tables() -> dict:
-    """The machine-readable dimension tables, as one mapping.
-
-    Export helper for the static analyzer: bundles every table that
-    contributes to dimension- and array-signature inference, so the
-    analyzer's cache can fingerprint them (edits here must invalidate
-    cached per-file analysis results).
-    """
-    return {
-        "dimensions": dict(DIMENSIONS),
-        "attributes": dict(ATTRIBUTE_DIMENSIONS),
-        "parameters": dict(PARAMETER_DIMENSIONS),
-        "shapes": {name: list(dims) for name, dims in PARAMETER_SHAPES.items()},
-        "dimension_parameters": list(DIMENSION_PARAMETERS),
-        "concurrency": {
-            "hot_span_prefixes": list(HOT_SPAN_PREFIXES),
-            "blocking_calls": dict(BLOCKING_CALLS),
-        },
-    }
 
 #: Offset between the Kelvin and Celsius scales.
 ZERO_CELSIUS_IN_KELVIN = 273.15

@@ -1,5 +1,5 @@
-"""Runtime demonstrations of the race classes the concurrency rules
-(R12-R14) guard against.
+"""Runtime demonstrations of the race class the lock-discipline rule
+(R12) guards against.
 
 The torn-update harness first *shows* the corruption mode — a barrier
 forces every thread into the read/write gap of an unguarded
