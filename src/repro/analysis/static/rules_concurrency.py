@@ -1,8 +1,8 @@
 """Rule: lock discipline (R12), the analyzer's one whole-program rule.
 
-The campaign runtime is genuinely concurrent — heartbeat daemon
-threads, Manager queues crossing fork and spawn pools, an
-flock-guarded counter file, a registry-wide metrics lock.  R12 rides
+The campaign runtime is genuinely concurrent — a process pool, an
+flock-guarded counter file, a registry-wide metrics lock, progress
+state read by renderers.  R12 rides
 the lock-aware extraction in :mod:`.callgraph`: per-function
 :class:`~.callgraph.LockSite` and :class:`~.callgraph.AttrUse` records
 plus the lock context threaded through every call site.

@@ -27,6 +27,11 @@ after, and ships the span tree plus the metrics delta back through
 :class:`JobOutcome`, so per-job solver behaviour (factorizations,
 steps, cache hits) survives the process-pool boundary and lands in
 the JSONL manifest.
+
+Live progress: ``on_event`` receives the campaign's lifecycle events
+(:mod:`repro.obs.events`), called synchronously in this process as the
+engine dispatches and collects jobs.  Workers publish nothing, and the
+callback never feeds a result, record or summary metric.
 """
 
 from __future__ import annotations
@@ -84,11 +89,7 @@ def _backend_scope(spec: JobSpec) -> ContextManager[Any]:
     return backend_override(spec.backend)
 
 
-def execute_job(
-    spec: JobSpec,
-    capture: bool = False,
-    stream: Optional[obs.StreamConfig] = None,
-) -> WorkerReturn:
+def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
     """Run one job in the current process (the worker entry point).
 
     Module-level so it pickles to pool workers.  With ``capture`` the
@@ -96,38 +97,18 @@ def execute_job(
     observability record: the serialized span tree, a flat metrics
     delta for manifests, and the structured delta snapshot for merging
     into the parent registry.
-
-    With ``stream`` the job additionally publishes live telemetry
-    while it runs — a ``job_started`` event plus heartbeats carrying
-    the cumulative metric delta since start (see
-    :mod:`repro.obs.events`).  Streaming is strictly advisory: events
-    are dropped rather than ever blocking the job, and the returned
-    capture record is byte-for-byte what a streaming-disabled run
-    produces (the authoritative ``job_finished`` is emitted by the
-    parent from this return value).
     """
     start = time.perf_counter()
     registry = obs.metrics()
     if not capture:
-        before = registry.snapshot() if stream is not None else None
-        _, heartbeat = obs.job_telemetry(
-            stream, spec.tag, spec.kind, registry, before
-        )
-        try:
-            with _backend_scope(spec):
-                result = get_runner(spec.kind)(spec)
-        finally:
-            if heartbeat is not None:
-                heartbeat.stop()
+        with _backend_scope(spec):
+            result = get_runner(spec.kind)(spec)
         return result, time.perf_counter() - start, os.getpid(), None
 
     tracer = obs.tracer()
     was_enabled = tracer.enabled
     tracer.enabled = True
     before = registry.snapshot()
-    _, heartbeat = obs.job_telemetry(
-        stream, spec.tag, spec.kind, registry, before
-    )
     try:
         with obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
                       tracer=tracer) as job_span:
@@ -135,8 +116,6 @@ def execute_job(
                 result = get_runner(spec.kind)(spec)
     finally:
         tracer.enabled = was_enabled
-        if heartbeat is not None:
-            heartbeat.stop()
     delta = obs.snapshot_diff(registry.snapshot(), before)
     capture_record: Dict[str, Any] = {
         "pid": os.getpid(),
@@ -272,25 +251,30 @@ def _report(
         progress(line)
 
 
-def _emit_outcome(
-    stream: Optional[obs.EventStream], outcome: JobOutcome
-) -> None:
-    """Publish the parent-side authoritative completion event.
+EventSink = Optional[Callable[[obs.Event], None]]
 
-    Completion events come from the parent's outcome — not the worker —
-    so failures, timeouts, and cache hits all stream uniformly, and a
-    worker whose events were dropped still gets a correct final record.
+
+def _emit(on_event: EventSink, type: str, tag: str = "",
+          **payload: Any) -> None:
+    """Hand one lifecycle event to ``on_event`` (no-op without one)."""
+    if on_event is not None:
+        on_event(obs.make_event(type, tag=tag, **payload))
+
+
+def _emit_outcome(on_event: EventSink, outcome: JobOutcome) -> None:
+    """Emit the completion event for one outcome.
+
+    Built from the parent's outcome, so failures, timeouts and cache
+    hits all report uniformly.
     """
-    if stream is None:
-        return
     if outcome.status == "cached":
-        stream.emit("job_cached", tag=outcome.spec.tag,
-                    kind=outcome.spec.kind, elapsed_s=outcome.wall_s)
+        _emit(on_event, "job_cached", tag=outcome.spec.tag,
+              kind=outcome.spec.kind, elapsed_s=outcome.wall_s)
         return
     metrics = outcome.obs.get("metrics", {}) if outcome.obs else {}
-    stream.emit(
-        "job_finished", tag=outcome.spec.tag, kind=outcome.spec.kind,
-        status=outcome.status, elapsed_s=outcome.wall_s,
+    _emit(
+        on_event, "job_finished", tag=outcome.spec.tag,
+        kind=outcome.spec.kind, status=outcome.status, elapsed_s=outcome.wall_s,
         worker=outcome.worker, retries=outcome.retries,
         error=outcome.error, metrics=metrics,
     )
@@ -302,18 +286,16 @@ def _run_serial(
     backoff: float,
     progress: Optional[Callable[[str], None]],
     capture: bool,
-    stream: Optional[obs.EventStream] = None,
+    on_event: EventSink = None,
 ) -> Dict[str, JobOutcome]:
-    stream_cfg = stream.local_config() if stream is not None else None
     outcomes: Dict[str, JobOutcome] = {}
     for spec in pending:
+        _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         attempt = 0
         while True:
             _ATTEMPTS.inc()
             try:
-                result, wall, pid, captured = execute_job(
-                    spec, capture, stream_cfg
-                )
+                result, wall, pid, captured = execute_job(spec, capture)
                 _JOB_SECONDS.observe(wall)
                 outcomes[spec.tag] = JobOutcome(
                     spec=spec, status="ok", result=result, wall_s=wall,
@@ -336,7 +318,7 @@ def _run_serial(
                 )
                 break
         _report(outcomes[spec.tag], progress)
-        _emit_outcome(stream, outcomes[spec.tag])
+        _emit_outcome(on_event, outcomes[spec.tag])
     return outcomes
 
 
@@ -344,7 +326,7 @@ def _run_batched(
     pending: List[JobSpec],
     progress: Optional[Callable[[str], None]],
     capture: bool = False,
-    stream: Optional[obs.EventStream] = None,
+    on_event: EventSink = None,
 ) -> Tuple[Dict[str, JobOutcome], List[JobSpec]]:
     """Execute same-model job groups in-process through batch runners.
 
@@ -373,11 +355,8 @@ def _run_batched(
         kind = group[0].kind
         start = time.perf_counter()
         _ATTEMPTS.inc(len(group))
-        if stream is not None:
-            for spec in group:
-                stream.emit("job_started", tag=spec.tag, kind=kind)
-                stream.emit("job_heartbeat", tag=spec.tag, kind=kind,
-                            elapsed_s=0.0, metrics={}, batched=True)
+        for spec in group:
+            _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         before = registry.snapshot() if capture else None
         try:
             # one scope for the whole group: batch_groups keys on the
@@ -423,7 +402,7 @@ def _run_batched(
                 wall_s=wall, worker="batched", obs=captured,
             )
             _report(outcomes[spec.tag], progress)
-            _emit_outcome(stream, outcomes[spec.tag])
+            _emit_outcome(on_event, outcomes[spec.tag])
     return outcomes, rest
 
 
@@ -435,22 +414,18 @@ def _run_parallel(
     backoff: float,
     progress: Optional[Callable[[str], None]],
     capture: bool,
-    stream: Optional[obs.EventStream] = None,
+    on_event: EventSink = None,
 ) -> Dict[str, JobOutcome]:
     from concurrent.futures import ProcessPoolExecutor
 
-    # Only a cross-process-capable stream (a manager-backed queue) can
-    # be pickled out to pool workers; otherwise workers run silent and
-    # the parent still emits the completion events.
-    stream_cfg = stream.worker_config() if stream is not None else None
     outcomes: Dict[str, JobOutcome] = {}
     pool = ProcessPoolExecutor(max_workers=jobs)
     abandoned = False
     try:
-        futures = [
-            (pool.submit(execute_job, spec, capture, stream_cfg), spec)
-            for spec in pending
-        ]
+        futures = []
+        for spec in pending:
+            futures.append((pool.submit(execute_job, spec, capture), spec))
+            _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         _ATTEMPTS.inc(len(futures))
         for fut, spec in futures:
             attempt = 0
@@ -483,8 +458,7 @@ def _run_parallel(
                         _backoff_sleep(backoff, attempt)
                         attempt += 1
                         _ATTEMPTS.inc()
-                        fut = pool.submit(execute_job, spec, capture,
-                                          stream_cfg)
+                        fut = pool.submit(execute_job, spec, capture)
                         continue
                     _FAILURES.inc()
                     outcomes[spec.tag] = JobOutcome(
@@ -494,7 +468,7 @@ def _run_parallel(
                     )
                     break
             _report(outcomes[spec.tag], progress)
-            _emit_outcome(stream, outcomes[spec.tag])
+            _emit_outcome(on_event, outcomes[spec.tag])
     finally:
         # A timed-out worker cannot be interrupted; don't block the
         # campaign on it — abandon the pool and let it drain on exit.
@@ -544,7 +518,7 @@ def run_campaign(
     progress: Optional[Callable[[str], None]] = None,
     capture_obs: Optional[bool] = None,
     batch: bool = True,
-    stream: Optional[obs.EventStream] = None,
+    on_event: EventSink = None,
 ) -> CampaignRun:
     """Execute a campaign; see the module docstring for semantics.
 
@@ -582,31 +556,27 @@ def run_campaign(
         automatically.  Batched jobs' spans land on this process's
         tracer; their metric deltas are measured around the group run
         and apportioned evenly across member jobs when capturing.
-    stream:
-        Optional live-telemetry stream (see
-        :class:`repro.obs.EventStream`).  Workers publish
-        ``job_started``/``job_heartbeat`` events while running; the
-        parent emits the authoritative lifecycle events
-        (``campaign_started``, ``job_cached``, ``job_finished``,
-        ``campaign_finished``) from outcomes.  Streaming never changes
-        results or recorded metrics — drop-tolerant advisory telemetry
-        only.  When a ``manifest_path`` is also given, events mirror to
-        ``<manifest_path>.events.jsonl`` for ``repro obs tail``.
+    on_event:
+        Optional callback for the lifecycle events of
+        :mod:`repro.obs.events`, called synchronously in this process:
+        ``campaign_started``; ``job_cached`` per cache hit;
+        ``job_started`` when a job is handed to execution (before its
+        first serial attempt, before its batch group runs, or at pool
+        submission) and ``job_finished`` when its outcome lands;
+        ``campaign_finished``.  A job is therefore "running" from
+        dispatch to outcome.  Events never change results or recorded
+        metrics.
     """
     capture = obs.tracing_enabled() if capture_obs is None else capture_obs
     start = time.perf_counter()
     run = CampaignRun(campaign=campaign, manifest_path=manifest_path)
     logger.debug("campaign %s: %d jobs, %d worker(s), capture=%s",
                  campaign.name, len(campaign.jobs), jobs, capture)
-    if stream is not None:
-        stream.start()
-        if manifest_path:
-            stream.attach_jsonl(manifest_path + ".events.jsonl")
-        stream.emit(
-            "campaign_started", campaign=campaign.name,
-            total=len(campaign.jobs),
-            tags=[spec.tag for spec in campaign.jobs],
-        )
+    _emit(
+        on_event, "campaign_started", campaign=campaign.name,
+        total=len(campaign.jobs),
+        tags=[spec.tag for spec in campaign.jobs],
+    )
 
     with obs.span("campaign.run", campaign=campaign.name,
                   n_jobs=len(campaign.jobs), workers=jobs):
@@ -624,21 +594,22 @@ def run_campaign(
                             worker="cache",
                         )
                         _report(cached[spec.tag], progress)
-                        _emit_outcome(stream, cached[spec.tag])
+                        _emit_outcome(on_event, cached[spec.tag])
                         continue
                 pending.append(spec)
             probe.annotate(hits=len(cached), misses=len(pending))
 
         fresh: Dict[str, JobOutcome] = {}
         if pending and batch:
-            fresh, pending = _run_batched(pending, progress, capture, stream)
+            fresh, pending = _run_batched(pending, progress, capture,
+                                          on_event)
         if pending:
             use_pool = jobs > 1 and len(pending) > 1
             if use_pool:
                 try:
                     fresh.update(_run_parallel(
                         pending, jobs, timeout, retries, backoff, progress,
-                        capture, stream,
+                        capture, on_event,
                     ))
                     run.parallel = True
                 except Exception as exc:  # pool unavailable: degrade to serial
@@ -651,7 +622,7 @@ def run_campaign(
             if not use_pool:
                 fresh.update(
                     _run_serial(pending, retries, backoff, progress, capture,
-                                stream)
+                                on_event)
                 )
 
         # Fold worker-side metric deltas into this process's registry so
@@ -682,14 +653,10 @@ def run_campaign(
                 writer.job(record)
             writer.summary(run.summary)
             logger.debug("manifest appended: %s", manifest_path)
-    if stream is not None:
-        stream.emit(
-            "campaign_finished", campaign=campaign.name,
-            total=len(campaign.jobs),
-            duration_s=time.perf_counter() - start,
-            ok=run.ok,
-        )
-        # Flush the queue so the buffer/sidecar hold the full run before
-        # the caller renders or tails it (best effort; never blocks long).
-        stream.sync(timeout=5.0)
+    _emit(
+        on_event, "campaign_finished", campaign=campaign.name,
+        total=len(campaign.jobs),
+        duration_s=time.perf_counter() - start,
+        ok=run.ok,
+    )
     return run

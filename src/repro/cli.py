@@ -15,7 +15,9 @@ for this library so the models can be driven without writing Python:
     execute a registered experiment sweep through the campaign engine
     (parallel workers, content-addressed result cache, JSONL
     manifest); ``campaign list`` and ``campaign status`` inspect the
-    registry and the cache;
+    registry and the cache; ``--live`` renders progress from the
+    engine's job lifecycle events and appends them to
+    ``<manifest>.events.jsonl``, which ``obs tail`` follows;
 * ``python -m repro trace run fig11 --trace fig11.json``
     the same, with :mod:`repro.obs` span tracing enabled — writes a
     Chrome trace-event file (load in Perfetto or ``chrome://tracing``)
@@ -169,22 +171,12 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="enable span tracing and write a Chrome "
                            "trace-event file here")
     crun.add_argument("--live", action="store_true",
-                      help="stream job lifecycle events while the "
-                           "campaign runs and render live progress "
-                           "(throughput, cache rate, ETA); also mirrors "
-                           "events to <manifest>.events.jsonl for "
-                           "'repro obs tail'")
-    crun.add_argument("--heartbeat", type=float, default=0.5, metavar="S",
-                      help="live-mode worker heartbeat cadence, seconds "
-                           "(default 0.5)")
-    crun.add_argument("--sample", default=None, metavar="PATH",
-                      help="sample metrics + process resources (RSS, CPU, "
-                           "GC) on a wall-clock cadence during the run and "
-                           "write the time series as JSONL here")
-    crun.add_argument("--sample-interval", type=float, default=0.25,
-                      metavar="S",
-                      help="resource sampling cadence, seconds "
-                           "(default 0.25)")
+                      help="render live progress (done/cached/failed "
+                           "counts, throughput, cache rate, ETA) from the "
+                           "engine's job lifecycle events, and append "
+                           "them to <manifest>.events.jsonl for 'repro "
+                           "obs tail'; a job counts as running from "
+                           "dispatch until its outcome lands")
     crun.add_argument("--triage", action="store_true",
                       help="pre-screen jobs with the analytic engine and "
                            "dispatch only those predicted to cross the "
@@ -305,14 +297,14 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_cmd = sub.add_parser(
         "obs",
         help="live telemetry and the perf-regression ledger: tail a "
-             "running campaign's event stream, report/check bench "
+             "running campaign's events, report/check bench "
              "trajectories",
     )
     osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
     otail = osub.add_parser(
         "tail",
-        help="follow the event stream of a (running) campaign: pass the "
+        help="follow the events of a (running) campaign: pass the "
              "manifest path given to 'campaign run --live' (or its "
              ".events.jsonl sidecar directly)",
     )
@@ -503,7 +495,29 @@ def _parse_campaign_params(pairs) -> dict:
     return params
 
 
+def _open_sidecar(path: str) -> Optional[IO[str]]:
+    """Open the ``--live`` events sidecar for appending (``None`` on error)."""
+    import os as _os
+
+    try:
+        directory = _os.path.dirname(path)
+        if directory:
+            _os.makedirs(directory, exist_ok=True)
+        return open(path, "a", encoding="utf-8")
+    except OSError as exc:
+        print(f"note: no events sidecar ({exc})", file=sys.stderr)
+        return None
+
+
+def _close_quietly(handle: IO[str]) -> None:
+    try:
+        handle.close()
+    except (OSError, ValueError):
+        pass
+
+
 def _campaign_run(args) -> int:
+    import json as _json
     import time as _time
 
     from .campaign import (
@@ -544,26 +558,34 @@ def _campaign_run(args) -> int:
         spec.name, len(spec), args.jobs,
         "off" if cache is None else cache_root,
     )
-    stream = None
     renderer = None
+    sidecar: Optional[IO[str]] = None
     live = getattr(args, "live", False)
     if live and args.triage:
         print("note: --live is not wired through triage yet; "
-              "running without streaming", file=sys.stderr)
+              "running without live progress", file=sys.stderr)
         live = False
     if live:
-        stream = obs.EventStream(heartbeat_s=args.heartbeat)
         renderer = obs.LiveRenderer(obs.CampaignProgress(total=len(spec)))
-        stream.subscribe(renderer.on_event)
-        if not stream.cross_process and args.jobs > 1:
-            print("note: cross-process event transport unavailable; "
-                  "live heartbeats cover in-process jobs only",
-                  file=sys.stderr)
-    sampler = None
-    sample_path = getattr(args, "sample", None)
-    if sample_path:
-        sampler = obs.ResourceSampler(interval_s=args.sample_interval)
-        sampler.start()
+        if manifest:
+            sidecar = _open_sidecar(manifest + ".events.jsonl")
+
+    def on_event(event: obs.Event) -> None:
+        # One flushed JSON line per event for `repro obs tail`; a
+        # failing sidecar is dropped, the run carries on.
+        nonlocal sidecar
+        assert renderer is not None
+        renderer.on_event(event)
+        if sidecar is None:
+            return
+        try:
+            sidecar.write(_json.dumps(event, sort_keys=True, default=str)
+                          + "\n")
+            sidecar.flush()
+        except (OSError, ValueError):
+            _close_quietly(sidecar)
+            sidecar = None
+
     try:
         if args.triage:
             from .campaign import TriageSettings, run_campaign_triaged
@@ -585,18 +607,15 @@ def _campaign_run(args) -> int:
             run = run_campaign(
                 spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
                 timeout=args.timeout, retries=args.retries, force=args.force,
-                batch=not args.no_batch, stream=stream,
+                batch=not args.no_batch,
+                on_event=on_event if renderer is not None else None,
             )
             ok = run.ok
     finally:
-        if stream is not None:
-            stream.stop()
+        if sidecar is not None:
+            _close_quietly(sidecar)
         if renderer is not None:
             renderer.close()
-        if sampler is not None:
-            sampler.stop()
-            n_rows = sampler.write_jsonl(sample_path)
-            print(f"samples: {sample_path} ({n_rows} rows)", file=sys.stderr)
     if run is not None:
         summary = run.summary
         print(f"{summary.n_ok}/{summary.n_jobs} jobs ok, "
@@ -812,7 +831,7 @@ def _obs_tail(args) -> int:
     while not _os.path.exists(path):
         if args.no_follow or (deadline is not None
                               and _time.monotonic() >= deadline):
-            print(f"error: no event stream at {path} (run the campaign "
+            print(f"error: no events file at {path} (run the campaign "
                   f"with --live)", file=sys.stderr)
             return 1
         _time.sleep(0.2)

@@ -31,17 +31,7 @@ Typical use::
     obs.write_chrome_trace(obs.tracer().drain(), "fig11-trace.json")
 """
 
-from .events import (
-    EVENT_TYPES,
-    Event,
-    EventBuffer,
-    EventPublisher,
-    EventStream,
-    StreamConfig,
-    job_telemetry,
-    make_event,
-    read_events_jsonl,
-)
+from .events import EVENT_TYPES, Event, make_event, read_events_jsonl
 from .export import (
     chrome_summary_table,
     chrome_trace,
@@ -63,7 +53,6 @@ from .ledger import (
 )
 from .logsetup import logging_setup, verbosity_level
 from .progress import CampaignProgress, JobProgress, LiveRenderer
-from .sampler import ResourceSampler, read_proc_self, read_samples_jsonl
 from .taxonomy import METRIC_NAMES, METRIC_PREFIXES, SPAN_NAMES, known_metric, known_span
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -128,9 +117,6 @@ __all__ = [
     "DEFAULT_TIME_BUCKETS",
     "EVENT_TYPES",
     "Event",
-    "EventBuffer",
-    "EventPublisher",
-    "EventStream",
     "Gauge",
     "Histogram",
     "JobProgress",
@@ -142,11 +128,9 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "Regression",
-    "ResourceSampler",
     "SPAN_NAMES",
     "Snapshot",
     "Span",
-    "StreamConfig",
     "Tracer",
     "chrome_summary_table",
     "chrome_trace",
@@ -154,7 +138,6 @@ __all__ = [
     "disable_tracing",
     "enable_tracing",
     "flatten_snapshot",
-    "job_telemetry",
     "known_metric",
     "known_span",
     "logging_setup",
@@ -163,8 +146,6 @@ __all__ = [
     "make_event",
     "metrics",
     "read_events_jsonl",
-    "read_proc_self",
-    "read_samples_jsonl",
     "read_trace_file",
     "scale_snapshot",
     "snapshot_diff",

@@ -1,13 +1,17 @@
-"""Campaign progress model fed by the live event stream.
+"""Campaign progress model fed by the campaign's lifecycle events.
 
 :class:`CampaignProgress` is a pure fold over :mod:`repro.obs.events`
 events — per-job state machine, throughput, cache-hit rate, ETA — with
 no I/O of its own, so it is equally usable as the ``--live`` renderer's
 model, by ``repro obs tail`` replaying a JSONL sidecar, and in tests
-without a TTY.  :class:`LiveRenderer` is the thin terminal half:
-subscribe it to a stream and it repaints a one-line status on a
+without a TTY.  :class:`LiveRenderer` is the thin terminal half: feed
+it the executor's events and it repaints a one-line status on a
 throttled cadence (carriage-return rewrite on a TTY, plain lines
 otherwise).
+
+A job is "running" from the moment the executor dispatches it until
+its outcome lands; the parent emits both events, so queued pool jobs
+count as running too.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ _DONE_STATES = frozenset({"finished", "failed", "cached"})
 
 
 class JobProgress:
-    """One job's live state as seen through the event stream."""
+    """One job's live state as seen through its lifecycle events."""
 
     __slots__ = ("tag", "kind", "state", "started_wall", "finished_wall",
-                 "heartbeats", "elapsed_s", "status", "cached")
+                 "elapsed_s", "status", "cached")
 
     def __init__(self, tag: str, kind: str = "") -> None:
         self.tag = tag
@@ -39,7 +43,6 @@ class JobProgress:
         self.state = "pending"
         self.started_wall: Optional[float] = None
         self.finished_wall: Optional[float] = None
-        self.heartbeats = 0
         self.elapsed_s = 0.0
         self.status = ""
         self.cached = False
@@ -51,23 +54,23 @@ class JobProgress:
     def to_dict(self) -> Dict[str, Any]:
         return {
             "tag": self.tag, "kind": self.kind, "state": self.state,
-            "heartbeats": self.heartbeats, "elapsed_s": self.elapsed_s,
-            "status": self.status,
+            "elapsed_s": self.elapsed_s, "status": self.status,
         }
 
 
 class CampaignProgress:
     """Fold of campaign lifecycle events into an aggregate progress view.
 
-    Feed :meth:`observe` every event (subscribe it to an
-    :class:`~repro.obs.events.EventStream`, or replay a sidecar file);
-    read the derived aggregates at any time.  Thread-safe: events
-    arrive on the drain thread while renderers read from elsewhere.
+    Feed :meth:`observe` every event (the executor's ``on_event``
+    callback, or a replayed sidecar file); read the derived aggregates
+    at any time.  Thread-safe, so a renderer on another thread may
+    read while events fold.  Each ``campaign_started`` begins a fresh
+    fold: a sidecar appended across runs shows the latest run only.
     """
 
-    #: the job table and its insertion order are written by the drain
-    #: thread (via :meth:`observe`) while renderers read them; R12
-    #: checks every mutation holds ``_lock``
+    #: the job table and its insertion order are written by
+    #: :meth:`observe` while renderers may read them; R12 checks every
+    #: mutation holds ``_lock``
     _jobs: Annotated[Dict[str, JobProgress], units.guarded_by("_lock")]
     _order: Annotated[List[str], units.guarded_by("_lock")]
 
@@ -98,21 +101,18 @@ class CampaignProgress:
         tag = str(event.get("tag", ""))
         with self._lock:
             if etype == "campaign_started":
-                self.campaign = str(event.get("campaign", self.campaign))
-                self.total = int(event.get("total", self.total))
+                self._jobs.clear()
+                self._order.clear()
+                self.campaign = str(event.get("campaign", ""))
+                self.total = int(event.get("total", 0))
                 self.started_wall = float(event.get("t_wall", time.time()))
+                self.finished_wall = None
                 for pending in event.get("tags", []) or []:
                     self._job(str(pending))
             elif etype == "job_started":
                 job = self._job(tag, str(event.get("kind", "")))
                 job.state = "running"
                 job.started_wall = float(event.get("t_wall", time.time()))
-            elif etype == "job_heartbeat":
-                job = self._job(tag, str(event.get("kind", "")))
-                if not job.done:
-                    job.state = "running"
-                job.heartbeats += 1
-                job.elapsed_s = float(event.get("elapsed_s", job.elapsed_s))
             elif etype == "job_cached":
                 job = self._job(tag)
                 job.state = "cached"
@@ -213,25 +213,27 @@ class CampaignProgress:
         """Multi-line view: the status line plus one row per job."""
         lines = [self.render_line(now)]
         for job in self.jobs():
-            beats = f" beats={job.heartbeats}" if job.heartbeats else ""
             elapsed = f" {job.elapsed_s:.2f}s" if job.elapsed_s else ""
-            lines.append(f"  {job.state:<8} {job.tag}{elapsed}{beats}")
+            lines.append(f"  {job.state:<8} {job.tag}{elapsed}")
         return "\n".join(lines)
 
 
 class LiveRenderer:
     """Terminal renderer for ``repro campaign run --live``.
 
-    Subscribe :meth:`on_event` to a stream; it folds into the given
-    :class:`CampaignProgress` and repaints at most every
-    ``min_interval_s`` (every repaint on completion events so the final
-    counts always land).  On a TTY the line rewrites in place; on a
-    pipe it prints at most one line per repaint so logs stay readable.
+    Pass :meth:`on_event` as the executor's ``on_event`` callback; it
+    folds into the given :class:`CampaignProgress` and repaints at most
+    every ``min_interval_s`` (always on job completions).  The final
+    counts are painted once: by ``campaign_finished``, or by
+    :meth:`close` when no paint has shown the finished campaign.  On a
+    TTY the line rewrites in place; on a pipe it prints one line per
+    repaint so logs stay readable.
     """
 
-    #: written by whichever thread wins the repaint throttle race —
-    #: the drain thread via :meth:`on_event` or the TTY loop
+    #: paint bookkeeping, shared by :meth:`on_event` and :meth:`close`
+    #: callers on any thread
     _last_paint: Annotated[float, units.guarded_by("_lock")]
+    _painted_finished: Annotated[bool, units.guarded_by("_lock")]
 
     def __init__(
         self,
@@ -243,6 +245,7 @@ class LiveRenderer:
         self._out = out if out is not None else sys.stderr
         self._min_interval_s = float(min_interval_s)
         self._last_paint = 0.0
+        self._painted_finished = False
         self._lock = threading.Lock()
         try:
             self._tty = bool(self._out.isatty())
@@ -251,9 +254,11 @@ class LiveRenderer:
 
     def on_event(self, event: Event) -> None:
         self.progress.observe(event)
-        force = event.get("type") in (
-            "job_finished", "job_cached", "campaign_finished"
-        )
+        etype = event.get("type")
+        if (etype != "campaign_finished"
+                and self.progress.done >= self.progress.known_total()):
+            return  # every job is done: campaign_finished paints the last line
+        force = etype in ("job_finished", "job_cached", "campaign_finished")
         now = time.monotonic()
         with self._lock:
             if not force and now - self._last_paint < self._min_interval_s:
@@ -261,26 +266,25 @@ class LiveRenderer:
             self._last_paint = now
         self.paint()
 
-    def paint(self) -> None:
+    def paint(self, final: bool = False) -> None:
+        """Draw the status line; ``final`` ends it with a newline on a TTY."""
+        finished = self.progress.finished
         line = self.progress.render_line()
         try:
             if self._tty:
-                self._out.write("\r\x1b[2K" + line)
-                if self.progress.finished:
-                    self._out.write("\n")
+                end = "\n" if final or finished else ""
+                self._out.write("\r\x1b[2K" + line + end)
             else:
                 self._out.write(line + "\n")
             self._out.flush()
         except (OSError, ValueError):
             pass
+        with self._lock:
+            self._painted_finished = finished
 
     def close(self) -> None:
-        """Final repaint (and newline on a TTY)."""
-        if self._tty and not self.progress.finished:
-            try:
-                self._out.write("\r\x1b[2K" + self.progress.render_line() + "\n")
-                self._out.flush()
-            except (OSError, ValueError):
-                pass
-        else:
-            self.paint()
+        """Final repaint, unless the finished campaign is already shown."""
+        with self._lock:
+            if self._painted_finished:
+                return
+        self.paint(final=True)

@@ -71,12 +71,6 @@ METRIC_NAMES = frozenset(
         "campaign.jobs.timeouts",
         "campaign.jobs.failures",
         "campaign.job.wall_seconds",
-        "campaign.stream.events",
-        "obs.events.published",
-        "obs.events.dropped",
-        "obs.events.heartbeats",
-        "obs.sampler.samples",
-        "obs.ledger.appends",
     }
 )
 

@@ -76,8 +76,8 @@ def guarded_by(*locks: str) -> str:
     Used inside ``typing.Annotated`` on a class-body attribute
     declaration to state its concurrency contract::
 
-        class EventBuffer:
-            _events: Annotated[List[Event], guarded_by("_lock")]
+        class CampaignProgress:
+            _jobs: Annotated[Dict[str, JobProgress], guarded_by("_lock")]
 
     At runtime this is just a tagged string; the static analyzer's
     lock-discipline rule (R12) verifies, whole-program, that every

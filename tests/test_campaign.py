@@ -1,6 +1,5 @@
 """Tests for the campaign engine: specs, cache, executor, manifests."""
 
-import json
 import os
 import subprocess
 import sys

@@ -1,9 +1,14 @@
-"""Tests for the Section 2.1 cooling-mechanism taxonomy."""
+"""Tests for the Section 2.1 cooling-mechanism taxonomy, and for the
+observability name registry (``repro.obs.taxonomy``)."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs.taxonomy import METRIC_NAMES, SPAN_NAMES
 from repro.experiments.common import celsius
 from repro.floorplan import ev6_floorplan
 from repro.package import (
@@ -128,3 +133,22 @@ def test_menu_contains_the_taxonomy():
             model.network, model.node_power({"IntReg": 1.0})
         )
         assert np.all(np.isfinite(rise))
+
+
+# --- the observability name registry ----------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+def test_every_registered_name_is_emitted():
+    """A registered span/metric name that no module spells out is dead
+    taxonomy: nothing can ever emit it."""
+    registry = SRC / "obs" / "taxonomy.py"
+    literals = set()
+    for path in SRC.rglob("*.py"):
+        if path == registry:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    assert sorted((METRIC_NAMES | SPAN_NAMES) - literals) == []
