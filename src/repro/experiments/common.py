@@ -8,8 +8,9 @@ experiments all share one modified-HotSpot configuration.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+import numpy as np
 
 from ..convection.flow import FlowDirection
 from ..floorplan import athlon_floorplan, ev6_floorplan
@@ -94,6 +95,26 @@ def _trace_store():
 
 
 @lru_cache(maxsize=4)
+def _gcc_simulation(
+    instructions: int, seed: int
+) -> Tuple[PowerTrace, np.ndarray]:
+    """One functional simulation of the gcc-like workload on the EV6.
+
+    Returns the power trace and its per-window phase labels.  Both
+    :func:`gcc_power_trace` and :func:`gcc_synthesized_trace` start
+    from it, so a process simulates each (instructions, seed) pair
+    once.  The arrays are shared between callers and read-only.
+    """
+    simulator = MicroarchSimulator(ev6_floorplan())
+    trace = simulator.run(gcc_like_workload(instructions=instructions, seed=seed))
+    phases = simulator.last_window_phases
+    assert phases is not None  # run() sets it
+    trace.samples.setflags(write=False)
+    phases.setflags(write=False)
+    return trace, phases
+
+
+@lru_cache(maxsize=4)
 def gcc_power_trace(
     instructions: int = 500_000, seed: int = 0
 ) -> PowerTrace:
@@ -110,9 +131,7 @@ def gcc_power_trace(
         cached = store.get_trace(key)
         if cached is not None:
             return cached
-    plan = ev6_floorplan()
-    simulator = MicroarchSimulator(plan)
-    trace = simulator.run(gcc_like_workload(instructions=instructions, seed=seed))
+    trace, _ = _gcc_simulation(instructions, seed)
     if store is not None:
         store.put_trace(key, trace)
     return trace
@@ -150,12 +169,8 @@ def gcc_synthesized_trace(
         cached = store.get_trace(key)
         if cached is not None:
             return cached
-    plan = ev6_floorplan()
-    simulator = MicroarchSimulator(plan)
-    base = simulator.run(gcc_like_workload(instructions=instructions, seed=seed))
-    synthesizer = TraceSynthesizer(
-        base, simulator.last_window_phases, seed=seed
-    )
+    base, phases = _gcc_simulation(instructions, seed)
+    synthesizer = TraceSynthesizer(base, phases, seed=seed)
     trace = synthesizer.synthesize(duration, mean_dwell=mean_dwell)
     if store is not None:
         store.put_trace(key, trace)

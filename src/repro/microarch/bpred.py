@@ -2,10 +2,15 @@
 
 A bimodal (2-bit saturating counter) predictor indexed by PC -- the
 classic baseline and close to the EV6's local history component for
-this purpose.  Prediction is vectorized per chunk: counters are read
-for all branches, then updated sequentially per static branch (the
-per-PC update order within a chunk matters only for aliased PCs, which
-the sequential pass handles exactly).
+this purpose.
+
+A chunk of branches is predicted and trained as array work, exactly as
+if the branches ran one at a time.  Branches are grouped by table entry
+with a stable sort, which keeps each entry's program order; only
+branches sharing an entry interact.  Every update is the map
+``x -> clamp(x ± 1, 0, 3)``, and the maps of an entry's branches
+compose, so a segmented prefix composition (:mod:`.scan`) gives the
+counter each branch read before its own update.
 """
 
 from __future__ import annotations
@@ -14,6 +19,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
+from .scan import compose_prefix
+
+#: Counter update maps as lookup tables over the states 0..3.
+_NOT_TAKEN = np.array([0, 0, 1, 2], dtype=np.int8)
+_TAKEN = np.array([1, 2, 3, 3], dtype=np.int8)
 
 
 class BimodalPredictor:
@@ -37,26 +47,37 @@ class BimodalPredictor:
     ) -> np.ndarray:
         """Predict a chunk of branches and train the counters.
 
-        Returns a boolean array: True where the prediction was wrong.
+        ``pcs`` is a 1-D integer array and ``taken`` the branch outcomes
+        of the same shape.  Returns a boolean array: True where the
+        prediction was wrong.
         """
-        pcs = np.asarray(pcs, dtype=np.int64)
-        taken = np.asarray(taken, dtype=bool)
-        if pcs.shape != taken.shape:
+        pcs = np.asarray(pcs)
+        taken = np.asarray(taken)
+        if pcs.ndim != 1 or pcs.dtype.kind not in "iu":
+            raise ConfigurationError("branch pcs must be a 1-D integer array")
+        if taken.shape != pcs.shape:
             raise ConfigurationError("pcs and outcomes must align")
-        indices = self._index(pcs)
-        wrong = np.zeros(pcs.shape, dtype=bool)
-        counters = self.counters
-        for i in range(pcs.size):
-            idx = indices[i]
-            predicted_taken = counters[idx] >= 2
-            actual = taken[i]
-            wrong[i] = predicted_taken != actual
-            if actual:
-                if counters[idx] < 3:
-                    counters[idx] += 1
-            else:
-                if counters[idx] > 0:
-                    counters[idx] -= 1
+        taken = taken.astype(bool, copy=False)
+        indices = self._index(pcs.astype(np.int64, copy=False))
+        order = np.argsort(indices, kind="stable")
+        entries = indices[order]
+        outcomes = taken[order]
+        rows = np.arange(entries.size)
+        first = np.ones(entries.size, dtype=bool)
+        first[1:] = entries[1:] != entries[:-1]
+        starts = np.maximum.accumulate(np.where(first, rows, 0))
+        after = compose_prefix(
+            np.where(outcomes[:, None], _TAKEN, _NOT_TAKEN), starts
+        )
+        initial = self.counters[entries]
+        # counter before each update: the entry's chunk-start value
+        # pushed through the entry's earlier updates
+        before = np.where(first, initial, after[rows - 1, initial])
+        last = np.ones(entries.size, dtype=bool)
+        last[:-1] = first[1:]
+        self.counters[entries[last]] = after[last, initial[last]]
+        wrong = np.empty(pcs.shape, dtype=bool)
+        wrong[order] = (before >= 2) != outcomes
         self.predictions += int(pcs.size)
         self.mispredictions += int(wrong.sum())
         return wrong

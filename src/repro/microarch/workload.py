@@ -21,6 +21,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from .scan import compose_prefix
 
 #: Instruction class codes (compact integers for numpy streams).
 INT_ALU = 0
@@ -175,26 +176,13 @@ def _generate_chunk(
     # Each *static* branch (identified by its PC) has a stable bias, so
     # a PC-indexed predictor can learn it -- mispredictions then track
     # (1 - branch_bias) as they do for real integer codes.
-    pcs = np.zeros(n, dtype=np.int64)
-    taken = np.zeros(n, dtype=bool)
-    is_branch = classes == BRANCH
     outcomes = rng.random(n)
-    pc = int(hot_blocks[int(rng.integers(0, len(hot_blocks)))])
+    start = int(hot_blocks[int(rng.integers(0, len(hot_blocks)))])
     target_picks = rng.integers(0, len(hot_blocks), size=n)
-    for i in range(n):
-        pcs[i] = pc
-        if is_branch[i]:
-            # Static bias keyed on the branch PC: some branches are
-            # almost-always-taken, others almost-never.
-            if (pc >> 2) & 1:
-                taken_prob = phase.branch_bias
-            else:
-                taken_prob = 1.0 - phase.branch_bias
-            taken[i] = outcomes[i] < taken_prob
-            if taken[i]:
-                pc = int(hot_blocks[target_picks[i]])
-                continue
-        pc += 4
+    pcs, taken = _walk_pcs(
+        phase.branch_bias, classes == BRANCH, outcomes, start,
+        hot_blocks[target_picks],
+    )
 
     # Memory addresses: a strided walk wrapping within a bounded reuse
     # region (real loops re-traverse the same arrays) for
@@ -212,17 +200,67 @@ def _generate_chunk(
                                    size=mem_indices.size)
         cold_randoms = rng.integers(0, max(8, phase.working_set),
                                     size=mem_indices.size)
-        addr = cursor % stride_wrap
-        for k, idx in enumerate(mem_indices):
-            if strided[k]:
-                addr = (addr + 8) % stride_wrap
-                addresses[idx] = addr
-            elif cold[k]:
-                addresses[idx] = cold_randoms[k]
-            else:
-                addresses[idx] = hot_randoms[k]
-        cursor = addr
+        # the k-th strided access steps 8 bytes past the (k-1)-th
+        walk = (cursor % stride_wrap + 8 * np.cumsum(strided)) % stride_wrap
+        addresses[mem_indices] = np.where(
+            strided, walk, np.where(cold, cold_randoms, hot_randoms)
+        )
+        cursor = int(walk[-1])
     return InstructionChunk(classes, pcs, addresses, taken), cursor
+
+
+def _walk_pcs(
+    branch_bias: float,
+    is_branch: np.ndarray,
+    outcomes: np.ndarray,
+    start: int,
+    targets: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Program counters and branch outcomes of one chunk.
+
+    Instruction ``i`` sits at the PC reached from ``start`` by 4-byte
+    steps, except that a taken branch at ``i`` sends instruction
+    ``i + 1`` to ``targets[i]``.  A branch is taken when
+    ``outcomes[i]`` falls below ``branch_bias`` if bit 2 of its PC is
+    set, and below ``1 - branch_bias`` otherwise.
+
+    Only that PC bit feeds back into the walk.  Between consecutive
+    branches it evolves by a map of ``{0, 1}`` fixed by the gap and the
+    first branch's outcome draw and target, so a prefix composition of
+    those maps (:func:`~repro.microarch.scan.compose_prefix`) gives the
+    bit, and so the outcome, at every branch.  The PCs then follow in
+    closed form: ``segment start + 4 * offset``, where segments begin at
+    instruction 0 and after each taken branch.
+    """
+    n = is_branch.size
+    branches = np.flatnonzero(is_branch)
+    taken = np.zeros(n, dtype=bool)
+    if branches.size:
+        draws = outcomes[branches]
+        # outcome at a branch whose PC bit 2 is 0 (column 0) or 1
+        by_bit = np.stack(
+            (draws < 1.0 - branch_bias, draws < branch_bias), axis=1
+        )
+        jump_bits = (targets[branches] >> 2) & 1
+        gaps = np.diff(branches)
+        # bit at the next branch: from the jump target, taken, or
+        # from this branch's own PC, not taken
+        steps = np.where(
+            by_bit[:-1],
+            (jump_bits[:-1] ^ ((gaps - 1) & 1))[:, None],
+            np.arange(2) ^ (gaps & 1)[:, None],
+        ).astype(np.int8)
+        bits = np.empty(branches.size, dtype=np.int64)
+        bits[0] = ((start >> 2) ^ branches[0]) & 1
+        prefix = compose_prefix(steps, np.zeros(gaps.size, dtype=np.int64))
+        bits[1:] = prefix[:, bits[0]]
+        taken[branches] = by_bit[np.arange(branches.size), bits]
+    jumps = np.flatnonzero(taken[:-1])
+    seg_starts = np.concatenate(([0], jumps + 1))
+    seg_pcs = np.concatenate(([start], targets[jumps]))
+    pcs = np.repeat(seg_pcs - 4 * seg_starts, np.diff(seg_starts, append=n))
+    pcs += 4 * np.arange(n, dtype=np.int64)
+    return pcs, taken
 
 
 # --- presets --------------------------------------------------------------

@@ -152,3 +152,46 @@ def test_fig12_trace_claims():
         assert 5e-6 < interval < 500e-6
     # air tracks power faster: its fast fluctuations are larger
     assert air_ir.std() > oil_ir.std()
+
+
+@pytest.fixture
+def fresh_gcc_caches(monkeypatch):
+    """No disk store and cold in-process caches for the gcc traces."""
+    from repro.experiments import common
+
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    cached = (common._gcc_simulation, common.gcc_power_trace,
+              common.gcc_synthesized_trace)
+    for function in cached:
+        function.cache_clear()
+    yield common
+    for function in cached:
+        function.cache_clear()
+
+
+def test_gcc_simulation_runs_once(fresh_gcc_caches, monkeypatch):
+    from repro.microarch import MicroarchSimulator
+
+    runs = []
+    original = MicroarchSimulator.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MicroarchSimulator, "run", counting_run)
+    common = fresh_gcc_caches
+    common.gcc_power_trace(20_000, seed=3)
+    common.gcc_synthesized_trace(0.002, 20_000, seed=3)
+    assert len(runs) == 1
+
+
+def test_shared_gcc_simulation_is_read_only(fresh_gcc_caches):
+    common = fresh_gcc_caches
+    trace = common.gcc_power_trace(20_000, seed=3)
+    base, phases = common._gcc_simulation(20_000, 3)
+    assert trace is base
+    with pytest.raises(ValueError):
+        trace.samples[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        phases[0] = 1
