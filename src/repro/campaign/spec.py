@@ -28,7 +28,9 @@ from ..units import ZERO_CELSIUS_IN_KELVIN
 #: entries written by an older scheme can never be mistaken for fresh.
 #: Version 2: jobs carry a solver-backend identity, so results
 #: computed by different linear-algebra engines never share an entry.
-SPEC_VERSION = 2
+#: Version 3: the default engine orders by symmetric minimum degree
+#: instead of COLAMD; outputs move at the 1e-12 level.
+SPEC_VERSION = 3
 
 
 def freeze(value: Any) -> Any:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import SolverError
 from .steady import steady_state
-from .transient import TransientResult, TrapezoidalStepper
+from .transient import TransientResult, TrapezoidalStepper, plan_fixed_steps
 
 if TYPE_CHECKING:
     from ..rcmodel.blockmodel import ThermalBlockModel
@@ -134,8 +134,7 @@ def transient_with_leakage(
     leakage added on top uses the block temperatures from the previous
     step (one-step lag).  Records per-block absolute temperatures.
     """
-    if t_end <= 0 or dt <= 0:
-        raise SolverError("t_end and dt must be positive")
+    n_full, dt_final = plan_fixed_steps(t_end, dt)
     stepper = TrapezoidalStepper(model.network, dt)
     ambient = model.config.ambient
     x = np.zeros(model.n_nodes) if x0 is None else np.asarray(x0, float).copy()
@@ -146,19 +145,26 @@ def transient_with_leakage(
         leak = np.asarray(leakage(block_temps), dtype=float)
         return model.node_power(dynamic + leak)
 
-    n_steps = int(round(t_end / dt))
     times = [0.0]
     records = [block_temps.copy()]
     p_now = node_power(0.0)
-    for step in range(1, n_steps + 1):
+    for step in range(1, n_full + 1):
         t = step * dt
         p_next = node_power(t)
         x = stepper.step(x, p_now, p_next)
         p_now = p_next
         block_temps = model.block_rise(x) + ambient
-        if step % record_every == 0 or step == n_steps:
+        if step % record_every == 0 or (step == n_full and dt_final is None):
             times.append(t)
             records.append(block_temps.copy())
+    if dt_final is not None:
+        # exact final partial step, as in transient_simulate: a
+        # misaligned dt must not stop short of t_end
+        p_next = node_power(t_end)
+        x = TrapezoidalStepper(model.network, dt_final).step(x, p_now, p_next)
+        block_temps = model.block_rise(x) + ambient
+        times.append(t_end)
+        records.append(block_temps.copy())
     return TransientResult(
         times=np.asarray(times), states=np.vstack(records)
     )

@@ -43,6 +43,17 @@ class PiecewiseConstantSchedule:
         diffs = np.diff(self.boundaries)
         if np.any(diffs <= 0):
             raise PowerTraceError("boundaries must be strictly increasing")
+        shape = np.shape(self.powers[0]) if self.powers else None
+        for index, power in enumerate(self.powers):
+            if np.ndim(power) != 1 or np.shape(power) != shape:
+                raise PowerTraceError(
+                    f"power {index} has shape {np.shape(power)}; every "
+                    f"power must be 1-D with the shape of power 0, {shape}"
+                )
+            if not np.isfinite(power).all():
+                raise PowerTraceError(
+                    f"power {index} contains non-finite values (NaN/Inf)"
+                )
 
     @classmethod
     def from_segments(
@@ -120,12 +131,18 @@ def simulate_schedule(
         raise SolverError(
             f"unknown method {method!r}; pick from {sorted(_STEPPERS)}"
         ) from None
-    stepper = stepper_cls(network, dt, backend=backend)
-    short_steppers = {}
-
+    if schedule.powers and len(schedule.powers[0]) != network.n_nodes:
+        raise SolverError(
+            f"schedule powers have {len(schedule.powers[0])} nodes, "
+            f"expected {network.n_nodes}"
+        )
     x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()
     if x.shape != (network.n_nodes,):
         raise SolverError(f"x0 has shape {x.shape}, expected ({network.n_nodes},)")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("x0 contains non-finite values (NaN/Inf)")
+    stepper = stepper_cls(network, dt, backend=backend)
+    short_steppers = {}
 
     def observe(state: np.ndarray) -> np.ndarray:
         return projector(state) if projector is not None else state.copy()

@@ -1,7 +1,9 @@
 """The pluggable linear-algebra backend layer.
 
 Pins the backend contract of DESIGN.md §5.5: ``superlu-serial``
-results are bitwise identical to the historical engines, tolerance
+factors with a symmetric minimum-degree ordering (the fill of the
+fig12 OIL system is pinned, so a silent return to COLAMD fails) and
+its batched results are bitwise the serial ones, tolerance
 backends (``cholesky``, ``dense``) agree with the reference within
 their declared rtol envelope, selection follows the documented
 precedence (explicit arg > override scope > env var > default), every
@@ -98,6 +100,23 @@ def test_default_backend_is_bitwise_superlu():
     assert backend.name == DEFAULT_BACKEND == "superlu-serial"
     assert backend.bitwise
     assert backend.rtol == 0.0  # repro-ok: float-equality; exact sentinel = bitwise engine
+
+
+def test_default_backend_orders_for_symmetric_fill():
+    """The fig12 OIL trapezoidal system (24x24 EV6, dt = 1e-5) factors
+    with a symmetric minimum-degree ordering: COLAMD's ~820k L+U
+    entries would fail the bound, and partial pivoting on this
+    M-matrix keeps the diagonal (no row interchanges)."""
+    model = ModelSpec(
+        chip="ev6", package="oil", nx=24, ny=24, uniform_h=True,
+        target_resistance=0.3, include_secondary=True, ambient_c=45.0,
+    ).build()
+    network = model.network
+    assert network.n_nodes == 3472
+    matrix = sparse.diags(network.capacitance / 1e-5) + 0.5 * network.system_matrix
+    lu = get_backend().factorize(matrix.tocsc())._lu
+    assert lu.L.nnz + lu.U.nnz <= 400_000
+    assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 def test_tolerance_backends_declare_envelopes():

@@ -128,6 +128,18 @@ class TestCoupledTransient:
             result.final(), steady.block_temps, rtol=0.02
         )
 
+    def test_misaligned_dt_reaches_t_end(self, oil_model):
+        # 0.1 / 0.03 is not whole: three full steps, then an exact
+        # 0.01 s partial step, instead of stopping at 0.09
+        dynamic = np.full(4, 5.0)
+        leakage = exp_leakage(oil_model.floorplan)
+        result = transient_with_leakage(
+            oil_model, lambda _t: dynamic, leakage, t_end=0.1, dt=0.03
+        )
+        np.testing.assert_allclose(result.times, [0.0, 0.03, 0.06, 0.09, 0.1])
+        # the partial step advances the state past the 0.09 s record
+        assert np.all(result.states[-1] > result.states[-2])
+
 
 class TestTranslation:
     @pytest.fixture(scope="class")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import PowerTraceError
+from repro.errors import PowerTraceError, SolverError
 from repro.rcmodel import NetworkBuilder
 from repro.solver import (
     PiecewiseConstantSchedule,
@@ -16,6 +16,14 @@ def single_rc(r=1.0, c=1.0):
     builder = NetworkBuilder()
     node = builder.add_node(c)
     builder.to_ambient(node, 1.0 / r)
+    return builder.build()
+
+
+def two_node_rc():
+    builder = NetworkBuilder()
+    a, b = builder.add_node(1.0), builder.add_node(1.0)
+    builder.connect(a, b, 1.0)
+    builder.to_ambient(b, 1.0)
     return builder.build()
 
 
@@ -59,6 +67,31 @@ def test_validation():
         PiecewiseConstantSchedule.from_segments([(-1.0, np.array([1.0]))])
     with pytest.raises(PowerTraceError):
         make_pulse().repeated(0)
+
+
+@pytest.mark.parametrize("powers", [
+    (np.array([1.0, np.nan]),),
+    (np.array([1.0, 2.0]), np.array([np.inf, 0.0])),
+    (np.array([1.0, 2.0]), np.array([1.0])),
+    (np.array([[1.0, 2.0]]),),
+], ids=["nan", "inf-in-later-power", "one-entry-short", "not-1d"])
+def test_bad_powers_rejected_at_construction(powers):
+    boundaries = tuple(float(i) for i in range(len(powers) + 1))
+    with pytest.raises(PowerTraceError):
+        PiecewiseConstantSchedule(boundaries, powers)
+
+
+def test_schedule_of_wrong_length_rejected():
+    schedule = make_pulse()  # one-node powers for a two-node network
+    with pytest.raises(SolverError, match="expected 2"):
+        simulate_schedule(two_node_rc(), schedule, dt=0.1)
+
+
+def test_non_finite_x0_rejected():
+    schedule = make_pulse()
+    with pytest.raises(SolverError, match="non-finite"):
+        simulate_schedule(single_rc(), schedule, dt=0.1,
+                          x0=np.array([np.nan]))
 
 
 def test_simulation_matches_callable_power():
