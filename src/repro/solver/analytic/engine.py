@@ -3,10 +3,11 @@
 The fourth solver engine (after fixed-step, adaptive, and batched
 transient): solves the steady problem of a
 :class:`~repro.rcmodel.grid.ThermalGridModel` with **no sparse linear
-algebra at all**.  One solve is two real FFTs plus an elementwise
-multiply by the cached spectral kernel — ``O(N log N)`` with a tiny
-constant — which is what makes analytical pre-screening of large
-campaigns (:mod:`repro.campaign.triage`) cheap.
+algebra at all**.  One solve is a forward DCT-II plus, per output
+layer, an elementwise multiply by the cached spectral kernel and an
+inverse DCT-II — ``O(N log N)`` on the ``(ny, nx)`` grid itself, with
+no image-extended copy — which is what makes analytical pre-screening
+of large campaigns (:mod:`repro.campaign.triage`) cheap.
 
 Accuracy contract (pinned by ``tests/test_solver_crosschecks.py`` and
 documented in DESIGN.md §8):
@@ -27,8 +28,9 @@ documented in DESIGN.md §8):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, Sequence, Union
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Dict, Sequence, Union
 
 import numpy as np
 
@@ -52,8 +54,6 @@ class AnalyticSolution:
     #: Temperature rise of the active (power) silicon cells, flat grid
     #: order, Kelvin.
     active_rise: np.ndarray
-    #: Rise of the die back-surface cells (what the IR camera sees).
-    surface_rise: np.ndarray
     #: Fixed-point iterations spent on the non-uniform h correction
     #: (0 when the boundary is uniform).
     iterations: int
@@ -63,6 +63,15 @@ class AnalyticSolution:
     #: Whether the correction iteration met its tolerance (vacuously
     #: true for uniform boundaries).
     converged: bool
+    #: Inverse transform of the back-surface layer, run on first
+    #: access to :attr:`surface_rise` (triage reads only the active
+    #: layer, so most solves never pay for it).
+    surface_field: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def surface_rise(self) -> np.ndarray:
+        """Rise of the die back-surface cells (what the IR camera sees)."""
+        return self.surface_field()
 
 
 class AnalyticSteadyEngine:
@@ -225,10 +234,10 @@ class AnalyticSteadyEngine:
 
         return AnalyticSolution(
             active_rise=field_at(active),
-            surface_rise=field_at(stack.surface_index),
             iterations=iterations,
             residual=residual,
             converged=converged,
+            surface_field=lambda: field_at(stack.surface_index),
         )
 
 

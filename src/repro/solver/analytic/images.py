@@ -10,10 +10,13 @@ the original quadrant, because the DFT of the even extension
 diagonalizes the path-graph (Neumann) Laplacian with eigenvalues
 ``2 (1 - cos(pi q / n))``.
 
-These helpers implement the transform pair the spectral kernel is
-expressed in: even extension + ``rfft2`` forward, ``irfft2`` + crop
-back.  The image construction lives here, once, so the kernel and the
-engine cannot disagree on conventions.
+The DFT of a half-sample-even field is, up to a phase per mode, the
+DCT-II of the original quadrant, and its modes ``q >= n`` repeat the
+modes ``2n - q`` with the same eigenvalue.  The transform pair the
+spectral kernel is expressed in is therefore the orthonormal 2-D
+DCT-II of the ``(ny, nx)`` field: the image construction without the
+redundant three quarters of the extended grid.  :func:`even_extend`
+keeps the explicit construction for reference and tests.
 """
 
 from __future__ import annotations
@@ -35,26 +38,30 @@ def even_extend(field: np.ndarray) -> np.ndarray:
 
 
 def forward_modes(field: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of a field's even extension.
+    """Neumann-mode coefficients of a ``(ny, nx)`` field.
 
-    Returns the ``rfft2`` of :func:`even_extend`, shape
-    ``(2 ny, nx + 1)`` complex.
+    The orthonormal 2-D DCT-II, shape ``(ny, nx)`` real; mode
+    ``(qy, qx)`` has eigenvalue ``lam_y[qy] + lam_x[qx]`` under the
+    path Laplacian (:func:`neumann_eigenvalues`).
     """
-    return _fft.rfft2(even_extend(field))
+    return _fft.dctn(field, type=2, norm="ortho")
 
 
 def inverse_modes(modes: np.ndarray, ny: int, nx: int) -> np.ndarray:
-    """Invert :func:`forward_modes` and crop to the physical quadrant."""
-    full = _fft.irfft2(modes, s=(2 * ny, 2 * nx))
-    return np.ascontiguousarray(full[:ny, :nx])
+    """Invert :func:`forward_modes` back to a ``(ny, nx)`` field."""
+    if modes.shape != (ny, nx):
+        raise ValueError(
+            f"modes have shape {modes.shape}, expected ({ny}, {nx})"
+        )
+    return _fft.idctn(modes, type=2, norm="ortho")
 
 
 def neumann_eigenvalues(n: int, n_modes: int) -> np.ndarray:
     """Eigenvalues of the 1-D Neumann path Laplacian on ``n`` cells.
 
     ``lam[q] = 2 (1 - cos(pi q / n))`` for ``q = 0 .. n_modes - 1`` —
-    evaluated at the periodic frequencies of the 2n-point extension,
-    which coincide with the Neumann (DCT-II) spectrum.
+    the DCT-II spectrum for ``q < n``, continued to the periodic
+    frequencies of the 2n-point even extension.
     """
     q = np.arange(n_modes)
     return 2.0 * (1.0 - np.cos(np.pi * q / n))

@@ -1,7 +1,7 @@
 """The spectral Green's-function kernel and its content-hash cache.
 
-For each lateral spatial mode ``m`` of the image-extended grid
-(:mod:`repro.solver.analytic.images`), the layered slab reduces to a
+For each lateral Neumann mode ``m`` of the grid (the DCT-II basis of
+:mod:`repro.solver.analytic.images`), the layered slab reduces to a
 tiny ``L x L`` vertical-chain system
 
 ``M(m) = diag(g_x lam_x + g_y lam_y + b_mean + rim/n) + tridiag(-g_v)``
@@ -53,7 +53,7 @@ class SpectralKernel:
         self.stack = stack
         self.fingerprint = stack.kernel_fingerprint
         n_layers = stack.n_layers
-        n_modes_y, n_modes_x = 2 * stack.ny, stack.nx + 1
+        n_modes_y, n_modes_x = stack.ny, stack.nx
         lam_x = neumann_eigenvalues(stack.nx, n_modes_x)
         lam_y = neumann_eigenvalues(stack.ny, n_modes_y)
 
@@ -91,7 +91,7 @@ class SpectralKernel:
             raise SolverError(
                 f"analytic kernel build failed (singular chain): {exc}"
             ) from exc
-        #: ``(2 ny, nx + 1, L, n_injection)`` real responses.  Frozen:
+        #: ``(ny, nx, L, n_injection)`` real responses.  Frozen:
         #: kernels are shared process-wide through the LRU cache, and
         #: :meth:`response` hands out views of this array — an in-place
         #: write would corrupt every later solve on this stack.
@@ -105,7 +105,7 @@ class SpectralKernel:
         """Per-mode response at ``out_layer`` to injection at ``in_layer``.
 
         ``in_layer`` must be one of the stack's injection indices;
-        output layers are unrestricted.  Shape ``(2 ny, nx + 1)``.
+        output layers are unrestricted.  Shape ``(ny, nx)``.
         The returned view aliases the cached kernel and is read-only;
         ``.copy()`` it before mutating.
         """

@@ -218,8 +218,8 @@ def _check_symmetric(matrix: sparse.spmatrix, name: str) -> None:
 class SuperLUSerialBackend(LinearBackend):
     """SuperLU with a symmetric fill-reducing ordering; the default.
 
-    Every thermal system here is a symmetric, diagonally dominant
-    M-matrix, so ``splu`` orders columns by minimum degree on
+    Every system factored through this backend is a symmetric,
+    diagonally dominant M-matrix, so ``splu`` orders columns by minimum degree on
     ``A^T + A`` (``MMD_AT_PLUS_A``) in symmetric mode rather than with
     COLAMD, which is built for unsymmetric matrices: about half the
     L+U fill and half the back-solve time.  SuperLU's default partial

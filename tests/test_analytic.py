@@ -61,6 +61,33 @@ def test_even_extension_round_trips():
     np.testing.assert_allclose(inverse_modes(modes, 6, 9), field, atol=1e-12)
 
 
+def test_modes_diagonalize_the_neumann_laplacian():
+    """The (ny, nx) modes carry the even extension's DFT spectrum: the
+    path Laplacian acts on each mode as ``lam_y + lam_x``."""
+    ny, nx = 6, 9
+    field = np.random.default_rng(1).normal(size=(ny, nx))
+
+    def path_laplacian(n):
+        lap = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        lap[0, 0] = lap[-1, -1] = 1.0
+        return lap
+
+    applied = path_laplacian(ny) @ field + field @ path_laplacian(nx)
+    lam = (neumann_eigenvalues(ny, ny)[:, np.newaxis]
+           + neumann_eigenvalues(nx, nx)[np.newaxis, :])
+    np.testing.assert_allclose(forward_modes(applied),
+                               lam * forward_modes(field), atol=1e-12)
+    # the same spectrum as the image-extended periodic grid, whose
+    # lower-left (ny, nx) block of modes differs only by phase
+    # and a known scale: sqrt(2n) per axis, sqrt(2) more on mode 0
+    extended = np.fft.rfft2(even_extend(field))[:ny, :nx]
+    scale = np.outer(np.sqrt(2.0 * ny) * np.where(np.arange(ny), 1.0, np.sqrt(2.0)),
+                     np.sqrt(2.0 * nx) * np.where(np.arange(nx), 1.0, np.sqrt(2.0)))
+    np.testing.assert_allclose(np.abs(extended),
+                               scale * np.abs(forward_modes(field)),
+                               atol=1e-9)
+
+
 def test_neumann_eigenvalues_match_closed_form():
     n = 8
     lam = neumann_eigenvalues(n, 2 * n)

@@ -140,6 +140,16 @@ class TestCoupledTransient:
         # the partial step advances the state past the 0.09 s record
         assert np.all(result.states[-1] > result.states[-2])
 
+    def test_t_end_below_dt_rejected(self, oil_model):
+        # as in transient_simulate: no full step fits, so no silent
+        # single step past t_end
+        dynamic = np.full(4, 5.0)
+        leakage = exp_leakage(oil_model.floorplan)
+        with pytest.raises(SolverError):
+            transient_with_leakage(
+                oil_model, lambda _t: dynamic, leakage, t_end=0.02, dt=0.03
+            )
+
 
 class TestTranslation:
     @pytest.fixture(scope="class")
