@@ -119,13 +119,13 @@ class DTMController:
         true_max = np.empty(trace.n_samples)
         engaged_flags = np.zeros(trace.n_samples, dtype=bool)
         block_temps = np.empty((trace.n_samples, len(model.floorplan)))
+        node_power = np.zeros(model.n_nodes)
 
         for i in range(trace.n_samples):
             now = i * dt
             engaged = now < engaged_until
             block_power = trace.samples[i] * (scale if engaged else 1.0)
-            node_power = model.node_power(block_power)
-            x = stepper.step(x, node_power)
+            x = stepper.step(x, model.inject(block_power, node_power))
             work += (self.policy.performance_factor if engaged else 1.0) * dt
 
             silicon_field = model.silicon_cell_rise(x) + ambient

@@ -88,12 +88,13 @@ class PredictiveDTMController:
         true_max = np.empty(n)
         engaged_flags = np.zeros(n, dtype=bool)
         block_temps = np.empty((n, len(model.floorplan)))
+        node_power = np.zeros(model.n_nodes)
 
         for i in range(n):
             now = i * dt
             engaged = now < engaged_until
             block_power = trace.samples[i] * (scale if engaged else 1.0)
-            node_power = model.node_power(block_power)
+            model.inject(block_power, node_power)
             x = stepper.step(x, node_power)
             work += (self.policy.performance_factor if engaged else 1.0) * dt
 

@@ -11,6 +11,13 @@ areas:
   covers, weighted by overlap area (what a uniform sensor integrated
   over the unit would read).
 
+Both operators are built once per mapping: the overlap matrix, its
+transpose and the block areas are cached, and every product runs the
+scipy sparsetools kernel that ``@`` itself dispatches to, so a cached
+product is bitwise the operator expression it replaces.  A 1-D input is
+one vector; a 2-D input carries one vector per column (``K`` scenarios
+at once), each column bitwise its 1-D product.
+
 Cell (i, j) covers ``[i*dx, (i+1)*dx) x [j*dy, (j+1)*dy)``; the flat
 cell index is ``j * nx + i`` (row-major in y).
 """
@@ -24,6 +31,37 @@ from scipy import sparse
 
 from ..errors import GeometryError
 from .block import Floorplan
+
+try:
+    from scipy.sparse import _sparsetools
+except ImportError:  # pragma: no cover - scipy layout changed
+    _sparsetools = None
+
+
+def _spmv(matrix: sparse.spmatrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a CSR/CSC matrix, minus operator dispatch.
+
+    Runs the same sparsetools kernel ``@`` picks (``<fmt>_matvec`` for a
+    vector, ``<fmt>_matvecs`` for the columns of a 2-D ``x``) on the
+    same zero-initialized output, so the result is bitwise ``matrix @
+    x``; the per-call saving is scipy's validation and wrapping.
+    """
+    if _sparsetools is None:  # pragma: no cover
+        return np.asarray(matrix @ x)
+    n_row, n_col = matrix.shape
+    args = (matrix.indptr, matrix.indices, matrix.data)
+    if x.ndim == 1:
+        out = np.zeros(n_row)
+        getattr(_sparsetools, matrix.format + "_matvec")(
+            n_row, n_col, *args, x, out
+        )
+        return out
+    out = np.zeros((n_row, x.shape[1]))
+    getattr(_sparsetools, matrix.format + "_matvecs")(
+        n_row, n_col, x.shape[1], *args, np.ascontiguousarray(x).ravel(),
+        out.ravel(),
+    )
+    return out
 
 
 def _axis_overlaps(
@@ -58,6 +96,11 @@ class GridMapping:
         self.n_cells = self.nx * self.ny
         self.n_blocks = len(floorplan)
         self._overlap = self._build_overlap()
+        #: cell x block view of the same buffers (CSC), the spreading
+        #: operator before the per-area scaling.
+        self._overlap_t = self._overlap.T
+        self._areas = floorplan.areas()
+        self._areas.setflags(write=False)
         covered = np.asarray(self._overlap.sum(axis=0)).ravel()
         #: Fraction of each cell covered by any block (1.0 for a gapless
         #: tiling; < 1 over floorplan gaps).
@@ -86,14 +129,18 @@ class GridMapping:
     # --- power distribution ---------------------------------------------
 
     def block_power_to_cells(self, block_power: np.ndarray) -> np.ndarray:
-        """Spread per-block power (W) uniformly onto grid cells (W/cell)."""
+        """Spread per-block power (W) uniformly onto grid cells (W/cell).
+
+        ``block_power`` is ``(n_blocks,)`` or ``(n_blocks, K)``; the
+        result is ``(n_cells,)`` or ``(n_cells, K)``.
+        """
         block_power = np.asarray(block_power, dtype=float)
-        if block_power.shape != (self.n_blocks,):
+        if block_power.ndim not in (1, 2) or len(block_power) != self.n_blocks:
             raise ValueError(
                 f"expected {self.n_blocks} block powers, got {block_power.shape}"
             )
-        per_area = block_power / self.floorplan.areas()
-        return self._overlap.T @ per_area
+        areas = self._areas if block_power.ndim == 1 else self._areas[:, None]
+        return _spmv(self._overlap_t, block_power / areas)
 
     def cell_power_density(self, block_power: np.ndarray) -> np.ndarray:
         """Power density per cell in W/m^2 (cells as a flat vector)."""
@@ -104,16 +151,14 @@ class GridMapping:
     def cell_to_block_average(self, cell_values: np.ndarray) -> np.ndarray:
         """Area-weighted average of a cell field over each block."""
         cell_values = np.asarray(cell_values, dtype=float)
-        if cell_values.shape[-1] != self.n_cells:
+        if cell_values.ndim not in (1, 2) or cell_values.shape[-1] != self.n_cells:
             raise ValueError(
                 f"expected {self.n_cells} cell values, got {cell_values.shape}"
             )
-        areas = self.floorplan.areas()
         if cell_values.ndim == 1:
-            return (self._overlap @ cell_values) / areas
-        # (..., n_cells) -> (..., n_blocks) for e.g. time series of maps.
-        summed = (self._overlap @ cell_values.T).T
-        return summed / areas
+            return _spmv(self._overlap, cell_values) / self._areas
+        # (T, n_cells) -> (T, n_blocks) for e.g. time series of maps.
+        return _spmv(self._overlap, cell_values.T).T / self._areas
 
     def block_weight_vector(self, block_index: int) -> np.ndarray:
         """Per-cell weights whose dot with a cell field gives one
@@ -122,7 +167,7 @@ class GridMapping:
             raise GeometryError(f"no block with index {block_index}")
         row = self._overlap.getrow(block_index)
         weights = np.zeros(self.n_cells)
-        weights[row.indices] = row.data / self.floorplan.areas()[block_index]
+        weights[row.indices] = row.data / self._areas[block_index]
         return weights
 
     def cell_to_block_max(self, cell_values: np.ndarray) -> np.ndarray:

@@ -9,14 +9,17 @@ clock.
 
 from __future__ import annotations
 
-from typing import IO, List, Sequence
+from typing import IO, List, Sequence, Union
 
 import numpy as np
 
 from ..errors import PowerTraceError
 from ..floorplan.block import Floorplan
+from ..rcmodel.blockmodel import ThermalBlockModel
 from ..rcmodel.grid import ThermalGridModel
 from ..solver.events import PiecewiseConstantSchedule
+
+ThermalModel = Union[ThermalBlockModel, ThermalGridModel]
 
 
 class PowerTrace:
@@ -128,14 +131,14 @@ class PowerTrace:
                 "trace columns do not match floorplan block order"
             )
 
-    def to_schedule(self, model: ThermalGridModel) -> PiecewiseConstantSchedule:
-        """Convert to a node-power schedule for the transient solver."""
+    def to_schedule(self, model: ThermalModel) -> PiecewiseConstantSchedule:
+        """A block-power schedule for the transient solver.
+
+        The schedule holds :attr:`samples` by reference and injects
+        them through ``model`` one segment at a time while stepping.
+        """
         self.check_floorplan(model.floorplan)
-        segments = [
-            (self.dt, model.node_power(self.samples[i]))
-            for i in range(self.n_samples)
-        ]
-        return PiecewiseConstantSchedule.from_segments(segments)
+        return PiecewiseConstantSchedule.uniform(self.samples, self.dt, model)
 
     # --- HotSpot ptrace compatibility ----------------------------------------
 

@@ -359,9 +359,18 @@ class ThermalBlockModel:
             raise ConfigurationError(
                 f"expected {len(self.floorplan)} block powers"
             )
-        vector = np.zeros(self.n_nodes)
-        vector[self.silicon_nodes] = block_power
-        return vector
+        return self.inject(block_power, np.zeros(self.n_nodes))
+
+    @property
+    def n_blocks(self) -> int:
+        """Number of floorplan blocks (power-schedule columns)."""
+        return len(self.floorplan)
+
+    def inject(self, block_power: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write block powers ``(n_blocks[, K])`` into the silicon rows
+        of the zero-filled node buffer ``out`` ``(n_nodes[, K])``."""
+        out[self.silicon_nodes] = block_power
+        return out
 
     def block_rise(self, state: np.ndarray) -> np.ndarray:
         """Per-block temperature rise (the silicon nodes themselves)."""

@@ -333,12 +333,23 @@ class ThermalGridModel:
         """
         if isinstance(block_power, dict):
             block_power = self.floorplan.power_vector(block_power)
-        cell_power = self.mapping.block_power_to_cells(
-            np.asarray(block_power, dtype=float)
-        )
-        vector = np.zeros(self.n_nodes)
-        vector[self.silicon_nodes] = cell_power
-        return vector
+        return self.inject(block_power, np.zeros(self.n_nodes))
+
+    @property
+    def n_blocks(self) -> int:
+        """Number of floorplan blocks (power-schedule columns)."""
+        return self.mapping.n_blocks
+
+    def inject(self, block_power: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Spread block powers ``(n_blocks[, K])`` onto the silicon rows
+        of the zero-filled node buffer ``out`` ``(n_nodes[, K])``.
+
+        Only the silicon rows are written, so a buffer reused across
+        calls stays zero elsewhere: the stepping loops expand one power
+        sample at a time into one buffer this way.
+        """
+        out[self.silicon_nodes] = self.mapping.block_power_to_cells(block_power)
+        return out
 
     def silicon_cell_rise(self, state: np.ndarray) -> np.ndarray:
         """Temperature rise of the die's active layer cells (flat)."""

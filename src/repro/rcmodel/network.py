@@ -17,7 +17,7 @@ definite -- properties the tests assert and the solvers rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -27,6 +27,9 @@ from ..units import require_non_negative
 
 #: Anything the vectorized builder methods broadcast over.
 ArrayLike = Union[float, Sequence[float], np.ndarray]
+
+_NO_NODES = np.zeros(0, dtype=int)
+_NO_VALUES = np.zeros(0)
 
 
 class ThermalNetwork:
@@ -117,66 +120,61 @@ class NetworkBuilder:
 
     Conductances between the same node pair accumulate (parallel
     combination); capacitance added to the same node accumulates too.
+    Every method appends whole arrays, validated once per call; the
+    scalar methods are one-element calls of their array forms, and
+    :meth:`build` concatenates the chunks in call order.
     """
 
     def __init__(self) -> None:
-        self._capacitance: List[float] = []
+        self._n_nodes = 0
+        self._node_caps: List[np.ndarray] = []
         self._labels: Dict[str, int] = {}
-        self._rows: List[int] = []
-        self._cols: List[int] = []
-        self._vals: List[float] = []
-        self._amb_nodes: List[int] = []
-        self._amb_vals: List[float] = []
+        #: (nodes, values) capacitance additions, applied in order
+        self._cap_adds: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._edges: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._ambient: List[Tuple[np.ndarray, np.ndarray]] = []
 
     @property
     def n_nodes(self) -> int:
         """Number of nodes added so far."""
-        return len(self._capacitance)
+        return self._n_nodes
 
     def add_node(self, capacitance: float, label: Optional[str] = None) -> int:
         """Add one node; returns its index."""
         require_non_negative("capacitance", capacitance)
-        index = len(self._capacitance)
-        self._capacitance.append(float(capacitance))
+        if label is not None and label in self._labels:
+            raise ModelBuildError(f"duplicate node label {label!r}")
+        index = int(self.add_nodes([capacitance])[0])
         if label is not None:
-            if label in self._labels:
-                raise ModelBuildError(f"duplicate node label {label!r}")
             self._labels[label] = index
         return index
 
     def add_nodes(self, capacitances: Sequence[float]) -> np.ndarray:
         """Add a block of nodes; returns their indices as an array."""
-        capacitances = np.asarray(capacitances, dtype=float)
+        capacitances = np.array(capacitances, dtype=float).ravel()
         if np.any(~np.isfinite(capacitances)) or np.any(capacitances < 0):
             raise ModelBuildError("capacitances must be finite and >= 0")
-        start = len(self._capacitance)
-        self._capacitance.extend(capacitances.tolist())
-        return np.arange(start, start + len(capacitances))
+        start = self._n_nodes
+        self._node_caps.append(capacitances)
+        self._n_nodes += len(capacitances)
+        return np.arange(start, self._n_nodes)
 
     def add_capacitance(self, node: int, capacitance: float) -> None:
         """Add extra capacitance to an existing node (e.g. the oil layer
         lumped onto the wetted silicon surface, paper Fig. 7(b))."""
-        require_non_negative("capacitance", capacitance)
-        self._capacitance[node] += float(capacitance)
+        self.add_capacitances(np.array([node]), capacitance)
 
     def add_capacitances(self, nodes: np.ndarray, capacitances: ArrayLike) -> None:
-        """Vectorized :meth:`add_capacitance`."""
-        capacitances = np.broadcast_to(
-            np.asarray(capacitances, dtype=float), np.shape(nodes)
-        )
-        for node, value in zip(np.asarray(nodes).ravel(), capacitances.ravel()):
-            self.add_capacitance(int(node), float(value))
+        """Add capacitance to existing nodes (array form)."""
+        nodes = np.asarray(nodes, dtype=int).ravel()
+        if nodes.size and (nodes.min() < 0 or nodes.max() >= self._n_nodes):
+            raise ModelBuildError("capacitance added to an unknown node")
+        values = _non_negative("capacitance", capacitances, nodes.shape)
+        self._cap_adds.append((nodes, values))
 
     def connect(self, a: int, b: int, conductance: float) -> None:
         """Add a conductance (W/K) between nodes ``a`` and ``b``."""
-        if a == b:
-            raise ModelBuildError("cannot connect a node to itself")
-        require_non_negative("conductance", conductance)
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = omitted edge
-            return
-        self._rows.append(int(a))
-        self._cols.append(int(b))
-        self._vals.append(float(conductance))
+        self.connect_many(np.array([a]), np.array([b]), conductance)
 
     def connect_many(
         self,
@@ -184,53 +182,62 @@ class NetworkBuilder:
         b_nodes: Union[Sequence[int], np.ndarray],
         conductances: ArrayLike,
     ) -> None:
-        """Vectorized :meth:`connect` over parallel index arrays."""
-        a_nodes = np.asarray(a_nodes).ravel()
-        b_nodes = np.asarray(b_nodes).ravel()
-        conductances = np.broadcast_to(
-            np.asarray(conductances, dtype=float), a_nodes.shape
-        )
-        for a, b, g in zip(a_nodes, b_nodes, conductances):
-            self.connect(int(a), int(b), float(g))
+        """Add conductances (W/K) between parallel node index arrays.
+
+        Exact-zero conductances are omitted edges.
+        """
+        a_nodes = np.asarray(a_nodes, dtype=int).ravel()
+        b_nodes = np.asarray(b_nodes, dtype=int).ravel()
+        if a_nodes.shape != b_nodes.shape:
+            raise ModelBuildError(
+                f"{a_nodes.size} a-nodes but {b_nodes.size} b-nodes"
+            )
+        if np.any(a_nodes == b_nodes):
+            raise ModelBuildError("cannot connect a node to itself")
+        values = _non_negative("conductance", conductances, a_nodes.shape)
+        keep = values != 0.0  # repro-ok: float-equality; exact zero = omitted edge
+        self._edges.append((a_nodes[keep], b_nodes[keep], values[keep]))
 
     def to_ambient(self, node: int, conductance: float) -> None:
         """Add a conductance from ``node`` to the ambient."""
-        require_non_negative("conductance", conductance)
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = no ambient path
-            return
-        self._amb_nodes.append(int(node))
-        self._amb_vals.append(float(conductance))
+        self.to_ambient_many(np.array([node]), conductance)
 
     def to_ambient_many(
         self,
         nodes: Union[Sequence[int], np.ndarray],
         conductances: ArrayLike,
     ) -> None:
-        """Vectorized :meth:`to_ambient`."""
-        nodes = np.asarray(nodes).ravel()
-        conductances = np.broadcast_to(
-            np.asarray(conductances, dtype=float), nodes.shape
-        )
-        for node, g in zip(nodes, conductances):
-            self.to_ambient(int(node), float(g))
+        """Add conductances from each of ``nodes`` to the ambient.
+
+        Exact-zero conductances add no ambient path.
+        """
+        nodes = np.asarray(nodes, dtype=int).ravel()
+        values = _non_negative("conductance", conductances, nodes.shape)
+        keep = values != 0.0  # repro-ok: float-equality; exact zero = no ambient path
+        self._ambient.append((nodes[keep], values[keep]))
 
     def build(self) -> ThermalNetwork:
         """Assemble the sparse Laplacian and return the network."""
-        n = len(self._capacitance)
+        n = self._n_nodes
         if n == 0:
             raise ModelBuildError("network has no nodes")
-        rows = np.asarray(self._rows + self._cols, dtype=int)
-        cols = np.asarray(self._cols + self._rows, dtype=int)
-        vals = np.asarray(self._vals + self._vals, dtype=float)
-        if rows.size and (rows.max() >= n or cols.max() >= n):
+        a = np.concatenate([edge[0] for edge in self._edges] + [_NO_NODES])
+        b = np.concatenate([edge[1] for edge in self._edges] + [_NO_NODES])
+        g = np.concatenate([edge[2] for edge in self._edges] + [_NO_VALUES])
+        rows = np.concatenate((a, b))
+        cols = np.concatenate((b, a))
+        vals = np.concatenate((g, g))
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ModelBuildError("connection references an unknown node")
         off_diag = sparse.coo_matrix((-vals, (rows, cols)), shape=(n, n)).tocsr()
         degree = -np.asarray(off_diag.sum(axis=1)).ravel()
         laplacian = off_diag + sparse.diags(degree)
         ambient = np.zeros(n)
-        np.add.at(ambient, np.asarray(self._amb_nodes, dtype=int),
-                  np.asarray(self._amb_vals, dtype=float))
-        capacitance = np.asarray(self._capacitance, dtype=float)
+        for nodes, values in self._ambient:
+            np.add.at(ambient, nodes, values)
+        capacitance = np.concatenate(self._node_caps)
+        for nodes, values in self._cap_adds:
+            np.add.at(capacitance, nodes, values)
         if np.any(capacitance <= 0):
             zero = int(np.argmin(capacitance))
             raise ModelBuildError(
@@ -238,3 +245,16 @@ class NetworkBuilder:
                 f"physical node must store heat"
             )
         return ThermalNetwork(laplacian, ambient, capacitance, self._labels)
+
+
+def _non_negative(name: str, values: ArrayLike, shape: Tuple[int, ...]) -> np.ndarray:
+    """``values`` broadcast to ``shape`` as a fresh float array, checked
+    finite and non-negative once for the whole call."""
+    array = np.array(np.broadcast_to(np.asarray(values, dtype=float), shape))
+    bad = ~(np.isfinite(array) & (array >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"{name} must be a finite non-negative number, got "
+            f"{float(array[bad][0])!r}"
+        )
+    return array

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
-from .transient import BackwardEulerStepper, TransientResult
+from .transient import BackwardEulerStepper, TransientResult, checked_power
 
 PowerInput = Union[np.ndarray, Callable[[float], np.ndarray]]
 
@@ -132,20 +132,18 @@ class AdaptiveTransientSolver:
         """
         if t_end <= 0:
             raise SolverError("t_end must be positive")
+        n_nodes = self.network.n_nodes
         if callable(power):
-            power_at = power
+            source = power
+            power_at = lambda t: checked_power(source(t), t, n_nodes)  # noqa: E731
         else:
-            constant = np.asarray(power, dtype=float)
-            if constant.shape != (self.network.n_nodes,):
-                raise SolverError(
-                    f"power vector has shape {constant.shape}, expected "
-                    f"({self.network.n_nodes},)"
-                )
+            constant = checked_power(power, 0.0, n_nodes)
             power_at = lambda _t: constant  # noqa: E731
-        x = np.zeros(self.network.n_nodes) if x0 is None \
-            else np.asarray(x0, float).copy()
-        if x.shape != (self.network.n_nodes,):
+        x = np.zeros(n_nodes) if x0 is None else np.asarray(x0, float).copy()
+        if x.shape != (n_nodes,):
             raise SolverError("x0 has the wrong length")
+        if not np.all(np.isfinite(x)):
+            raise SolverError("x0 contains non-finite values (NaN/Inf)")
 
         def observe(state: np.ndarray) -> np.ndarray:
             return projector(state) if projector is not None \

@@ -17,14 +17,15 @@ Two entry points cover the two serial integrators:
 * :func:`batched_transient_simulate` mirrors
   :func:`~repro.solver.transient.transient_simulate` (fixed ``dt``
   grid, exact final partial step).  Piecewise-constant schedules take
-  a trace-driven fast path: segment powers are pre-stacked into
-  arrays and gathered for whole blocks of steps at once instead of
+  a trace-driven fast path: segment rows are gathered (and block
+  powers injected) for whole blocks of steps at once instead of
   calling ``power_at(t)`` per scenario per step.
 * :func:`batched_simulate_schedules` mirrors
   :func:`~repro.solver.events.simulate_schedule` (segment walking with
-  short-step insertion) for K schedules sharing one boundary grid —
-  the shape of a same-model campaign group (e.g. a Fig. 12 seed
-  ensemble).
+  short-step insertion) for K schedules sharing one boundary grid and
+  one model — the shape of a same-model campaign group (e.g. a Fig. 12
+  seed ensemble).  Each segment's K block-power rows are injected as
+  one ``(n_nodes, K)`` matrix into a reused buffer.
 """
 
 from __future__ import annotations
@@ -136,23 +137,29 @@ class _ConstantColumn(_PowerColumn):
 
 
 class _ScheduleColumn(_PowerColumn):
-    """The fast path: segment powers stacked once, gathered per block."""
+    """The fast path: segment rows gathered for a whole block of steps
+    (and, for a block-power schedule, injected as one K = steps batch)."""
 
     def __init__(self, schedule: PiecewiseConstantSchedule, n_nodes: int) -> None:
-        self._stacked = np.vstack(schedule.powers)
-        if self._stacked.shape[1] != n_nodes:
+        if schedule.n_nodes != n_nodes:
             raise SolverError(
-                f"schedule powers have {self._stacked.shape[1]} nodes, "
+                f"schedule powers have {schedule.n_nodes} nodes, "
                 f"expected {n_nodes}"
             )
+        self._schedule = schedule
         self._boundaries = np.asarray(schedule.boundaries, dtype=float)
 
     def block(self, times: np.ndarray) -> np.ndarray:
         # same segment-selection rule as PiecewiseConstantSchedule
         # .power_at: side="right" minus one, clipped into range
+        powers = self._schedule.powers
         index = np.searchsorted(self._boundaries, times, side="right") - 1
-        np.clip(index, 0, len(self._stacked) - 1, out=index)
-        return self._stacked[index]
+        np.clip(index, 0, len(powers) - 1, out=index)
+        injection = self._schedule.injection
+        if injection is None:
+            return powers[index]
+        out = np.zeros((injection.n_nodes, len(times)))
+        return injection.inject(powers[index].T, out).T
 
 
 class _CallableColumn(_PowerColumn):
@@ -354,11 +361,22 @@ def batched_simulate_schedules(
     n_nodes = network.n_nodes
     n_scenarios = len(schedules)
     reference = schedules[0].boundaries
-    for k, schedule in enumerate(schedules[1:], start=1):
+    injection = schedules[0].injection
+    for k, schedule in enumerate(schedules):
         if schedule.boundaries != reference:
             raise SolverError(
                 f"schedule {k} has a different boundary grid than "
                 "schedule 0; same-grid schedules are required to batch"
+            )
+        if schedule.injection is not injection:
+            raise SolverError(
+                f"schedule {k} injects through a different model than "
+                "schedule 0; one shared model is required to batch"
+            )
+        if schedule.n_nodes != n_nodes:
+            raise SolverError(
+                f"schedule {k} powers have {schedule.n_nodes} nodes, "
+                f"expected {n_nodes}"
             )
     tags_resolved = _resolve_tags(
         list(tags) if tags is not None else [""] * n_scenarios, n_scenarios
@@ -379,16 +397,13 @@ def batched_simulate_schedules(
     with obs.span("solver.batched.schedule", method=method, dt=dt,
                   n_segments=n_segments, n_nodes=n_nodes,
                   n_scenarios=n_scenarios):
+        rows = np.empty((schedules[0].powers.shape[1], n_scenarios))
+        buffer = np.zeros((n_nodes, n_scenarios))
         for seg_index in range(n_segments):
             seg_end = reference[seg_index + 1]
-            power = np.stack(
-                [schedule.powers[seg_index] for schedule in schedules], axis=1
-            )
-            if power.shape[0] != n_nodes:
-                raise SolverError(
-                    f"schedule powers have {power.shape[0]} nodes, "
-                    f"expected {n_nodes}"
-                )
+            for k, schedule in enumerate(schedules):
+                rows[:, k] = schedule.powers[seg_index]
+            power = rows if injection is None else injection.inject(rows, buffer)
             # constant within the segment: compute the method's power
             # term once instead of per step (bitwise-equal elementwise)
             p_eff = stepper.effective_power(power, power)

@@ -269,6 +269,23 @@ def stepper_class(method: str) -> Any:
         ) from None
 
 
+def checked_power(values: Any, t: float, n_nodes: int) -> np.ndarray:
+    """``values`` as a float node-power vector; :class:`SolverError`
+    unless it has shape ``(n_nodes,)`` and is finite."""
+    vector = np.asarray(values, dtype=float)
+    if vector.shape != (n_nodes,):
+        raise SolverError(
+            f"power vector at t={t:g} has shape {vector.shape}, "
+            f"expected ({n_nodes},)"
+        )
+    if not np.all(np.isfinite(vector)):
+        raise SolverError(
+            f"power vector at t={t:g} contains non-finite values "
+            "(NaN/Inf); check the power schedule before simulating"
+        )
+    return vector
+
+
 def transient_simulate(
     network: ThermalNetwork,
     power: PowerInput,
@@ -311,25 +328,12 @@ def transient_simulate(
     stepper = stepper_cls(network, dt, backend=backend)
 
     n_steps = n_full + (1 if dt_final is not None else 0)
-    def checked_power(values: Any, t: float) -> np.ndarray:
-        vector = np.asarray(values, dtype=float)
-        if vector.shape != (network.n_nodes,):
-            raise SolverError(
-                f"power vector at t={t:g} has shape {vector.shape}, "
-                f"expected ({network.n_nodes},)"
-            )
-        if not np.all(np.isfinite(vector)):
-            raise SolverError(
-                f"power vector at t={t:g} contains non-finite values "
-                "(NaN/Inf); check the power schedule before simulating"
-            )
-        return vector
-
+    n_nodes = network.n_nodes
     if callable(power):
         schedule = power
-        power_at = lambda t: checked_power(schedule(t), t)  # noqa: E731
+        power_at = lambda t: checked_power(schedule(t), t, n_nodes)  # noqa: E731
     else:
-        constant = checked_power(power, 0.0)
+        constant = checked_power(power, 0.0, n_nodes)
         power_at = lambda _t: constant  # noqa: E731 - trivial closure
 
     x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()

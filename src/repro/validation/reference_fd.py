@@ -261,9 +261,19 @@ class ReferenceFDSolver:
         probe: int,
         x0: Optional[np.ndarray] = None,
     ) -> FDTransientResult:
-        """Backward-Euler transient; records one probe cell's rise."""
+        """Backward-Euler transient; records one probe cell's rise.
+
+        ``dt`` must divide ``t_end`` (to one part in 1e9): the reference
+        takes only whole steps and refuses to round the horizon.
+        """
         if t_end <= 0 or dt <= 0:
             raise SolverError("t_end and dt must be positive")
+        ratio = t_end / dt
+        n_steps = int(round(ratio))
+        if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * n_steps:
+            raise SolverError(
+                f"t_end={t_end:g} is not a whole number of dt={dt:g} steps"
+            )
         lhs = splu(
             (sparse.diags(self._capacitance / dt) + self._system).tocsc(),
             permc_spec="MMD_AT_PLUS_A",
@@ -275,7 +285,6 @@ class ReferenceFDSolver:
         else:
             constant = np.asarray(node_power, dtype=float)
             power_at = lambda _t: constant  # noqa: E731
-        n_steps = int(round(t_end / dt))
         times = [0.0]
         values = [float(x[probe])]
         for step in range(1, n_steps + 1):

@@ -191,3 +191,40 @@ def test_repeated_integrations_share_final_factors():
     assert first >= 1.0
     # everything (ladder + final) served from cache -- exact sentinel
     assert second == 0.0  # repro-ok: float-equality
+
+
+# --- non-finite power (regression) -------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_constant_power_rejected_before_factorizing(bad):
+    solver = AdaptiveTransientSolver(single_rc(), dt_min=1e-3, dt_max=1.0)
+
+    def attempt():
+        with pytest.raises(SolverError, match="non-finite"):
+            solver.integrate(np.array([bad]), t_end=1.0)
+
+    _, builds = _builds_during(attempt)
+    assert builds == 0
+    assert solver._steppers == {}
+
+
+def test_non_finite_callable_power_rejected_when_returned():
+    calls = []
+
+    def power(t):
+        calls.append(t)
+        return np.array([np.nan if t > 0.5 else 1.0])
+
+    solver = AdaptiveTransientSolver(single_rc(), dt_min=1e-3, dt_max=0.1)
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.integrate(power, t_end=2.0)
+    # the integration stops at the first non-finite sample
+    assert calls[-1] > 0.5
+    assert all(t <= 0.5 for t in calls[:-1])
+
+
+def test_non_finite_x0_rejected():
+    solver = AdaptiveTransientSolver(single_rc(), dt_min=1e-3, dt_max=1.0)
+    with pytest.raises(SolverError, match="non-finite"):
+        solver.integrate(np.array([1.0]), t_end=1.0, x0=np.array([np.nan]))

@@ -153,3 +153,115 @@ def test_totals():
     net, _, _ = build_two_node()
     assert net.total_capacitance() == pytest.approx(3.0)
     assert net.total_ambient_conductance() == pytest.approx(0.25)
+
+
+class PerEdgeNetworkBuilder:
+    """The list-based builder whose array methods looped per edge through
+    the scalar ones; the reference the array appends must match."""
+
+    def __init__(self):
+        self._capacitance, self._labels = [], {}
+        self._rows, self._cols, self._vals = [], [], []
+        self._amb_nodes, self._amb_vals = [], []
+
+    def add_node(self, capacitance, label=None):
+        index = len(self._capacitance)
+        self._capacitance.append(float(capacitance))
+        if label is not None:
+            self._labels[label] = index
+        return index
+
+    def add_nodes(self, capacitances):
+        start = len(self._capacitance)
+        self._capacitance.extend(np.asarray(capacitances, float).tolist())
+        return np.arange(start, len(self._capacitance))
+
+    def add_capacitance(self, node, capacitance):
+        self._capacitance[node] += float(capacitance)
+
+    def add_capacitances(self, nodes, capacitances):
+        values = np.broadcast_to(np.asarray(capacitances, float),
+                                 np.shape(nodes))
+        for node, value in zip(np.asarray(nodes).ravel(), values.ravel()):
+            self.add_capacitance(int(node), float(value))
+
+    def connect(self, a, b, conductance):
+        if conductance == 0.0:  # repro-ok: float-equality; exact zero = omitted edge
+            return
+        self._rows.append(int(a))
+        self._cols.append(int(b))
+        self._vals.append(float(conductance))
+
+    def connect_many(self, a_nodes, b_nodes, conductances):
+        a_nodes = np.asarray(a_nodes).ravel()
+        b_nodes = np.asarray(b_nodes).ravel()
+        values = np.broadcast_to(np.asarray(conductances, float),
+                                 a_nodes.shape)
+        for a, b, g in zip(a_nodes, b_nodes, values):
+            self.connect(int(a), int(b), float(g))
+
+    def to_ambient(self, node, conductance):
+        if conductance == 0.0:  # repro-ok: float-equality; exact zero = no ambient path
+            return
+        self._amb_nodes.append(int(node))
+        self._amb_vals.append(float(conductance))
+
+    def to_ambient_many(self, nodes, conductances):
+        nodes = np.asarray(nodes).ravel()
+        values = np.broadcast_to(np.asarray(conductances, float), nodes.shape)
+        for node, g in zip(nodes, values):
+            self.to_ambient(int(node), float(g))
+
+    def build(self):
+        from scipy import sparse
+
+        from repro.rcmodel import ThermalNetwork
+
+        n = len(self._capacitance)
+        rows = np.asarray(self._rows + self._cols, dtype=int)
+        cols = np.asarray(self._cols + self._rows, dtype=int)
+        vals = np.asarray(self._vals + self._vals, dtype=float)
+        off_diag = sparse.coo_matrix((-vals, (rows, cols)),
+                                     shape=(n, n)).tocsr()
+        degree = -np.asarray(off_diag.sum(axis=1)).ravel()
+        ambient = np.zeros(n)
+        np.add.at(ambient, np.asarray(self._amb_nodes, dtype=int),
+                  np.asarray(self._amb_vals, dtype=float))
+        return ThermalNetwork(off_diag + sparse.diags(degree), ambient,
+                              np.asarray(self._capacitance), self._labels)
+
+
+@pytest.mark.parametrize("package", ["air", "oil"])
+def test_array_appends_equal_per_edge_build(monkeypatch, package):
+    from repro.experiments.common import ev6_air_model, ev6_oil_model
+
+    build = ev6_air_model if package == "air" else ev6_oil_model
+    arrays = build(nx=12, ny=12).network
+    monkeypatch.setattr("repro.rcmodel.grid.NetworkBuilder",
+                        PerEdgeNetworkBuilder)
+    per_edge = build(nx=12, ny=12).network
+    for a, b in ((arrays.system_matrix, per_edge.system_matrix),
+                 (arrays.laplacian, per_edge.laplacian)):
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert np.array_equal(arrays.ambient_conductance,
+                          per_edge.ambient_conductance)
+    assert np.array_equal(arrays.capacitance, per_edge.capacitance)
+    assert arrays.node_labels == per_edge.node_labels
+
+
+def test_array_appends_validate_once_per_call():
+    builder = NetworkBuilder()
+    nodes = builder.add_nodes([1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="conductance"):
+        builder.connect_many(nodes[:-1], nodes[1:], [0.5, np.nan])
+    with pytest.raises(ValueError, match="conductance"):
+        builder.to_ambient_many(nodes, [0.1, -0.1, 0.1])
+    with pytest.raises(ModelBuildError, match="itself"):
+        builder.connect_many(nodes, nodes[::-1], 1.0)
+    with pytest.raises(ModelBuildError, match="unknown node"):
+        builder.add_capacitances(np.array([0, 3]), 1.0)
+    # a rejected call appends nothing
+    builder.to_ambient_many(nodes, 0.1)
+    net = builder.build()
+    assert net.laplacian.nnz == 0

@@ -102,3 +102,22 @@ def test_film_capacity_slows_transient():
 def test_invalid_geometry_rejected():
     with pytest.raises(SolverError):
         ReferenceFDSolver(L, L, T, FLOW, nx=0, ny=4, nz=2)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (0.01, 0.05),    # shorter than one step
+    (1.0, 0.3),      # 3.33 steps: would round to 3 and stop at 0.9 s
+    (1.0, 0.4),      # 2.5 steps: would round to 2 and stop at 0.8 s
+])
+def test_transient_probe_rejects_misaligned_horizon(solver, t_end, dt):
+    probe = solver.probe_index(L / 2, L / 2)
+    with pytest.raises(SolverError, match="whole number"):
+        solver.transient_probe(np.zeros(solver.n_cells), t_end, dt, probe)
+
+
+def test_transient_probe_accepts_float_residue(solver):
+    # 0.3 / 0.1 == 2.9999999999999996: residue, not a remainder
+    probe = solver.probe_index(L / 2, L / 2)
+    result = solver.transient_probe(np.zeros(solver.n_cells), 0.3, 0.1, probe)
+    assert len(result.times) == 4
+    assert result.times[-1] == pytest.approx(0.3)
