@@ -41,9 +41,6 @@ from repro.rcmodel import ThermalGridModel
 from repro.solver import (
     BatchScenario,
     batched_transient_simulate,
-    get_backend,
-    available_backends,
-    steady_state,
     transient_simulate,
 )
 
@@ -178,61 +175,6 @@ def test_bench_batched_vs_serial_transient(benchmark):
           f"factorizations {K} -> 1")
     # conservative wall-clock floor; the honest ratio is in the artifact
     assert speedup > 1.1
-
-
-def test_bench_backend_matrix(benchmark):
-    """Every registered backend through steady + transient on one grid.
-
-    The equivalence contract is asserted inline -- bitwise backends
-    must reproduce the default engine exactly, tolerance backends
-    within their documented ``rtol`` envelope -- and the measured wall
-    times per backend ship in the artifact and the perf ledger.
-    """
-    model = ev6_model(nx=8)
-    power = model.node_power({
-        "IntReg": 3.0, "Dcache": 8.0, "FPAdd": 1.5, "Icache": 4.0,
-    })
-    t_end, dt = 0.01, 1e-4
-
-    def run(name):
-        rise = steady_state(model.network, power, backend=name)
-        tr = transient_simulate(
-            model.network, power, t_end=t_end, dt=dt, backend=name,
-        )
-        return rise, tr
-
-    ref_rise, ref_run = benchmark.pedantic(
-        lambda: run("superlu-serial"), rounds=1, iterations=1
-    )
-    table = {}
-    for name in available_backends():
-        backend = get_backend(name)
-        t_wall, out = _best_of(lambda: run(name), reps=2)
-        rise, tr = out
-        if backend.bitwise:
-            assert np.array_equal(rise, ref_rise)
-            assert np.array_equal(tr.states, ref_run.states)
-        else:
-            np.testing.assert_allclose(
-                rise, ref_rise, rtol=100 * backend.rtol, atol=1e-9
-            )
-            np.testing.assert_allclose(
-                tr.states, ref_run.states,
-                rtol=100 * backend.rtol, atol=1e-9,
-            )
-        table[name] = {
-            "wall_s": t_wall,
-            "bitwise": backend.bitwise,
-            "rtol": backend.rtol,
-        }
-        print(f"\n  backend {name}: {1e3 * t_wall:.1f} ms | "
-              f"{'bitwise' if backend.bitwise else f'rtol {backend.rtol:g}'}")
-    ARTIFACT["backends"] = table
-    from benchmarks.conftest import ledger_append
-
-    ledger_append("bench_backends", {
-        f"{name}_s": row["wall_s"] for name, row in table.items()
-    })
 
 
 def test_bench_campaign_batched_trace_ensemble(benchmark):

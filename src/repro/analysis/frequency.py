@@ -10,7 +10,9 @@ function itself:
 
     H(j w) = w_probe^T (A + j w C)^(-1) p
 
-computed here by direct complex sparse solves per frequency.  ``p`` is
+computed here by direct complex sparse solves per frequency, each
+factored through the solvers' one engine
+(:data:`~repro.solver.backends.LINEAR_BACKEND`).  ``p`` is
 the node power pattern being wiggled (e.g. one block's footprint) and
 ``w_probe`` extracts the observed temperature (e.g. that block's
 average rise).  |H| at w -> 0 is the steady-state resistance seen by
@@ -24,10 +26,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
+from ..solver.backends import LINEAR_BACKEND
 
 
 @dataclass
@@ -112,7 +114,7 @@ def thermal_transfer_function(
     for i, f in enumerate(frequencies):
         omega = 2.0 * np.pi * f
         system = (a + 1j * omega * c).tocsc()
-        solution = splu(system).solve(node_power)
+        solution = LINEAR_BACKEND.factorize(system).solve(node_power)
         h = complex(probe_weights @ solution)
         magnitude[i] = abs(h)
         phase[i] = np.angle(h)

@@ -36,12 +36,6 @@ from .registry import (
 )
 from .runners import get_runner, runner
 from .spec import CampaignSpec, JobSpec, ModelSpec
-from .triage import (
-    TriageDecision,
-    TriagedCampaignRun,
-    TriageSettings,
-    run_campaign_triaged,
-)
 
 __all__ = [
     "CampaignDefinition",
@@ -54,9 +48,6 @@ __all__ = [
     "ManifestWriter",
     "ModelSpec",
     "ResultCache",
-    "TriageDecision",
-    "TriageSettings",
-    "TriagedCampaignRun",
     "batch_groups",
     "batch_runner",
     "campaign_definition",
@@ -71,7 +62,6 @@ __all__ = [
     "manifest_summary",
     "read_manifest",
     "run_campaign",
-    "run_campaign_triaged",
     "runner",
     "summarize",
 ]

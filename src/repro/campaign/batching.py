@@ -64,20 +64,17 @@ def batch_groups(
 ) -> Tuple[List[List[JobSpec]], List[JobSpec]]:
     """Partition pending jobs into batchable groups and leftovers.
 
-    A group is two or more jobs sharing ``(kind, model, backend)``
-    where the kind has a registered batch runner and the model is
-    declared (the network — and the linear-algebra engine that
-    factorizes it — is what the batch shares).  Leftovers — singleton
+    A group is two or more jobs sharing ``(kind, model)`` where the
+    kind has a registered batch runner and the model is declared (the
+    network is what the batch shares).  Leftovers — singleton
     groups, unbatchable kinds, model-less jobs — keep their original
     order.
     """
-    groups: Dict[Tuple[str, object, object], List[JobSpec]] = {}
+    groups: Dict[Tuple[str, object], List[JobSpec]] = {}
     order: List[JobSpec] = []
     for spec in pending:
         if spec.kind in BATCH_RUNNERS and spec.model is not None:
-            groups.setdefault(
-                (spec.kind, spec.model, spec.backend), []
-            ).append(spec)
+            groups.setdefault((spec.kind, spec.model), []).append(spec)
         else:
             order.append(spec)
     batched: List[List[JobSpec]] = []

@@ -36,7 +36,6 @@ callback never feeds a result, record or summary metric.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import os
 import time
@@ -45,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    ContextManager,
     Dict,
     List,
     Optional,
@@ -73,22 +71,6 @@ _JOB_SECONDS = obs.metrics().histogram("campaign.job.wall_seconds")
 WorkerReturn = Tuple[JobResult, float, int, Optional[Dict[str, Any]]]
 
 
-def _backend_scope(spec: JobSpec) -> ContextManager[Any]:
-    """The solver-backend selection scope for one job.
-
-    Jobs that pin a backend run inside
-    :func:`repro.solver.backends.backend_override`, so every solver
-    call the runner makes — without threading a parameter through the
-    runner signature — resolves to the spec's engine.  Imported lazily:
-    spec handling must stay importable without scipy.
-    """
-    if spec.backend is None:
-        return contextlib.nullcontext()
-    from ..solver.backends import backend_override
-
-    return backend_override(spec.backend)
-
-
 def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
     """Run one job in the current process (the worker entry point).
 
@@ -101,8 +83,7 @@ def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
     start = time.perf_counter()
     registry = obs.metrics()
     if not capture:
-        with _backend_scope(spec):
-            result = get_runner(spec.kind)(spec)
+        result = get_runner(spec.kind)(spec)
         return result, time.perf_counter() - start, os.getpid(), None
 
     tracer = obs.tracer()
@@ -112,8 +93,7 @@ def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
     try:
         with obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
                       tracer=tracer) as job_span:
-            with _backend_scope(spec):
-                result = get_runner(spec.kind)(spec)
+            result = get_runner(spec.kind)(spec)
     finally:
         tracer.enabled = was_enabled
     delta = obs.snapshot_diff(registry.snapshot(), before)
@@ -359,11 +339,8 @@ def _run_batched(
             _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         before = registry.snapshot() if capture else None
         try:
-            # one scope for the whole group: batch_groups keys on the
-            # backend, so every member shares the same selection
             with obs.span("campaign.batch", kind=kind, n_jobs=len(group)):
-                with _backend_scope(group[0]):
-                    results = get_batch_runner(kind)(group)
+                results = get_batch_runner(kind)(group)
             missing = [s.tag for s in group if s.tag not in results]
             if missing:
                 raise CampaignError(

@@ -30,7 +30,10 @@ from ..units import ZERO_CELSIUS_IN_KELVIN
 #: computed by different linear-algebra engines never share an entry.
 #: Version 3: the default engine orders by symmetric minimum degree
 #: instead of COLAMD; outputs move at the 1e-12 level.
-SPEC_VERSION = 3
+#: Version 4: one solver remains and the ``backend`` payload key is
+#: gone; outputs are bitwise those of version 3, but the hash input
+#: changed shape, so version-3 entries are not looked up again.
+SPEC_VERSION = 4
 
 
 def freeze(value: Any) -> Any:
@@ -145,17 +148,12 @@ class JobSpec:
     tuple of ``(name, value)`` pairs (use :meth:`make` rather than the
     raw constructor).  ``tag`` identifies the job within its campaign
     (e.g. the flow direction of a Fig. 11 job) and must be unique.
-    ``backend`` selects the linear-algebra engine
-    (:mod:`repro.solver.backends`); it participates in the content
-    hash, so results computed by different backends never share a
-    cache entry (``None`` = follow the runtime selection precedence).
     """
 
     kind: str
     tag: str
     model: Optional[ModelSpec] = None
     params: Tuple[Tuple[str, Any], ...] = field(default_factory=tuple)
-    backend: Optional[str] = None
 
     @classmethod
     def make(
@@ -163,13 +161,11 @@ class JobSpec:
         kind: str,
         tag: str,
         model: Optional[ModelSpec] = None,
-        backend: Optional[str] = None,
         **params: Any,
     ) -> "JobSpec":
         """Build a spec from keyword parameters (the normal entry)."""
         frozen = tuple(sorted((k, freeze(v)) for k, v in params.items()))
-        return cls(kind=kind, tag=tag, model=model, params=frozen,
-                   backend=backend)
+        return cls(kind=kind, tag=tag, model=model, params=frozen)
 
     @property
     def params_dict(self) -> Dict[str, Any]:
@@ -187,7 +183,6 @@ class JobSpec:
             "kind": self.kind,
             "model": dataclasses.asdict(self.model) if self.model else None,
             "params": [[k, v] for k, v in self.params],
-            "backend": self.backend,
         }
 
     @property
@@ -203,17 +198,10 @@ class JobSpec:
 
 @dataclass(frozen=True)
 class CampaignSpec:
-    """A named, ordered set of jobs with unique tags.
-
-    ``backend`` is the campaign-wide solver-backend selection: at
-    construction it is pushed down onto every member job that does not
-    already pin its own (job-explicit wins), so it flows into each
-    job's content hash and the executor's runtime selection.
-    """
+    """A named, ordered set of jobs with unique tags."""
 
     name: str
     jobs: Tuple[JobSpec, ...]
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         tags = [job.tag for job in self.jobs]
@@ -224,26 +212,14 @@ class CampaignSpec:
             )
         if not self.jobs:
             raise CampaignError(f"campaign {self.name!r} has no jobs")
-        if self.backend is not None:
-            object.__setattr__(self, "jobs", tuple(
-                job if job.backend is not None
-                else dataclasses.replace(job, backend=self.backend)
-                for job in self.jobs
-            ))
 
     def __len__(self) -> int:
         return len(self.jobs)
 
     @property
     def content_hash(self) -> str:
-        """SHA-256 over the member jobs' hashes (order-sensitive).
-
-        The jobs' hashes already embed each job's backend; the
-        campaign-level field rides along explicitly so two campaigns
-        differing only in an (un-propagated) default still differ.
-        """
+        """SHA-256 over the member jobs' hashes (order-sensitive)."""
         return _sha256(canonical_json(
             {"name": self.name,
-             "backend": self.backend,
              "jobs": [job.content_hash for job in self.jobs]}
         ))

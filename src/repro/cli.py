@@ -158,11 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--no-batch", action="store_true",
                       help="disable lockstep batching of same-model "
                            "job groups (always run per job)")
-    crun.add_argument("--backend", default=None, metavar="NAME",
-                      help="linear-algebra backend for every job "
-                           "(superlu-serial, cholesky, dense; also "
-                           "via REPRO_SOLVER_BACKEND); participates "
-                           "in the cache key")
     crun.add_argument("-P", "--param", action="append", default=[],
                       metavar="KEY=VALUE",
                       help="campaign builder parameter, repeatable "
@@ -177,26 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            "them to <manifest>.events.jsonl for 'repro "
                            "obs tail'; a job counts as running from "
                            "dispatch until its outcome lands")
-    crun.add_argument("--triage", action="store_true",
-                      help="pre-screen jobs with the analytic engine and "
-                           "dispatch only those predicted to cross the "
-                           "triage threshold")
-    crun.add_argument("--triage-threshold", type=float, default=85.0,
-                      metavar="T",
-                      help="interesting-point threshold: peak block "
-                           "temperature in Celsius (metric=peak) or "
-                           "spread in Kelvin (metric=gradient); "
-                           "default 85.0")
-    crun.add_argument("--triage-band", type=float, default=5.0, metavar="B",
-                      help="safety band subtracted from the threshold "
-                           "before skipping (default 5.0; must dominate "
-                           "the analytic error envelope, DESIGN.md §8)")
-    crun.add_argument("--triage-metric", choices=("peak", "gradient"),
-                      default="peak",
-                      help="figure of merit to screen on (default peak)")
-    crun.add_argument("--triage-nx", type=int, default=8, metavar="N",
-                      help="screening grid resolution (default 8; "
-                           "0 = each job's own grid)")
 
     csub.add_parser("list", help="list registered campaigns")
 
@@ -529,15 +504,6 @@ def _campaign_run(args) -> int:
     )
 
     spec = get_campaign(args.name, **_parse_campaign_params(args.param))
-    if getattr(args, "backend", None):
-        import dataclasses
-
-        from .solver.backends import get_backend
-
-        get_backend(args.backend)  # fail fast on unknown names
-        # replace() re-runs __post_init__, pushing the selection onto
-        # every job (and so into each job's content hash)
-        spec = dataclasses.replace(spec, backend=args.backend)
     cache = None
     cache_root = args.cache_dir or default_cache_dir()
     use_cache = not args.no_cache and disk_cache_enabled()
@@ -560,12 +526,7 @@ def _campaign_run(args) -> int:
     )
     renderer = None
     sidecar: Optional[IO[str]] = None
-    live = getattr(args, "live", False)
-    if live and args.triage:
-        print("note: --live is not wired through triage yet; "
-              "running without live progress", file=sys.stderr)
-        live = False
-    if live:
+    if getattr(args, "live", False):
         renderer = obs.LiveRenderer(obs.CampaignProgress(total=len(spec)))
         if manifest:
             sidecar = _open_sidecar(manifest + ".events.jsonl")
@@ -587,54 +548,31 @@ def _campaign_run(args) -> int:
             sidecar = None
 
     try:
-        if args.triage:
-            from .campaign import TriageSettings, run_campaign_triaged
-
-            settings = TriageSettings(
-                threshold=args.triage_threshold, band=args.triage_band,
-                metric=args.triage_metric, nx=args.triage_nx,
-            )
-            triaged = run_campaign_triaged(
-                spec, settings, jobs=args.jobs, cache=cache,
-                manifest_path=manifest, timeout=args.timeout,
-                retries=args.retries, force=args.force,
-                batch=not args.no_batch,
-            )
-            print(triaged.summary_line())
-            run = triaged.run
-            ok = triaged.ok
-        else:
-            run = run_campaign(
-                spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
-                timeout=args.timeout, retries=args.retries, force=args.force,
-                batch=not args.no_batch,
-                on_event=on_event if renderer is not None else None,
-            )
-            ok = run.ok
+        run = run_campaign(
+            spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
+            timeout=args.timeout, retries=args.retries, force=args.force,
+            batch=not args.no_batch,
+            on_event=on_event if renderer is not None else None,
+        )
     finally:
         if sidecar is not None:
             _close_quietly(sidecar)
         if renderer is not None:
             renderer.close()
-    if run is not None:
-        summary = run.summary
-        print(f"{summary.n_ok}/{summary.n_jobs} jobs ok, "
-              f"{summary.n_cached} cached "
-              f"(hit rate {100 * summary.hit_rate:.0f}%), "
-              f"p50 {summary.p50_wall_s:.3f} s, "
-              f"p95 {summary.p95_wall_s:.3f} s, "
-              f"total {summary.total_wall_s:.3f} s")
-    else:
-        print("0 jobs dispatched (all screened out analytically)")
+    summary = run.summary
+    print(f"{summary.n_ok}/{summary.n_jobs} jobs ok, "
+          f"{summary.n_cached} cached "
+          f"(hit rate {100 * summary.hit_rate:.0f}%), "
+          f"p50 {summary.p50_wall_s:.3f} s, "
+          f"p95 {summary.p95_wall_s:.3f} s, "
+          f"total {summary.total_wall_s:.3f} s")
     if manifest:
         print(f"manifest: {manifest}")
     if trace_path:
-        roots = list(obs.tracer().drain())
-        if run is not None:
-            roots += run.span_roots()
+        roots = list(obs.tracer().drain()) + run.span_roots()
         n_events = obs.write_chrome_trace(roots, trace_path)
         print(f"trace: {trace_path} ({n_events} events)")
-    return 0 if ok else 2
+    return 0 if run.ok else 2
 
 
 def _campaign_list(args) -> int:

@@ -14,18 +14,14 @@ state that sets test/characterization cost).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from ..campaign import (
-    CampaignRun,
     CampaignSpec,
     JobSpec,
     ModelSpec,
     ResultCache,
-    TriagedCampaignRun,
-    TriageSettings,
     run_campaign,
-    run_campaign_triaged,
 )
 from ..units import ZERO_CELSIUS_IN_KELVIN
 
@@ -50,9 +46,6 @@ class PackagePoint:
     t63: float        # short-term single-block response time, s
     t63_warm: float   # full-workload warm-up time, s (nan if not run)
     ambient_k: float
-    #: Which engine produced the point: ``"rc"`` (full solve) or
-    #: ``"analytic"`` (triage-screened prediction, no transient data).
-    engine: str = "rc"
 
     @property
     def tmax_c(self) -> float:
@@ -97,25 +90,14 @@ def run_design_space(
     warmup_t_end: float = 0.0,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    triage: Optional[TriageSettings] = None,
     **campaign_params,
 ) -> Dict[str, PackagePoint]:
-    """Run the sweep; returns package name -> :class:`PackagePoint`.
-
-    With ``triage`` set, packages whose predicted figure of merit
-    stays clear of the threshold are not RC-solved; their points carry
-    the analytic steady prediction (``engine="analytic"``,
-    ``t63 = nan`` since the screen is steady-only).
-    """
+    """Run the sweep; returns package name -> :class:`PackagePoint`."""
     spec = design_space_campaign(
         nx=nx, ny=ny, packages=packages, warmup_t_end=warmup_t_end,
         **campaign_params,
     )
-    run: Union[CampaignRun, TriagedCampaignRun]
-    if triage is not None:
-        run = run_campaign_triaged(spec, triage, jobs=jobs, cache=cache)
-    else:
-        run = run_campaign(spec, jobs=jobs, cache=cache)
+    run = run_campaign(spec, jobs=jobs, cache=cache)
     points: Dict[str, PackagePoint] = {}
     for job in spec.jobs:
         result = run.result_for(job.tag)
@@ -126,6 +108,5 @@ def run_design_space(
             t63=result.scalars["t63"],
             t63_warm=result.scalars.get("t63_warm", float("nan")),
             ambient_k=result.meta["ambient_k"],
-            engine=str(result.meta.get("engine", "rc")),
         )
     return points

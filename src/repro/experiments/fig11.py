@@ -15,19 +15,15 @@ h(x) of Eqns 7-8, for the four axis-aligned flow directions.  Claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..analysis.thermal_maps import hottest_block
 from ..campaign import (
-    CampaignRun,
     CampaignSpec,
     JobSpec,
     ModelSpec,
     ResultCache,
-    TriagedCampaignRun,
-    TriageSettings,
     run_campaign,
-    run_campaign_triaged,
 )
 from ..convection.flow import ALL_DIRECTIONS, FlowDirection
 from ..units import ZERO_CELSIUS_IN_KELVIN
@@ -102,21 +98,11 @@ def run_fig11(
     instructions: int = 500_000,
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
-    triage: Optional[TriageSettings] = None,
 ) -> Fig11Result:
-    """Run the Fig. 11 flow-direction sweep through the campaign engine.
-
-    With ``triage`` set, each direction is pre-screened analytically
-    and only predicted-interesting directions get an RC solve; skipped
-    directions report the (labelled) analytic temperatures.
-    """
+    """Run the Fig. 11 flow-direction sweep through the campaign engine."""
     campaign = fig11_campaign(nx=nx, ny=ny, velocity=velocity,
                               instructions=instructions)
-    run: Union[CampaignRun, TriagedCampaignRun]
-    if triage is not None:
-        run = run_campaign_triaged(campaign, triage, jobs=jobs, cache=cache)
-    else:
-        run = run_campaign(campaign, jobs=jobs, cache=cache)
+    run = run_campaign(campaign, jobs=jobs, cache=cache)
     temps: Dict[FlowDirection, Dict[str, float]] = {}
     for direction in ALL_DIRECTIONS:
         result = run.result_for(direction.value)

@@ -11,9 +11,7 @@ fails CI instead of silently splitting a counter in two.
 
 Dynamic names (f-strings) are allowed when they fall under a
 registered *prefix*: ``campaign.cache.`` (suffixes are the
-:attr:`~repro.campaign.cache.ResultCache.COUNTER_NAMES` op names) and
-``solver.backend.`` (per-backend counters keyed by the registered
-backend name, e.g. ``solver.backend.superlu-serial.factorizations``).
+:attr:`~repro.campaign.cache.ResultCache.COUNTER_NAMES` op names).
 """
 
 from __future__ import annotations
@@ -37,10 +35,7 @@ SPAN_NAMES = frozenset(
         "solver.batched.schedule",
         "solver.backend.factorize",
         "solver.backend.solve",
-        "solver.analytic.kernel",
-        "solver.analytic.solve",
         "campaign.batch",
-        "campaign.triage",
     }
 )
 
@@ -56,13 +51,6 @@ METRIC_NAMES = frozenset(
         "solver.batched.runs",
         "solver.batched.scenarios",
         "solver.batched.steps",
-        "solver.analytic.kernel_builds",
-        "solver.analytic.kernel_cache_hits",
-        "solver.analytic.solves",
-        "solver.analytic.solve_seconds",
-        "campaign.triage.screened",
-        "campaign.triage.confirmed",
-        "campaign.triage.skipped",
         "campaign.jobs.batched",
         "rcmodel.grid.assemblies",
         "rcmodel.grid.assembly_seconds",
@@ -75,7 +63,7 @@ METRIC_NAMES = frozenset(
 )
 
 #: Prefixes under which dynamically-built metric names are legal.
-METRIC_PREFIXES: Tuple[str, ...] = ("campaign.cache.", "solver.backend.")
+METRIC_PREFIXES: Tuple[str, ...] = ("campaign.cache.",)
 
 
 def known_span(name: str) -> bool:

@@ -1,14 +1,6 @@
 """Steady-state and transient solvers for thermal RC networks."""
 
-from .backends import (
-    DEFAULT_BACKEND,
-    Factor,
-    LinearBackend,
-    available_backends,
-    backend_override,
-    get_backend,
-    register_backend,
-)
+from .backends import LINEAR_BACKEND, Factor, LinearBackend
 from .steady import steady_state, steady_block_temperatures
 from .transient import (
     TransientResult,
@@ -30,23 +22,11 @@ from .coupled import (
     transient_with_leakage,
 )
 from .adaptive import AdaptiveTransientSolver
-from .analytic import (
-    AnalyticSolution,
-    AnalyticSteadyEngine,
-    accuracy_envelope,
-    analytic_block_temperatures,
-    envelope_bounds,
-    envelope_table,
-)
 
 __all__ = [
-    "DEFAULT_BACKEND",
+    "LINEAR_BACKEND",
     "Factor",
     "LinearBackend",
-    "available_backends",
-    "backend_override",
-    "get_backend",
-    "register_backend",
     "steady_state",
     "steady_block_temperatures",
     "TransientResult",
@@ -64,10 +44,4 @@ __all__ = [
     "steady_state_with_leakage",
     "transient_with_leakage",
     "AdaptiveTransientSolver",
-    "AnalyticSolution",
-    "AnalyticSteadyEngine",
-    "accuracy_envelope",
-    "analytic_block_temperatures",
-    "envelope_bounds",
-    "envelope_table",
 ]

@@ -23,7 +23,12 @@ import numpy as np
 
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
-from .transient import BackwardEulerStepper, TransientResult, checked_power
+from .transient import (
+    BackwardEulerStepper,
+    TransientResult,
+    checked_power,
+    checked_x0,
+)
 
 PowerInput = Union[np.ndarray, Callable[[float], np.ndarray]]
 
@@ -52,9 +57,6 @@ class AdaptiveTransientSolver:
         Local error tolerances (on the temperature-rise vector, K).
     dt_min, dt_max:
         Step-size bounds, seconds.
-    backend:
-        Linear-algebra backend name (see :mod:`repro.solver.backends`);
-        ``None`` follows the documented selection precedence.
     """
 
     def __init__(
@@ -64,7 +66,6 @@ class AdaptiveTransientSolver:
         atol: float = 1e-3,
         dt_min: float = 1e-5,
         dt_max: float = 10.0,
-        backend: Optional[str] = None,
     ) -> None:
         if dt_min <= 0 or dt_max <= dt_min:
             raise SolverError("need 0 < dt_min < dt_max")
@@ -75,15 +76,13 @@ class AdaptiveTransientSolver:
         self.atol = float(atol)
         self.dt_min = float(dt_min)
         self.dt_max = float(dt_max)
-        self.backend = backend
         self._steppers: Dict[int, BackwardEulerStepper] = {}
         self._final_steppers: Dict[float, BackwardEulerStepper] = {}
 
     def _stepper(self, rung: int) -> BackwardEulerStepper:
         if rung not in self._steppers:
             self._steppers[rung] = BackwardEulerStepper(
-                self.network, self.dt_min * _LADDER_BASE ** rung,
-                backend=self.backend,
+                self.network, self.dt_min * _LADDER_BASE ** rung
             )
         return self._steppers[rung]
 
@@ -102,9 +101,7 @@ class AdaptiveTransientSolver:
         for stepper in self._final_steppers.values():
             if abs(stepper.dt - dt_final) <= _FACTOR_MATCH_RTOL * stepper.dt:
                 return stepper
-        stepper = BackwardEulerStepper(
-            self.network, dt_final, backend=self.backend
-        )
+        stepper = BackwardEulerStepper(self.network, dt_final)
         self._final_steppers[dt_final] = stepper
         return stepper
 
@@ -139,11 +136,7 @@ class AdaptiveTransientSolver:
         else:
             constant = checked_power(power, 0.0, n_nodes)
             power_at = lambda _t: constant  # noqa: E731
-        x = np.zeros(n_nodes) if x0 is None else np.asarray(x0, float).copy()
-        if x.shape != (n_nodes,):
-            raise SolverError("x0 has the wrong length")
-        if not np.all(np.isfinite(x)):
-            raise SolverError("x0 contains non-finite values (NaN/Inf)")
+        x = checked_x0(x0, n_nodes)
 
         def observe(state: np.ndarray) -> np.ndarray:
             return projector(state) if projector is not None \

@@ -42,6 +42,8 @@ from .events import PiecewiseConstantSchedule
 from .transient import (
     TransientResult,
     _ImplicitStepper,
+    checked_power,
+    checked_x0,
     plan_fixed_steps,
     stepper_class,
 )
@@ -125,12 +127,7 @@ class _PowerColumn:
 
 class _ConstantColumn(_PowerColumn):
     def __init__(self, vector: np.ndarray, n_nodes: int) -> None:
-        self._vector = np.asarray(vector, dtype=float)
-        if self._vector.shape != (n_nodes,):
-            raise SolverError(
-                f"power vector has shape {self._vector.shape}, "
-                f"expected ({n_nodes},)"
-            )
+        self._vector = checked_power(vector, 0.0, n_nodes)
 
     def block(self, times: np.ndarray) -> np.ndarray:
         return np.broadcast_to(self._vector, (len(times), len(self._vector)))
@@ -170,13 +167,7 @@ class _CallableColumn(_PowerColumn):
     def block(self, times: np.ndarray) -> np.ndarray:
         out = np.empty((len(times), self._n_nodes))
         for j, t in enumerate(times):
-            p = np.asarray(self._fn(float(t)), dtype=float)
-            if p.shape != (self._n_nodes,):
-                raise SolverError(
-                    f"power callable returned shape {p.shape}, "
-                    f"expected ({self._n_nodes},)"
-                )
-            out[j] = p
+            out[j] = checked_power(self._fn(float(t)), t, self._n_nodes)
         return out
 
 
@@ -185,7 +176,7 @@ def _column_for(power: BatchPowerInput, n_nodes: int) -> _PowerColumn:
         return _ScheduleColumn(power, n_nodes)
     if callable(power):
         return _CallableColumn(power, n_nodes)
-    return _ConstantColumn(np.asarray(power, dtype=float), n_nodes)
+    return _ConstantColumn(power, n_nodes)
 
 
 def _resolve_tags(
@@ -207,15 +198,8 @@ def _initial_states(
 ) -> np.ndarray:
     x = np.zeros((n_nodes, len(x0s)))
     for k, x0 in enumerate(x0s):
-        if x0 is None:
-            continue
-        column = np.asarray(x0, dtype=float)
-        if column.shape != (n_nodes,):
-            raise SolverError(
-                f"x0 of scenario {k} has shape {column.shape}, "
-                f"expected ({n_nodes},)"
-            )
-        x[:, k] = column
+        if x0 is not None:
+            x[:, k] = checked_x0(x0, n_nodes)
     return x
 
 
@@ -261,7 +245,6 @@ def batched_transient_simulate(
     method: str = "trapezoidal",
     record_every: int = 1,
     projector: Optional[Projector] = None,
-    backend: Optional[str] = None,
 ) -> BatchedTransientResult:
     """Integrate K scenarios on one network in lockstep.
 
@@ -272,10 +255,6 @@ def batched_transient_simulate(
     ``scenarios[k]``'s power and ``x0``.  One LU factorization (per
     stepper) serves all K columns, and piecewise-constant schedules
     are materialized block-wise instead of evaluated per step.
-
-    The bitwise guarantee holds for ``bitwise=True`` backends (the
-    default ``superlu-serial``); tolerance backends agree with their
-    serial counterparts within the backend's documented rtol.
     """
     if not scenarios:
         raise SolverError("need at least one scenario")
@@ -290,7 +269,7 @@ def batched_transient_simulate(
     x = _initial_states([sc.x0 for sc in scenarios], n_nodes)
     observe = _make_observer(projector, n_scenarios)
 
-    stepper: _ImplicitStepper = stepper_cls(network, dt, backend=backend)
+    stepper: _ImplicitStepper = stepper_cls(network, dt)
     n_steps = n_full + (1 if dt_final is not None else 0)
     times: List[float] = [0.0]
     records: List[np.ndarray] = [observe(x)]
@@ -314,9 +293,7 @@ def batched_transient_simulate(
                     records.append(observe(x))
             p_prev = p_block[-1]
         if dt_final is not None:
-            final_stepper: _ImplicitStepper = stepper_cls(
-                network, dt_final, backend=backend
-            )
+            final_stepper: _ImplicitStepper = stepper_cls(network, dt_final)
             p_end = _materialize(columns, np.array([t_end]), n_nodes)[0]
             p_eff_final = final_stepper.effective_power(p_prev, p_end)
             x = final_stepper.step_effective(x, p_eff_final.T)
@@ -339,7 +316,6 @@ def batched_simulate_schedules(
     record_every: int = 1,
     projector: Optional[Projector] = None,
     tags: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
 ) -> BatchedTransientResult:
     """Integrate K piecewise-constant schedules in lockstep.
 
@@ -349,9 +325,7 @@ def batched_simulate_schedules(
     call with ``schedules[k]``.  All schedules must share one boundary
     grid (the shape of a same-model campaign group); mismatched grids
     raise :class:`SolverError`, which campaign callers treat as "fall
-    back to per-job execution".  As with
-    :func:`batched_transient_simulate`, "bitwise" is per-backend:
-    tolerance backends match within their documented rtol instead.
+    back to per-job execution".
     """
     if not schedules:
         raise SolverError("need at least one schedule")
@@ -386,7 +360,7 @@ def batched_simulate_schedules(
     )
     observe = _make_observer(projector, n_scenarios)
 
-    stepper: _ImplicitStepper = stepper_cls(network, dt, backend=backend)
+    stepper: _ImplicitStepper = stepper_cls(network, dt)
     short_steppers: Dict[float, _ImplicitStepper] = {}
     n_segments = len(schedules[0].powers)
     times: List[float] = [0.0]
@@ -415,9 +389,7 @@ def batched_simulate_schedules(
                 else:
                     key = round(remaining, 15)
                     if key not in short_steppers:
-                        short_steppers[key] = stepper_cls(
-                            network, remaining, backend=backend
-                        )
+                        short_steppers[key] = stepper_cls(network, remaining)
                     x = short_steppers[key].step_effective(x, p_eff)
                     now = seg_end
                 step_counter += 1

@@ -20,7 +20,7 @@ import numpy as np
 from .. import obs
 from ..errors import PowerTraceError, SolverError
 from ..rcmodel.network import ThermalNetwork
-from .transient import TransientResult, _STEPPERS
+from .transient import TransientResult, _STEPPERS, checked_x0
 
 
 class PowerInjection(Protocol):
@@ -207,7 +207,6 @@ def simulate_schedule(
     method: str = "trapezoidal",
     record_every: int = 1,
     projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    backend: Optional[str] = None,
 ) -> TransientResult:
     """Integrate through a piecewise-constant schedule.
 
@@ -229,12 +228,8 @@ def simulate_schedule(
             f"schedule powers have {schedule.n_nodes} nodes, "
             f"expected {network.n_nodes}"
         )
-    x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-    if x.shape != (network.n_nodes,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({network.n_nodes},)")
-    if not np.all(np.isfinite(x)):
-        raise SolverError("x0 contains non-finite values (NaN/Inf)")
-    stepper = stepper_cls(network, dt, backend=backend)
+    x = checked_x0(x0, network.n_nodes)
+    stepper = stepper_cls(network, dt)
     short_steppers = {}
 
     def observe(state: np.ndarray) -> np.ndarray:
@@ -258,9 +253,7 @@ def simulate_schedule(
                 else:
                     key = round(remaining, 15)
                     if key not in short_steppers:
-                        short_steppers[key] = stepper_cls(
-                            network, remaining, backend=backend
-                        )
+                        short_steppers[key] = stepper_cls(network, remaining)
                     x = short_steppers[key].step(x, power)
                     now = seg_end
                 step_counter += 1

@@ -2,22 +2,21 @@
 
 Steady state solves ``A x = P`` for the vector of temperature rises
 ``x = T - T_ambient``, where ``A`` is the symmetric positive definite
-system matrix of the network.  The factorization is delegated to the
-selected :mod:`~repro.solver.backends` engine (SuperLU by default) and
-cached on the network, so repeated solves (e.g. the four flow
-directions of the paper's Fig. 11, or DTM sweeps) refactor only when
-the network — or the backend — changes.  The cache is keyed on a
-fingerprint of the system matrix itself plus the backend identity, so
-mutating the network (or rebuilding its system matrix) after a solve
-triggers refactorization instead of silently reusing a stale factor,
-and a factor produced by one backend is never served to another.
+system matrix of the network.  The factorization goes through
+:data:`~repro.solver.backends.LINEAR_BACKEND` and is cached on the
+network, so repeated solves (e.g. the four flow directions of the
+paper's Fig. 11, or DTM sweeps) refactor only when the network
+changes.  The cache is keyed on a fingerprint of the system matrix
+itself, so mutating the network (or rebuilding its system matrix)
+after a solve triggers refactorization instead of silently reusing a
+stale factor.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Union
 
 import numpy as np
 from scipy import sparse
@@ -26,8 +25,7 @@ from .. import obs
 from ..errors import SolverError
 from ..rcmodel.grid import ThermalGridModel
 from ..rcmodel.network import ThermalNetwork
-from . import backends
-from .backends import Factor, LinearBackend
+from .backends import LINEAR_BACKEND, Factor
 
 _FACTOR_CACHE_ATTR = "_cached_lu_factor"
 
@@ -61,24 +59,18 @@ def system_fingerprint(matrix: sparse.spmatrix) -> str:
     return digest.hexdigest()
 
 
-def _factorize(
-    network: ThermalNetwork,
-    backend: Optional[LinearBackend] = None,
-) -> Factor:
-    if backend is None:
-        backend = backends.get_backend()
+def _factorize(network: ThermalNetwork) -> Factor:
     matrix = network.system_matrix
-    key: Tuple[str, str] = (system_fingerprint(matrix), backend.cache_key())
+    key = system_fingerprint(matrix)
     cached = getattr(network, _FACTOR_CACHE_ATTR, None)
     if cached is not None and cached[0] == key:
         _FACTOR_CACHE_HITS.inc()
         factor: Factor = cached[1]
         return factor
-    with obs.span("solver.steady.factorize", backend=backend.name,
+    with obs.span("solver.steady.factorize",
                   n_nodes=matrix.shape[0], nnz=int(matrix.nnz)):
-        # backend.factorize normalizes every engine's failure mode
-        # (SuperLU RuntimeError, LAPACK LinAlgError, ...) to SolverError
-        factor = backend.factorize(matrix)
+        # factorize normalizes SuperLU's failure modes to SolverError
+        factor = LINEAR_BACKEND.factorize(matrix)
     _FACTORIZATIONS.inc()
     setattr(network, _FACTOR_CACHE_ATTR, (key, factor))
     return factor
@@ -87,7 +79,6 @@ def _factorize(
 def steady_state(
     network: ThermalNetwork,
     node_power: np.ndarray,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Solve for node temperature rises given a node power vector (W)."""
     node_power = np.asarray(node_power, dtype=float)
@@ -101,12 +92,10 @@ def steady_state(
             "power vector contains non-finite values (NaN/Inf); "
             "check the block power map before solving"
         )
-    engine = backends.get_backend(backend)
     t0 = time.perf_counter()
     with obs.span("solver.steady.solve", n_nodes=network.n_nodes):
-        factor = _factorize(network, engine)
-        with obs.span("solver.backend.solve", backend=engine.name,
-                      n_nodes=network.n_nodes):
+        factor = _factorize(network)
+        with obs.span("solver.backend.solve", n_nodes=network.n_nodes):
             rise = factor.solve(node_power)
         if not np.all(np.isfinite(rise)):
             raise SolverError(
@@ -120,15 +109,12 @@ def steady_state(
 def steady_block_temperatures(
     model: ThermalGridModel,
     block_power: Union[np.ndarray, Dict[str, float]],
-    backend: Optional[str] = None,
 ) -> Dict[str, float]:
     """Per-block steady temperatures (Kelvin) for a power assignment.
 
     Convenience wrapper: expands block power onto the grid, solves, and
     aggregates back to named blocks.
     """
-    rise = steady_state(
-        model.network, model.node_power(block_power), backend=backend
-    )
+    rise = steady_state(model.network, model.node_power(block_power))
     temps = model.block_temperatures(rise)
     return model.floorplan.power_dict(temps)

@@ -31,8 +31,7 @@ from scipy import sparse
 from .. import obs
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
-from . import backends
-from .backends import Factor, LinearBackend
+from .backends import LINEAR_BACKEND, Factor, csr_matvecs
 
 PowerInput = Union[np.ndarray, Callable[[float], np.ndarray]]
 
@@ -108,20 +107,17 @@ class _ImplicitStepper:
 
     order: int = 0
     method: str = ""
-    #: Backend factorization of the implicit system matrix, built by
-    #: the subclass ``_factorize`` through :attr:`backend`.
+    #: Factorization of the implicit system matrix, built by the
+    #: subclass ``_factorize`` through :data:`LINEAR_BACKEND`.
     _factor: Factor
 
-    def __init__(self, network: ThermalNetwork, dt: float,
-                 backend: Optional[str] = None) -> None:
+    def __init__(self, network: ThermalNetwork, dt: float) -> None:
         if dt <= 0:
             raise SolverError("dt must be positive")
         self.network = network
         self.dt = float(dt)
-        self.backend: LinearBackend = backends.get_backend(backend)
         with obs.span("solver.transient.factorize", method=self.method,
-                      n_nodes=network.n_nodes, dt=self.dt,
-                      backend=self.backend.name):
+                      n_nodes=network.n_nodes, dt=self.dt):
             self._factorize(network)
         _MATRIX_BUILDS.inc()
 
@@ -132,28 +128,13 @@ class _ImplicitStepper:
              p_next: Optional[np.ndarray]) -> np.ndarray:
         raise NotImplementedError
 
-    def _solve_columns(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve a multi-column RHS under the backend's contract.
-
-        For bitwise backends each column is solved separately against
-        the shared factorization — the exact serial operation
-        sequence, because SuperLU's blocked multi-RHS kernel cannot be
-        certified bitwise (on a 400-node EV6 grid a blocked K=8 solve
-        tracks the per-column results for ~400 steps and then rounds
-        one element differently; the divergence is value-dependent).
-        Tolerance backends route through their blocked kernels and the
-        "batch column == stepping that scenario alone" guarantee
-        weakens to the backend's documented rtol envelope.
-        """
-        return self._factor.solve_columns(rhs)
-
     def step(self, x: np.ndarray, p_now: np.ndarray,
              p_next: Optional[np.ndarray] = None) -> np.ndarray:
         """One time step from state(s) ``x`` under the given power(s)."""
         rhs = self._rhs(x, p_now, p_next)
         _STEPS.inc()
         if rhs.ndim == 2:
-            return self._solve_columns(rhs)
+            return self._factor.solve_columns(rhs)
         return self._factor.solve(rhs)
 
     def effective_power(self, p_now: np.ndarray,
@@ -177,7 +158,7 @@ class _ImplicitStepper:
         rhs += p_eff
         _STEPS.inc()
         if rhs.ndim == 2:
-            return self._solve_columns(rhs)
+            return self._factor.solve_columns(rhs)
         return self._factor.solve(rhs)
 
     def _rhs_state(self, x: np.ndarray) -> np.ndarray:
@@ -197,7 +178,7 @@ class TrapezoidalStepper(_ImplicitStepper):
     def _factorize(self, network: ThermalNetwork) -> None:
         c_over_dt = sparse.diags(network.capacitance / self.dt)
         a = network.system_matrix
-        self._factor = self.backend.factorize((c_over_dt + 0.5 * a).tocsc())
+        self._factor = LINEAR_BACKEND.factorize((c_over_dt + 0.5 * a).tocsc())
         self._rhs_matrix = (c_over_dt - 0.5 * a).tocsr()
 
     def _rhs(self, x: np.ndarray, p_now: np.ndarray,
@@ -205,7 +186,7 @@ class TrapezoidalStepper(_ImplicitStepper):
         if p_next is None:
             p_next = p_now
         if x.ndim == 2:
-            out = self.backend.matvec(self._rhs_matrix, x)
+            out = csr_matvecs(self._rhs_matrix, x)
             out += 0.5 * (p_now + p_next)
             return out
         return self._rhs_matrix @ x + 0.5 * (p_now + p_next)
@@ -216,7 +197,7 @@ class TrapezoidalStepper(_ImplicitStepper):
 
     def _rhs_state(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 2:
-            return self.backend.matvec(self._rhs_matrix, x)
+            return csr_matvecs(self._rhs_matrix, x)
         return np.asarray(self._rhs_matrix @ x)
 
 
@@ -232,7 +213,7 @@ class BackwardEulerStepper(_ImplicitStepper):
     def _factorize(self, network: ThermalNetwork) -> None:
         self._c_over_dt = network.capacitance / self.dt
         a = network.system_matrix
-        self._factor = self.backend.factorize(
+        self._factor = LINEAR_BACKEND.factorize(
             (sparse.diags(self._c_over_dt) + a).tocsc()
         )
 
@@ -286,6 +267,20 @@ def checked_power(values: Any, t: float, n_nodes: int) -> np.ndarray:
     return vector
 
 
+def checked_x0(x0: Optional[np.ndarray], n_nodes: int) -> np.ndarray:
+    """A fresh float copy of the initial rise state (zeros for
+    ``None``); :class:`SolverError` unless it has shape ``(n_nodes,)``
+    and is finite."""
+    if x0 is None:
+        return np.zeros(n_nodes)
+    x = np.array(x0, dtype=float)
+    if x.shape != (n_nodes,):
+        raise SolverError(f"x0 has shape {x.shape}, expected ({n_nodes},)")
+    if not np.all(np.isfinite(x)):
+        raise SolverError("x0 contains non-finite values (NaN/Inf)")
+    return x
+
+
 def transient_simulate(
     network: ThermalNetwork,
     power: PowerInput,
@@ -295,7 +290,6 @@ def transient_simulate(
     method: str = "trapezoidal",
     record_every: int = 1,
     projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    backend: Optional[str] = None,
 ) -> TransientResult:
     """Integrate the network from ``x0`` to ``t_end``.
 
@@ -317,15 +311,12 @@ def transient_simulate(
     projector:
         Optional reduction applied to each recorded state (e.g.
         ``model.block_rise``) so long runs don't store full node fields.
-    backend:
-        Linear-algebra backend name (see :mod:`repro.solver.backends`);
-        ``None`` follows the documented selection precedence.
     """
     if record_every < 1:
         raise SolverError("record_every must be >= 1")
     stepper_cls = stepper_class(method)
     n_full, dt_final = plan_fixed_steps(t_end, dt)
-    stepper = stepper_cls(network, dt, backend=backend)
+    stepper = stepper_cls(network, dt)
 
     n_steps = n_full + (1 if dt_final is not None else 0)
     n_nodes = network.n_nodes
@@ -336,11 +327,7 @@ def transient_simulate(
         constant = checked_power(power, 0.0, n_nodes)
         power_at = lambda _t: constant  # noqa: E731 - trivial closure
 
-    x = np.zeros(network.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-    if x.shape != (network.n_nodes,):
-        raise SolverError(f"x0 has shape {x.shape}, expected ({network.n_nodes},)")
-    if not np.all(np.isfinite(x)):
-        raise SolverError("x0 contains non-finite values (NaN/Inf)")
+    x = checked_x0(x0, n_nodes)
 
     def observe(state: np.ndarray) -> np.ndarray:
         return projector(state) if projector is not None else state.copy()
@@ -361,7 +348,7 @@ def transient_simulate(
         if dt_final is not None:
             # exact final partial step: a misaligned dt must not
             # silently shrink or stretch the simulated horizon
-            final_stepper = stepper_cls(network, dt_final, backend=backend)
+            final_stepper = stepper_cls(network, dt_final)
             p_next = np.asarray(power_at(t_end), dtype=float)
             x = final_stepper.step(x, p_now, p_next)
             times.append(t_end)

@@ -36,6 +36,20 @@ def test_single_rc_bode_matches_analytic():
     assert response.phase[-1] == pytest.approx(-np.pi / 2, abs=0.05)
 
 
+def test_singular_system_raises_solver_error():
+    """A floating node makes G singular at f = 0; the factorization
+    failure surfaces as SolverError, not SuperLU's RuntimeError."""
+    builder = NetworkBuilder()
+    a = builder.add_node(1.0)
+    b = builder.add_node(1.0)
+    builder.add_node(1.0)  # floating: no connections, no ambient link
+    builder.connect(a, b, 1.0)
+    builder.to_ambient(a, 0.5)
+    net = builder.build()
+    with pytest.raises(SolverError, match="factorization failed"):
+        thermal_transfer_function(net, np.ones(3), np.ones(3), [0.0])
+
+
 def test_attenuation_metric():
     net = single_rc(1.0, 1.0)
     freqs = np.logspace(-3, 2, 40)

@@ -1,5 +1,6 @@
 """Tests for repro.obs: tracing, metrics, exporters, logging, CLI."""
 
+import gc
 import json
 import logging
 import os
@@ -350,7 +351,9 @@ def test_full_telemetry_overhead_below_five_percent():
         solve_times.append(time.perf_counter() - t0)
     solve_median = sorted(solve_times)[2]
 
-    # enabled (recording) spans
+    # enabled (recording) spans; collect first so that a full
+    # collection owed to earlier tests' garbage is not billed to them
+    gc.collect()
     obs.enable_tracing()
     n = 2_000
     t0 = time.perf_counter()

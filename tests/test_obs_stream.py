@@ -180,7 +180,7 @@ def test_cache_counters_concurrent_bumps_lose_nothing(tmp_path):
 def test_registry_instruments_share_one_lock():
     registry = MetricsRegistry()
     counter = registry.counter("solver.steady.solves")
-    gauge = registry.gauge("campaign.triage.screened")
+    gauge = registry.gauge("campaign.jobs.batched")
     hist = registry.histogram("solver.steady.solve_seconds")
     assert counter._lock is registry._lock
     assert gauge._lock is registry._lock

@@ -8,8 +8,14 @@ from repro.floorplan import uniform_grid_floorplan
 from repro.package import oil_silicon_package
 from repro.rcmodel import NetworkBuilder, ThermalGridModel
 from repro.solver import (
+    AdaptiveTransientSolver,
     BackwardEulerStepper,
+    BatchScenario,
+    PiecewiseConstantSchedule,
     TrapezoidalStepper,
+    batched_simulate_schedules,
+    batched_transient_simulate,
+    simulate_schedule,
     steady_block_temperatures,
     steady_state,
     transient_simulate,
@@ -279,6 +285,43 @@ def test_transient_rejects_nonfinite_inputs():
                           x0=np.array([np.inf]))
     with pytest.raises(SolverError, match="shape"):
         transient_simulate(net, np.ones(3), t_end=1.0, dt=0.1)
+
+
+_NAN = np.array([np.nan])
+_ONE = np.array([1.0])
+_SCHEDULE = PiecewiseConstantSchedule((0.0, 1.0), np.array([[1.0]]))
+
+
+def _nan_after_half(t):
+    return _NAN if t > 0.5 else _ONE
+
+
+@pytest.mark.parametrize("run", [
+    lambda net: transient_simulate(net, _ONE, 1.0, 0.1, x0=_NAN),
+    lambda net: simulate_schedule(net, _SCHEDULE, 0.1, x0=_NAN),
+    lambda net: batched_transient_simulate(
+        net, [BatchScenario(_ONE, x0=_NAN)], 1.0, 0.1),
+    lambda net: batched_simulate_schedules(net, [_SCHEDULE], 0.1,
+                                           x0s=[_NAN]),
+    lambda net: AdaptiveTransientSolver(net).integrate(_ONE, 1.0, x0=_NAN),
+    lambda net: transient_simulate(net, _NAN, 1.0, 0.1),
+    lambda net: batched_transient_simulate(
+        net, [BatchScenario(_NAN)], 1.0, 0.1),
+    lambda net: AdaptiveTransientSolver(net).integrate(_NAN, 1.0),
+    lambda net: transient_simulate(net, _nan_after_half, 1.0, 0.1),
+    lambda net: batched_transient_simulate(
+        net, [BatchScenario(_nan_after_half)], 1.0, 0.1),
+    lambda net: AdaptiveTransientSolver(net).integrate(_nan_after_half, 1.0),
+], ids=[
+    "x0-serial", "x0-schedule", "x0-batched", "x0-batched-schedules",
+    "x0-adaptive", "power-serial", "power-batched", "power-adaptive",
+    "callable-serial", "callable-batched", "callable-adaptive",
+])
+def test_every_transient_entry_point_rejects_nonfinite_input(run):
+    """A NaN initial state, constant power or callable sample raises
+    instead of returning NaN temperatures, whichever engine runs it."""
+    with pytest.raises(SolverError, match="non-finite"):
+        run(single_rc())
 
 
 def test_transient_rejects_nonfinite_schedule_mid_run():

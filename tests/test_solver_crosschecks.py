@@ -148,64 +148,37 @@ def test_batched_adaptive_and_fixed_agree_on_decay():
     assert np.array_equal(batched.scenario(0).states, fixed.states)
 
 
-# -- analytic engine vs the sparse solvers ------------------------------------
+# -- steady solve vs the long-horizon transient limit -----------------------
 
-def _ev6_model(include_secondary, nx=8):
+def _ev6_model(nx=8):
     from repro.floorplan import ev6_floorplan
     from repro.package import oil_silicon_package
 
     plan = ev6_floorplan()
     config = oil_silicon_package(plan.die_width, plan.die_height,
-                                 uniform_h=True,
-                                 include_secondary=include_secondary)
+                                 uniform_h=True, include_secondary=False)
     return ThermalGridModel(plan, config, nx=nx, ny=nx)
 
 
-def test_analytic_steady_and_transient_limit_agree():
-    """Three routes to one answer on the standard probe power maps.
-
-    The spectral engine, the sparse direct solve, and the long-horizon
-    transient limit must coincide on uniform, single-hot-block, and
-    checkerboard maps — the set that brackets the lateral spectrum.
-    On the rim-free oil package the analytic route is exact; the pins
-    here are the documented envelope (DESIGN.md §8).
-    """
-    from repro.solver.analytic import AnalyticSteadyEngine, default_power_maps
-
-    model = _ev6_model(include_secondary=False)
-    engine = AnalyticSteadyEngine(model)
-    for name, block_power in default_power_maps(model.floorplan).items():
+def test_steady_and_transient_limit_agree():
+    """The sparse direct solve and the long-horizon transient limit
+    coincide on uniform, single-hot-block and checkerboard maps — the
+    set that brackets the lateral spectrum."""
+    model = _ev6_model()
+    names = list(model.floorplan.names)
+    power_maps = {
+        "uniform": {name: 2.0 for name in names},
+        "hot_block": {name: (12.0 if i == 0 else 0.5)
+                      for i, name in enumerate(names)},
+        "checkerboard": {name: (4.0 if i % 2 == 0 else 0.5)
+                         for i, name in enumerate(names)},
+    }
+    for name, block_power in power_maps.items():
         power = model.node_power(block_power)
         direct = model.silicon_cell_rise(steady_state(model.network, power))
-        spectral = engine.solve(block_power).active_rise
         limit = model.silicon_cell_rise(
             transient_simulate(model.network, power, t_end=8.0, dt=0.01,
                                record_every=800).final()
         )
-        # exactness pin: rim-free spectral == direct to solver roundoff
-        np.testing.assert_allclose(spectral, direct, rtol=1e-9, atol=1e-9,
-                                   err_msg=f"map {name!r}")
-        # the transient settles onto the same steady field
         np.testing.assert_allclose(limit, direct, rtol=2e-3,
                                    err_msg=f"map {name!r}")
-
-
-def test_analytic_envelope_pinned_on_overhanging_package():
-    """With overhang (secondary path) the engine is approximate: the
-    rim Schur elimination keeps every probe map within the documented
-    5% envelope of the direct solve, uniform maps much tighter."""
-    from repro.solver.analytic import AnalyticSteadyEngine, default_power_maps
-
-    model = _ev6_model(include_secondary=True)
-    engine = AnalyticSteadyEngine(model)
-    errors = {}
-    for name, block_power in default_power_maps(model.floorplan).items():
-        power = model.node_power(block_power)
-        direct = model.silicon_cell_rise(steady_state(model.network, power))
-        spectral = engine.solve(block_power).active_rise
-        errors[name] = (float(np.abs(spectral - direct).max())
-                        / float(direct.max()))
-    assert all(err < 0.05 for err in errors.values()), errors
-    # the uniform map only excites the (exactly eliminated) mode 0 and
-    # the rim's uniform load: it must sit well inside the envelope
-    assert errors["uniform"] < 0.02
