@@ -57,9 +57,7 @@ def missed_transients() -> None:
     for fps in (30.0, 60.0, 125.0, 1000.0):
         camera = IRCamera(frame_rate=fps)
         _, frames = camera.capture(result.times, result.states, mapping)
-        missed = missed_peak_fraction(
-            result.times, truth, None, frames[:, hot_cell], threshold
-        )
+        missed = missed_peak_fraction(truth, frames[:, hot_cell], threshold)
         print(f"  {fps:8.0f}Hz {100 * (1 - missed):19.0f}%")
     print()
 

@@ -271,9 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     obs_cmd = sub.add_parser(
         "obs",
-        help="live telemetry and the perf-regression ledger: tail a "
-             "running campaign's events, report/check bench "
-             "trajectories",
+        help="live telemetry: tail a running campaign's events",
     )
     osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
 
@@ -294,35 +292,6 @@ def _build_parser() -> argparse.ArgumentParser:
     otail.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="stop following after S seconds even if the "
                             "campaign hasn't finished")
-
-    obench = osub.add_parser(
-        "bench-report",
-        help="summarize the perf ledger; --check fails on regression "
-             "against the same-machine trajectory median",
-    )
-    obench.add_argument("--ledger", default=None, metavar="PATH",
-                        help="ledger file (default: $REPRO_BENCH_LEDGER "
-                             "or BENCH_obs.json)")
-    obench.add_argument("--check", action="store_true",
-                        help="exit non-zero when any series' newest point "
-                             "regressed more than --max-regression")
-    obench.add_argument("--max-regression", type=float, default=0.25,
-                        metavar="F",
-                        help="allowed fractional regression vs the "
-                             "same-machine median (default 0.25)")
-
-    orecord = osub.add_parser(
-        "bench-record", help="append one measurement to the perf ledger"
-    )
-    orecord.add_argument("--ledger", default=None, metavar="PATH",
-                         help="ledger file (default: $REPRO_BENCH_LEDGER "
-                              "or BENCH_obs.json)")
-    orecord.add_argument("--bench", required=True,
-                         help="benchmark name (e.g. bench_batched)")
-    orecord.add_argument("--metric", required=True,
-                         help="metric name (e.g. batched_solve_s)")
-    orecord.add_argument("--value", type=float, required=True,
-                         help="measured value")
     return parser
 
 
@@ -808,44 +777,8 @@ def _obs_tail(args) -> int:
     return 0
 
 
-def _ledger_path(args) -> str:
-    import os as _os
-
-    return (args.ledger or _os.environ.get("REPRO_BENCH_LEDGER")
-            or obs.DEFAULT_LEDGER)
-
-
-def _obs_bench_report(args) -> int:
-    ledger = obs.Ledger(_ledger_path(args))
-    print(ledger.report())
-    if not args.check:
-        return 0
-    findings = ledger.check(max_regression=args.max_regression)
-    for finding in findings:
-        print(f"REGRESSION: {finding.describe()}", file=sys.stderr)
-    if findings:
-        return 1
-    print(f"check: no series regressed more than "
-          f"{args.max_regression:.0%} vs its same-machine median")
-    return 0
-
-
-def _obs_bench_record(args) -> int:
-    ledger = obs.Ledger(_ledger_path(args))
-    record = ledger.append(args.bench, args.metric, args.value)
-    print(f"recorded {record['bench']}/{record['metric']} = "
-          f"{record['value']:g} (machine {record['machine']}, "
-          f"sha {record['git_sha']}) -> {ledger.path}")
-    return 0
-
-
 def cmd_obs(args) -> int:
-    handlers = {
-        "tail": _obs_tail,
-        "bench-report": _obs_bench_report,
-        "bench-record": _obs_bench_record,
-    }
-    return handlers[args.obs_command](args)
+    return _obs_tail(args)
 
 
 _COMMANDS = {

@@ -109,11 +109,13 @@ class IRCamera:
         for t_frame in frame_times:
             if self.exposure > 0:
                 window = (times >= t_frame - self.exposure) & (times <= t_frame)
-                if not np.any(window):
-                    window = slice(
-                        max(0, int(np.searchsorted(times, t_frame)) - 1), None
-                    )
-                field = surface_fields[window].mean(axis=0)
+                if np.any(window):
+                    field = surface_fields[window].mean(axis=0)
+                else:
+                    # no sample inside the exposure: hold the latest
+                    # sample at or before the frame, never a later one
+                    latest = int(np.searchsorted(times, t_frame, "right")) - 1
+                    field = surface_fields[max(0, latest)]
             else:
                 index = int(np.argmin(np.abs(times - t_frame)))
                 field = surface_fields[index]
@@ -164,11 +166,7 @@ def _gaussian_blur_2d(
 
 
 def missed_peak_fraction(
-    times: np.ndarray,
-    trace: np.ndarray,
-    frame_times: np.ndarray,
-    frame_trace: np.ndarray,
-    threshold: float,
+    trace: np.ndarray, frame_trace: np.ndarray, threshold: float
 ) -> float:
     """Fraction of above-threshold time the camera failed to observe.
 
@@ -176,7 +174,6 @@ def missed_peak_fraction(
     camera-reported trace's: the paper's warning that a slow camera can
     "miss thermal violations" made quantitative.
     """
-    times = np.asarray(times, dtype=float)
     trace = np.asarray(trace, dtype=float)
     true_above = float(np.mean(trace >= threshold))
     if true_above <= 0.0:

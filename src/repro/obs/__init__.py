@@ -42,15 +42,6 @@ from .export import (
     write_chrome_trace,
     write_spans_jsonl,
 )
-from .ledger import (
-    DEFAULT_LEDGER,
-    DEFAULT_MAX_REGRESSION,
-    Ledger,
-    Regression,
-    current_git_sha,
-    lower_is_better,
-    machine_fingerprint,
-)
 from .logsetup import logging_setup, verbosity_level
 from .progress import CampaignProgress, JobProgress, LiveRenderer
 from .taxonomy import METRIC_NAMES, METRIC_PREFIXES, SPAN_NAMES, known_metric, known_span
@@ -112,37 +103,30 @@ __all__ = [
     "AnySpan",
     "CampaignProgress",
     "Counter",
-    "DEFAULT_LEDGER",
-    "DEFAULT_MAX_REGRESSION",
     "DEFAULT_TIME_BUCKETS",
     "EVENT_TYPES",
     "Event",
     "Gauge",
     "Histogram",
     "JobProgress",
-    "Ledger",
     "LiveRenderer",
     "METRIC_NAMES",
     "METRIC_PREFIXES",
     "MetricsRegistry",
     "NULL_SPAN",
     "NullSpan",
-    "Regression",
     "SPAN_NAMES",
     "Snapshot",
     "Span",
     "Tracer",
     "chrome_summary_table",
     "chrome_trace",
-    "current_git_sha",
     "disable_tracing",
     "enable_tracing",
     "flatten_snapshot",
     "known_metric",
     "known_span",
     "logging_setup",
-    "lower_is_better",
-    "machine_fingerprint",
     "make_event",
     "metrics",
     "read_events_jsonl",

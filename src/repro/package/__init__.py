@@ -20,12 +20,6 @@ from .config import CoolingConfig, SecondaryPath
 from .air_sink import air_sink_package, AirSinkGeometry
 from .oil_silicon import oil_silicon_package
 from .secondary import default_secondary_path
-from .hotspot_config import (
-    HotSpotConfig,
-    parse_hotspot_config,
-    format_hotspot_config,
-    hotspot_equivalent_keys,
-)
 from .taxonomy import (
     natural_convection_package,
     water_cooled_package,
@@ -48,8 +42,4 @@ __all__ = [
     "microchannel_package",
     "tec_assisted_oil_package",
     "standard_package_menu",
-    "HotSpotConfig",
-    "parse_hotspot_config",
-    "format_hotspot_config",
-    "hotspot_equivalent_keys",
 ]

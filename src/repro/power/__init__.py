@@ -6,7 +6,6 @@ from .synthetic import (
     step_power,
     pulse_train,
     power_handoff,
-    random_phase_power,
 )
 
 __all__ = [
@@ -15,5 +14,4 @@ __all__ = [
     "step_power",
     "pulse_train",
     "power_handoff",
-    "random_phase_power",
 ]

@@ -2,8 +2,7 @@
 
 These generators produce the exact power stimuli of the characterization
 figures: a long step on one block (Fig. 6), a periodic on/off pulse
-train (Fig. 8), a power hand-off between two blocks (Fig. 9), plus a
-phase-structured random trace for stress tests.
+train (Fig. 8) and a power hand-off between two blocks (Fig. 9).
 """
 
 from __future__ import annotations
@@ -97,38 +96,3 @@ def power_handoff(
     samples[n_first:, floorplan.index_of(second_block)] = power
     return PowerTrace(floorplan.names, samples, dt)
 
-
-def random_phase_power(
-    floorplan: Floorplan,
-    mean_power: Dict[str, float],
-    n_samples: int,
-    dt: float,
-    n_phases: int = 4,
-    burstiness: float = 0.5,
-    seed: int = 0,
-) -> PowerTrace:
-    """A phase-structured random trace around per-block means.
-
-    Splits time into ``n_phases`` contiguous phases; each phase draws a
-    per-block activity multiplier, and samples within a phase add
-    white noise.  ``burstiness`` in [0, 1) scales both variations.
-    Deterministic for a given seed.
-    """
-    if not 0 <= burstiness < 1:
-        raise PowerTraceError("burstiness must lie in [0, 1)")
-    if n_samples < 1 or n_phases < 1:
-        raise PowerTraceError("n_samples and n_phases must be >= 1")
-    rng = np.random.default_rng(seed)
-    means = floorplan.power_vector(mean_power)
-    boundaries = np.linspace(0, n_samples, n_phases + 1).astype(int)
-    samples = np.empty((n_samples, len(floorplan)))
-    for p in range(n_phases):
-        lo, hi = boundaries[p], boundaries[p + 1]
-        if hi <= lo:
-            continue
-        phase_scale = 1.0 + burstiness * rng.uniform(-1, 1, size=len(floorplan))
-        noise = 1.0 + 0.5 * burstiness * rng.standard_normal(
-            (hi - lo, len(floorplan))
-        )
-        samples[lo:hi] = np.clip(means * phase_scale * noise, 0.0, None)
-    return PowerTrace(floorplan.names, samples, dt)

@@ -11,7 +11,6 @@ node plus coolant capacitances (paper Eqns 1-4, Fig. 7).
 from .network import NetworkBuilder, ThermalNetwork
 from .grid import ThermalGridModel
 from .blockmodel import ThermalBlockModel, find_shared_edges
-from .spice import write_spice_netlist, netlist_statistics
 from .circuits import (
     air_sink_short_term_time_constant,
     air_sink_long_term_time_constant,
@@ -25,8 +24,6 @@ __all__ = [
     "ThermalGridModel",
     "ThermalBlockModel",
     "find_shared_edges",
-    "write_spice_netlist",
-    "netlist_statistics",
     "air_sink_short_term_time_constant",
     "air_sink_long_term_time_constant",
     "oil_silicon_time_constant",

@@ -16,7 +16,6 @@ from .calibration import (
     calibrate_sensors,
     calibration_bias_bound,
 )
-from .estimation import MapEstimate, ModelBasedEstimator
 
 __all__ = [
     "ThermalSensor",
@@ -32,6 +31,4 @@ __all__ = [
     "CalibrationResult",
     "calibrate_sensors",
     "calibration_bias_bound",
-    "MapEstimate",
-    "ModelBasedEstimator",
 ]

@@ -19,7 +19,6 @@ from .batched import (
 from .coupled import (
     CoupledSteadyResult,
     steady_state_with_leakage,
-    transient_with_leakage,
 )
 from .adaptive import AdaptiveTransientSolver
 
@@ -42,6 +41,5 @@ __all__ = [
     "batched_transient_simulate",
     "CoupledSteadyResult",
     "steady_state_with_leakage",
-    "transient_with_leakage",
     "AdaptiveTransientSolver",
 ]

@@ -4,16 +4,11 @@ Leakage power grows (roughly exponentially) with temperature, so the
 power map depends on the temperature map it produces.  The paper's
 Conclusions flag exactly this coupling as what complicates translating
 IR-bench measurements to the real package.  This module closes the
-loop:
+loop: :func:`steady_state_with_leakage` is a fixed-point iteration
+``T -> P_leak(T) -> T`` with convergence and thermal-runaway
+detection.
 
-* :func:`steady_state_with_leakage` -- fixed-point iteration
-  ``T -> P_leak(T) -> T`` with convergence and thermal-runaway
-  detection;
-* :func:`transient_with_leakage` -- transient stepping where each
-  step's power is re-evaluated at the previous step's temperatures
-  (first-order lag, adequate for thermal time scales).
-
-Both accept any model exposing the common interface
+It accepts any model exposing the common interface
 (``ThermalGridModel`` or ``ThermalBlockModel``) and any callable
 ``leakage(block_temps_K) -> block_watts``.
 """
@@ -21,13 +16,12 @@ Both accept any model exposing the common interface
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, Sequence, Union
 
 import numpy as np
 
 from ..errors import SolverError
 from .steady import steady_state
-from .transient import TransientResult, TrapezoidalStepper, plan_fixed_steps
 
 if TYPE_CHECKING:
     from ..rcmodel.blockmodel import ThermalBlockModel
@@ -116,55 +110,4 @@ def steady_state_with_leakage(
     return CoupledSteadyResult(
         rise=rise, block_temps=block_temps, leakage=leak,
         iterations=max_iterations, converged=False,
-    )
-
-
-def transient_with_leakage(
-    model: ThermalModel,
-    dynamic_power_at: Callable[[float], np.ndarray],
-    leakage: LeakageFunction,
-    t_end: float,
-    dt: float,
-    x0: Optional[np.ndarray] = None,
-    record_every: int = 1,
-) -> TransientResult:
-    """Transient solve with leakage re-evaluated each step.
-
-    ``dynamic_power_at(t)`` returns the per-block dynamic power; the
-    leakage added on top uses the block temperatures from the previous
-    step (one-step lag).  Records per-block absolute temperatures.
-    """
-    n_full, dt_final = plan_fixed_steps(t_end, dt)
-    stepper = TrapezoidalStepper(model.network, dt)
-    ambient = model.config.ambient
-    x = np.zeros(model.n_nodes) if x0 is None else np.asarray(x0, float).copy()
-    block_temps = model.block_rise(x) + ambient
-
-    def node_power(t: float) -> np.ndarray:
-        dynamic = np.asarray(dynamic_power_at(t), dtype=float)
-        leak = np.asarray(leakage(block_temps), dtype=float)
-        return model.node_power(dynamic + leak)
-
-    times = [0.0]
-    records = [block_temps.copy()]
-    p_now = node_power(0.0)
-    for step in range(1, n_full + 1):
-        t = step * dt
-        p_next = node_power(t)
-        x = stepper.step(x, p_now, p_next)
-        p_now = p_next
-        block_temps = model.block_rise(x) + ambient
-        if step % record_every == 0 or (step == n_full and dt_final is None):
-            times.append(t)
-            records.append(block_temps.copy())
-    if dt_final is not None:
-        # exact final partial step, as in transient_simulate: a
-        # misaligned dt must not stop short of t_end
-        p_next = node_power(t_end)
-        x = TrapezoidalStepper(model.network, dt_final).step(x, p_now, p_next)
-        block_temps = model.block_rise(x) + ambient
-        times.append(t_end)
-        records.append(block_temps.copy())
-    return TransientResult(
-        times=np.asarray(times), states=np.vstack(records)
     )

@@ -8,11 +8,7 @@ from repro.experiments.common import celsius
 from repro.floorplan import ev6_floorplan, uniform_grid_floorplan
 from repro.package import air_sink_package, oil_silicon_package
 from repro.rcmodel import ThermalBlockModel, ThermalGridModel
-from repro.solver import (
-    steady_state,
-    steady_state_with_leakage,
-    transient_with_leakage,
-)
+from repro.solver import steady_state, steady_state_with_leakage
 from repro.analysis import translate_measurement, translation_error
 
 
@@ -110,44 +106,6 @@ class TestCoupledSteady:
         with pytest.raises(SolverError):
             steady_state_with_leakage(
                 oil_model, np.full(4, 1.0), lambda t: np.full(4, -1.0)
-            )
-
-
-class TestCoupledTransient:
-    def test_tracks_leakage_growth(self, oil_model):
-        plan = oil_model.floorplan
-        leakage = exp_leakage(plan)
-        dynamic = np.full(4, 5.0)
-        result = transient_with_leakage(
-            oil_model, lambda _t: dynamic, leakage, t_end=2.0, dt=0.02
-        )
-        # temperatures rise monotonically toward the coupled steady state
-        assert np.all(np.diff(result.states.mean(axis=1)) >= -1e-9)
-        steady = steady_state_with_leakage(oil_model, dynamic, leakage)
-        np.testing.assert_allclose(
-            result.final(), steady.block_temps, rtol=0.02
-        )
-
-    def test_misaligned_dt_reaches_t_end(self, oil_model):
-        # 0.1 / 0.03 is not whole: three full steps, then an exact
-        # 0.01 s partial step, instead of stopping at 0.09
-        dynamic = np.full(4, 5.0)
-        leakage = exp_leakage(oil_model.floorplan)
-        result = transient_with_leakage(
-            oil_model, lambda _t: dynamic, leakage, t_end=0.1, dt=0.03
-        )
-        np.testing.assert_allclose(result.times, [0.0, 0.03, 0.06, 0.09, 0.1])
-        # the partial step advances the state past the 0.09 s record
-        assert np.all(result.states[-1] > result.states[-2])
-
-    def test_t_end_below_dt_rejected(self, oil_model):
-        # as in transient_simulate: no full step fits, so no silent
-        # single step past t_end
-        dynamic = np.full(4, 5.0)
-        leakage = exp_leakage(oil_model.floorplan)
-        with pytest.raises(SolverError):
-            transient_with_leakage(
-                oil_model, lambda _t: dynamic, leakage, t_end=0.02, dt=0.03
             )
 
 

@@ -44,13 +44,13 @@ def test_slow_camera_misses_short_events(mapping):
     slow = IRCamera(frame_rate=30.0)
     fast = IRCamera(frame_rate=1000.0)
     _, slow_frames = slow.capture(times, fields, mapping)
-    ft, fast_frames = fast.capture(times, fields, mapping)
+    _, fast_frames = fast.capture(times, fields, mapping)
     threshold = 75.0
     missed_slow = missed_peak_fraction(
-        times, fields[:, 0], None, slow_frames[:, 0], threshold
+        fields[:, 0], slow_frames[:, 0], threshold
     )
     missed_fast = missed_peak_fraction(
-        times, fields[:, 0], None, fast_frames[:, 0], threshold
+        fields[:, 0], fast_frames[:, 0], threshold
     )
     assert missed_fast < 0.1
     assert missed_slow > missed_fast
@@ -67,6 +67,20 @@ def test_exposure_averages_window(mapping):
     assert abs(integ[:, 0].mean() - duty_mean) < abs(
         snap[:, 0].mean() - duty_mean
     ) + 1e-9
+
+
+def test_exposure_without_samples_holds_the_latest_past_sample(mapping):
+    # 3 ms samples whose field equals t in ms, a 125 Hz camera and a
+    # 1 ms exposure: no sample lies in the 8 ms frame's [7, 8] ms window
+    times = 0.003 * np.arange(11)
+    fields = np.repeat(1e3 * times[:, None], mapping.n_cells, axis=1)
+    camera = IRCamera(frame_rate=125.0, exposure=0.001)
+    frame_times, frames = camera.capture(times, fields, mapping)
+    assert frame_times[0] == pytest.approx(0.008)
+    # the latest sample at or before 8 ms is the 6 ms one, not the
+    # 18.0 mean of it and every later sample
+    np.testing.assert_allclose(frames[0], 6.0)
+    np.testing.assert_allclose(frames[1], 15.0)
 
 
 def test_exposure_cannot_exceed_frame_period():

@@ -1,4 +1,4 @@
-"""Tests for repro.obs campaign events, progress, and the perf ledger."""
+"""Tests for repro.obs campaign events, progress and the ``obs tail`` CLI."""
 
 import io
 import json
@@ -18,7 +18,6 @@ from repro.campaign import (
 )
 from repro.cli import main
 from repro.obs.events import read_events_jsonl
-from repro.obs.ledger import Ledger, lower_is_better, machine_fingerprint
 from repro.obs.metrics import MetricsRegistry
 
 TWO_BLOCK_POWER = (("IntReg", 3.0), ("Dcache", 2.0))
@@ -335,114 +334,8 @@ def test_live_renderer_paints_to_stream():
 
 
 # ---------------------------------------------------------------------------
-# the perf-regression ledger
+# the CLI: obs tail and campaign --live
 # ---------------------------------------------------------------------------
-
-
-def test_ledger_append_and_check_passes_on_stable_trajectory(tmp_path):
-    ledger = Ledger(str(tmp_path / "BENCH_obs.json"))
-    ledger.append("bench_batched", "batched_solve_s", 1.00)
-    ledger.append("bench_batched", "batched_solve_s", 1.04)
-    ledger.append("bench_batched", "batched_solve_s", 0.98)
-    assert len(ledger.load()) == 3
-    assert ledger.check() == []
-    assert "bench_batched" in ledger.report()
-
-
-def test_ledger_check_fails_on_synthetic_2x_slowdown(tmp_path):
-    ledger = Ledger(str(tmp_path / "BENCH_obs.json"))
-    ledger.append("bench_batched", "batched_solve_s", 1.00)
-    ledger.append("bench_batched", "batched_solve_s", 1.02)
-    ledger.append("bench_batched", "batched_solve_s", 2.02)  # 2x slowdown
-    findings = ledger.check()
-    assert len(findings) == 1
-    finding = findings[0]
-    assert finding.metric == "batched_solve_s"
-    assert finding.ratio > 0.9
-    assert "batched_solve_s" in finding.describe()
-
-
-def test_ledger_direction_inference_for_rates():
-    assert lower_is_better("solve_s")
-    assert lower_is_better("steady_solve_seconds")
-    assert lower_is_better("rss_bytes")
-    assert not lower_is_better("scenarios_per_sec")
-    assert not lower_is_better("batch_speedup")
-
-
-def test_ledger_higher_is_better_regresses_downward(tmp_path):
-    ledger = Ledger(str(tmp_path / "l.json"))
-    ledger.append("bench", "steps_per_sec", 1000.0)
-    ledger.append("bench", "steps_per_sec", 990.0)
-    assert ledger.check() == []
-    ledger.append("bench", "steps_per_sec", 400.0)
-    findings = ledger.check()
-    assert len(findings) == 1
-    assert findings[0].metric == "steps_per_sec"
-
-
-def test_ledger_ignores_other_machines_history(tmp_path):
-    ledger = Ledger(str(tmp_path / "l.json"))
-    # committed history from some other machine: twice as fast
-    ledger.append("bench", "solve_s", 0.50, machine="someone-elses-ci")
-    ledger.append("bench", "solve_s", 0.52, machine="someone-elses-ci")
-    # this machine's first point: no same-machine baseline -> passes
-    ledger.append("bench", "solve_s", 1.10)
-    assert ledger.check() == []
-    # and regressions are judged against THIS machine's own trajectory
-    ledger.append("bench", "solve_s", 1.12)
-    assert ledger.check() == []
-    ledger.append("bench", "solve_s", 2.40)
-    assert len(ledger.check()) == 1
-
-
-def test_ledger_machine_fingerprint_is_stable_and_anonymous():
-    fp = machine_fingerprint()
-    assert fp == machine_fingerprint()
-    assert len(fp) == 12
-    import platform
-
-    assert platform.node() not in fp  # no hostname leakage
-
-
-def test_ledger_survives_corrupt_file(tmp_path):
-    path = tmp_path / "l.json"
-    path.write_text("{not json", encoding="utf-8")
-    ledger = Ledger(str(path))
-    assert ledger.load() == []
-    ledger.append("bench", "solve_s", 1.0)
-    assert len(ledger.load()) == 1
-
-
-# ---------------------------------------------------------------------------
-# the CLI: obs subcommands and campaign --live
-# ---------------------------------------------------------------------------
-
-
-def test_cli_bench_record_and_report_check(tmp_path, capsys):
-    ledger_path = str(tmp_path / "BENCH_obs.json")
-    base = ["obs", "bench-record", "--ledger", ledger_path,
-            "--bench", "b", "--metric", "solve_s"]
-    assert main(base + ["--value", "1.0"]) == 0
-    assert main(base + ["--value", "1.02"]) == 0
-    assert main(["obs", "bench-report", "--ledger", ledger_path,
-                 "--check"]) == 0
-    capsys.readouterr()
-    assert main(base + ["--value", "2.2"]) == 0
-    assert main(["obs", "bench-report", "--ledger", ledger_path,
-                 "--check"]) == 1
-    captured = capsys.readouterr()
-    assert "solve_s" in captured.err  # the offending metric is named
-    assert "REGRESSION" in captured.err
-
-
-def test_cli_bench_report_reads_ledger_env(tmp_path, capsys, monkeypatch):
-    ledger_path = str(tmp_path / "env_ledger.json")
-    monkeypatch.setenv("REPRO_BENCH_LEDGER", ledger_path)
-    assert main(["obs", "bench-record", "--bench", "b", "--metric",
-                 "solve_s", "--value", "1.0"]) == 0
-    assert os.path.exists(ledger_path)
-    assert main(["obs", "bench-report", "--check"]) == 0
 
 
 def test_cli_campaign_live_and_obs_tail(tmp_path, capsys, monkeypatch):

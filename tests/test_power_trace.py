@@ -12,7 +12,6 @@ from repro.power import (
     constant_power,
     power_handoff,
     pulse_train,
-    random_phase_power,
     step_power,
 )
 
@@ -129,24 +128,3 @@ class TestGenerators:
         plan = ev6_floorplan()
         with pytest.raises(PowerTraceError):
             power_handoff(plan, "IntReg", "FPMap", 2.0, 0.02, 0.01, 0.001)
-
-    def test_random_phase_power_deterministic(self):
-        plan = ev6_floorplan()
-        kwargs = dict(
-            mean_power={"IntReg": 5.0, "Dcache": 10.0},
-            n_samples=100, dt=1e-5, seed=42,
-        )
-        a = random_phase_power(plan, **kwargs)
-        b = random_phase_power(plan, **kwargs)
-        np.testing.assert_allclose(a.samples, b.samples)
-
-    def test_random_phase_power_respects_means(self):
-        plan = ev6_floorplan()
-        trace = random_phase_power(
-            plan, {"IntReg": 5.0}, n_samples=4000, dt=1e-5,
-            burstiness=0.3, seed=1,
-        )
-        assert trace.average()[plan.index_of("IntReg")] == pytest.approx(
-            5.0, rel=0.25
-        )
-        assert np.all(trace.samples >= 0)
