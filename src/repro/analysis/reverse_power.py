@@ -16,9 +16,7 @@ that ignores direction), exactly reproducing the artifact.
 
 from __future__ import annotations
 
-
 import numpy as np
-from scipy.optimize import nnls
 
 from ..errors import SolverError
 from ..rcmodel.grid import ThermalGridModel
@@ -58,6 +56,10 @@ def reverse_engineer_power(
         raise SolverError(
             f"measured_rise has shape {measured_rise.shape}, expected ({n},)"
         )
+    # scipy.optimize loads ~170 modules (scipy.special, scipy.fft, ...)
+    # that nothing else needs, so it is imported only where it is used
+    from scipy.optimize import nnls
+
     response = block_response_matrix(assumed_model)
     power, residual = nnls(response, measured_rise)
     if not np.all(np.isfinite(power)):

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
-from ..solver.transient import TrapezoidalStepper
+from ..solver.transient import TrapezoidalStepper, checked_x0
 from .controller import DTMController, DTMRun
 
 
@@ -35,7 +35,9 @@ def run_dtm_batch(
     network, one factorization) and all traces must share one time
     grid (same ``dt``, same sample count) so the columns step
     together.  Violations raise :class:`ConfigurationError`; campaign
-    callers treat that as "fall back to per-job execution".
+    callers treat that as "fall back to per-job execution".  An
+    ``x0s`` entry that is not a finite ``(n_nodes,)`` state raises
+    :class:`~repro.errors.SolverError`, as the serial loops do.
     """
     if not controllers:
         raise ConfigurationError("need at least one controller")
@@ -81,7 +83,7 @@ def run_dtm_batch(
             )
         for k, x0 in enumerate(x0s):
             if x0 is not None:
-                x[:, k] = np.asarray(x0, float)
+                x[:, k] = checked_x0(x0, model.n_nodes)
 
     engaged_until = [-np.inf] * n_scenarios
     n_engagements = [0] * n_scenarios

@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..rcmodel.grid import ThermalGridModel
 from ..sensors.sensor import SensorArray
-from ..solver.transient import TrapezoidalStepper
+from ..solver.transient import TrapezoidalStepper, checked_x0
 from .policies import DTMPolicy
 
 
@@ -108,7 +108,7 @@ class DTMController:
         stepper = TrapezoidalStepper(model.network, dt)
         scale = self.policy.power_scale_vector(model.floorplan)
 
-        x = np.zeros(model.n_nodes) if x0 is None else np.asarray(x0, float).copy()
+        x = checked_x0(x0, model.n_nodes)
         ambient = model.config.ambient
         engaged_until = -np.inf
         n_engagements = 0

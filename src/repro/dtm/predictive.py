@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..sensors.sensor import SensorArray
-from ..solver.transient import TrapezoidalStepper
+from ..solver.transient import TrapezoidalStepper, checked_x0
 from .controller import DTMRun
 from .policies import DTMPolicy
 
@@ -76,8 +76,7 @@ class PredictiveDTMController:
         scale = self.policy.power_scale_vector(model.floorplan)
         ambient = model.config.ambient
 
-        x = np.zeros(model.n_nodes) if x0 is None \
-            else np.asarray(x0, float).copy()
+        x = checked_x0(x0, model.n_nodes)
         engaged_until = -np.inf
         n_engagements = 0
         work = 0.0

@@ -105,20 +105,20 @@ class IRCamera:
         frame_times = np.arange(
             self.frame_period, times[-1] + 1e-12, self.frame_period
         )
+        # a frame that falls on a sample instant reads that sample, even
+        # when np.arange rounding puts the frame time a few ulps early
+        on_sample = 1e-6 * (times[-1] - times[0]) / (times.size - 1)
         frames: List[np.ndarray] = []
         for t_frame in frame_times:
+            now = t_frame + on_sample
+            # a snapshot, or an exposure that holds no sample, reads the
+            # latest sample at or before the frame, never a later one
+            latest = int(np.searchsorted(times, now, "right")) - 1
+            field = surface_fields[max(0, latest)]
             if self.exposure > 0:
-                window = (times >= t_frame - self.exposure) & (times <= t_frame)
+                window = (times >= t_frame - self.exposure) & (times <= now)
                 if np.any(window):
                     field = surface_fields[window].mean(axis=0)
-                else:
-                    # no sample inside the exposure: hold the latest
-                    # sample at or before the frame, never a later one
-                    latest = int(np.searchsorted(times, t_frame, "right")) - 1
-                    field = surface_fields[max(0, latest)]
-            else:
-                index = int(np.argmin(np.abs(times - t_frame)))
-                field = surface_fields[index]
             field = self._blur(field, mapping)
             if self.netd > 0:
                 field = field + rng.normal(0.0, self.netd, size=field.shape)

@@ -12,7 +12,7 @@ from repro.dtm import (
     time_above_threshold,
 )
 from repro.dtm.metrics import cooldown_time_after_trigger, performance_penalty
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SolverError
 from repro.floorplan import ev6_floorplan, uniform_grid_floorplan
 from repro.package import oil_silicon_package
 from repro.power import constant_power
@@ -217,3 +217,41 @@ class TestPredictiveController:
                 model, sensors, ClockGating(0.2), threshold=threshold,
                 engagement_duration=0.05, horizon=-1.0,
             )
+
+
+def _run_reactive(model, sensors, trace, x0):
+    return DTMController(
+        model, sensors, ClockGating(0.3), 318.15 + 40.0, 0.1
+    ).run(trace, x0=x0)
+
+
+def _run_predictive(model, sensors, trace, x0):
+    from repro.dtm import PredictiveDTMController
+    return PredictiveDTMController(
+        model, sensors, ClockGating(0.3), 318.15 + 40.0, 0.1, horizon=0.05
+    ).run(trace, x0=x0)
+
+
+def _run_batch(model, sensors, trace, x0):
+    from repro.dtm.batch import run_dtm_batch
+    controller = DTMController(
+        model, sensors, ClockGating(0.3), 318.15 + 40.0, 0.1
+    )
+    # the bad state sits in the second column, behind a good one
+    return run_dtm_batch(
+        [controller, controller], [trace, trace], x0s=[None, x0]
+    )
+
+
+@pytest.mark.parametrize("bad_x0", ["nan", "short"])
+@pytest.mark.parametrize(
+    "run", [_run_reactive, _run_predictive, _run_batch],
+    ids=["controller", "predictive", "batch"],
+)
+def test_dtm_loops_reject_a_bad_initial_state(hot_setup, run, bad_x0):
+    plan, model, sensors = hot_setup
+    trace = constant_power(plan, {"die": 40.0}, duration=0.1, dt=0.01)
+    x0 = (np.full(model.n_nodes, np.nan) if bad_x0 == "nan"
+          else np.zeros(model.n_nodes - 1))
+    with pytest.raises(SolverError):
+        run(model, sensors, trace, x0)

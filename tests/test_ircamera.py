@@ -83,6 +83,31 @@ def test_exposure_without_samples_holds_the_latest_past_sample(mapping):
     np.testing.assert_allclose(frames[1], 15.0)
 
 
+def test_snapshot_holds_the_latest_past_sample(mapping):
+    # the same 3 ms samples at 125 Hz: the nearest sample to the 8 ms
+    # frame is the 9 ms one, which a snapshot has not seen yet
+    times = 0.003 * np.arange(11)
+    fields = np.repeat(1e3 * times[:, None], mapping.n_cells, axis=1)
+    frame_times, frames = IRCamera(frame_rate=125.0).capture(
+        times, fields, mapping
+    )
+    np.testing.assert_allclose(frames[:, 0], [6.0, 15.0, 24.0])
+
+
+def test_snapshot_on_a_sample_instant_reads_that_sample(mapping):
+    # 0.1 ms samples whose field is the sample index and a 1000 Hz
+    # camera: every frame falls on every tenth sample, though np.arange
+    # rounds some frame times a few ulps early
+    times = np.arange(200) * 1e-4
+    fields = np.repeat(np.arange(200.0)[:, None], mapping.n_cells, axis=1)
+    frame_times, frames = IRCamera(frame_rate=1000.0).capture(
+        times, fields, mapping
+    )
+    on_frame = 10 * np.arange(1, 20)
+    assert np.any(frame_times < times[on_frame])
+    np.testing.assert_array_equal(frames[:, 0], on_frame)
+
+
 def test_exposure_cannot_exceed_frame_period():
     with pytest.raises(ConfigurationError):
         IRCamera(frame_rate=100.0, exposure=0.02)
