@@ -4,7 +4,8 @@ Runs, in one process and from a cold temporary cache, everything the
 reproduction's results come from:
 
 * ``run_all_experiments`` fast and full (the 21 claims of
-  ``repro reproduce``);
+  ``repro reproduce``), serially with ``jobs=1`` so that no figure
+  runs in a forked worker the hook cannot see;
 * the ``fig12-trace`` and ``campaign-sweep`` bodies of the end-to-end
   benchmark, imported from ``benchmarks/e2e/workloads.py``.
 
@@ -49,7 +50,8 @@ def _run_everything(called: Set[FunctionKey]) -> None:
         threading.setprofile(profile)
         try:
             for fast in (True, False):
-                report.run_all_experiments(fast=fast)
+                # serial: the profile hook sees this process only
+                report.run_all_experiments(fast=fast, jobs=1)
             for name in ("fig12-trace", "campaign-sweep"):
                 cls = workloads.WORKLOADS[name]
                 cls.warm(0)

@@ -20,13 +20,14 @@ Execution of one campaign proceeds in three steps:
 
 Observability: progress is reported through the stdlib
 ``repro.campaign`` logger (wire a handler with
-:func:`repro.obs.logging_setup`).  When tracing is enabled — or
-``capture_obs=True`` is passed — each worker runs its job under a
-span, snapshots the :mod:`repro.obs` metrics registry before and
-after, and ships the span tree plus the metrics delta back through
-:class:`JobOutcome`, so per-job solver behaviour (factorizations,
-steps, cache hits) survives the process-pool boundary and lands in
-the JSONL manifest.
+:func:`repro.obs.logging_setup`).  A pool worker always returns the
+:mod:`repro.obs` metrics delta of its job
+(:func:`repro.obs.measured_call`) and the parent merges it, so pool
+and serial runs leave the same global counts.  When tracing is
+enabled — or ``capture_obs=True`` is passed — each job also runs
+under a span and ships the span tree plus a flat metrics delta back
+through :class:`JobOutcome`, so per-job solver behaviour
+(factorizations, steps, cache hits) lands in the JSONL manifest.
 
 Live progress: ``on_event`` receives the campaign's lifecycle events
 (:mod:`repro.obs.events`), called synchronously in this process as the
@@ -76,12 +77,10 @@ def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
 
     Module-level so it pickles to pool workers.  With ``capture`` the
     job runs under a forced-on tracer span and the return carries an
-    observability record: the serialized span tree, a flat metrics
-    delta for manifests, and the structured delta snapshot for merging
-    into the parent registry.
+    observability record: the serialized span tree and a flat metrics
+    delta for manifests.
     """
     start = time.perf_counter()
-    registry = obs.metrics()
     if not capture:
         result = get_runner(spec.kind)(spec)
         return result, time.perf_counter() - start, os.getpid(), None
@@ -89,19 +88,16 @@ def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
     tracer = obs.tracer()
     was_enabled = tracer.enabled
     tracer.enabled = True
-    before = registry.snapshot()
     try:
         with obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
                       tracer=tracer) as job_span:
-            result = get_runner(spec.kind)(spec)
+            result, delta = obs.measured_call(get_runner(spec.kind), spec)
     finally:
         tracer.enabled = was_enabled
-    delta = obs.snapshot_diff(registry.snapshot(), before)
     capture_record: Dict[str, Any] = {
         "pid": os.getpid(),
         "span": job_span.to_dict(),
         "metrics": obs.flatten_snapshot(delta),
-        "snapshot": delta,
     }
     return result, time.perf_counter() - start, os.getpid(), capture_record
 
@@ -118,7 +114,7 @@ class JobOutcome:
     worker: str = ""
     retries: int = 0
     #: Observability capture from the (possibly remote) worker:
-    #: ``{"pid", "span", "metrics", "snapshot"}`` or ``None``.
+    #: ``{"pid", "span", "metrics"}`` or ``None``.
     obs: Optional[Dict[str, Any]] = None
 
     @property
@@ -321,10 +317,9 @@ def _run_batched(
     lockstep run and apportioned evenly across its K member jobs
     (:func:`repro.obs.scale_snapshot`), so manifest ``"obs"`` records
     stay populated under batching instead of silently lumping K jobs'
-    solver counters into nothing.  Apportioned records carry
-    ``"snapshot": None`` and this process's pid — the deltas are
-    already counted in the parent registry, so the cross-process merge
-    loop must not fold them again.
+    solver counters into nothing.  Apportioned records carry this
+    process's pid; the counts they share out are already in its
+    registry.
     """
     from .batching import batch_groups, get_batch_runner
 
@@ -371,7 +366,6 @@ def _run_batched(
                     "pid": os.getpid(),
                     "span": None,
                     "metrics": dict(share),
-                    "snapshot": None,
                     "apportioned": len(group),
                 }
             outcomes[spec.tag] = JobOutcome(
@@ -396,19 +390,25 @@ def _run_parallel(
     from concurrent.futures import ProcessPoolExecutor
 
     outcomes: Dict[str, JobOutcome] = {}
+    registry = obs.metrics()
     pool = ProcessPoolExecutor(max_workers=jobs)
     abandoned = False
     try:
         futures = []
         for spec in pending:
-            futures.append((pool.submit(execute_job, spec, capture), spec))
+            futures.append((pool.submit(obs.measured_call, execute_job, spec,
+                                        capture), spec))
             _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         _ATTEMPTS.inc(len(futures))
         for fut, spec in futures:
             attempt = 0
             while True:
                 try:
-                    result, wall, pid, captured = fut.result(timeout=timeout)
+                    (result, wall, pid, captured), delta = fut.result(
+                        timeout=timeout)
+                    # the worker's counts join this registry, so pool
+                    # and serial runs leave identical global counts
+                    registry.merge(delta)
                     _JOB_SECONDS.observe(wall)
                     outcomes[spec.tag] = JobOutcome(
                         spec=spec, status="ok", result=result, wall_s=wall,
@@ -435,7 +435,8 @@ def _run_parallel(
                         _backoff_sleep(backoff, attempt)
                         attempt += 1
                         _ATTEMPTS.inc()
-                        fut = pool.submit(execute_job, spec, capture)
+                        fut = pool.submit(obs.measured_call, execute_job,
+                                          spec, capture)
                         continue
                     _FAILURES.inc()
                     outcomes[spec.tag] = JobOutcome(
@@ -523,8 +524,9 @@ def run_campaign(
         Optional extra per-job callback; progress always goes to the
         ``repro.campaign`` logger regardless.
     capture_obs:
-        Capture per-job span trees and metric deltas across the pool.
-        ``None`` (default) follows the global tracer's enabled flag.
+        Record per-job span trees and metric deltas in the outcomes
+        and manifest (the global counts merge either way).  ``None``
+        (default) follows the global tracer's enabled flag.
     batch:
         Recognize pending jobs that share ``(kind, model)`` and run
         each such group as one in-process lockstep solve (see
@@ -601,14 +603,6 @@ def run_campaign(
                     _run_serial(pending, retries, backoff, progress, capture,
                                 on_event)
                 )
-
-        # Fold worker-side metric deltas into this process's registry so
-        # pool runs and serial runs leave identical global counts.
-        parent_pid = os.getpid()
-        for outcome in fresh.values():
-            if (outcome.obs and outcome.obs.get("pid") != parent_pid
-                    and outcome.obs.get("snapshot")):
-                obs.metrics().merge(outcome.obs["snapshot"])
 
         if cache is not None:
             with obs.span("campaign.cache.store", n=len(fresh)):

@@ -129,6 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="report destination ('-' = stdout)")
     reproduce.add_argument("--full", action="store_true",
                            help="full experiment resolution (slower)")
+    reproduce.add_argument("-j", "--jobs", type=int, default=None,
+                           help="worker processes (default: all CPUs; "
+                                "1 = serial)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -411,6 +414,7 @@ def cmd_reproduce(args) -> int:
     report = run_all_experiments(
         fast=not args.full,
         progress=lambda line: print(line, file=sys.stderr),
+        jobs=args.jobs,
     )
     text = format_report(report)
     if args.output == "-":

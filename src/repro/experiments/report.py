@@ -5,15 +5,29 @@ chosen resolution and collects the quantities EXPERIMENTS.md tracks,
 each paired with the paper's published value and a pass/fail check of
 the qualitative claim.  ``format_report`` renders the result as a
 markdown table; the CLI exposes it as ``python -m repro reproduce``.
+
+The eleven figures share nothing but the gcc power trace, so they run
+on a pool of forked workers, one per available CPU.  The parent
+simulates gcc first, so every worker inherits the cached trace; each
+worker returns its figure's result with the :mod:`repro.obs` metrics
+delta of the call, which the parent merges.  The check rows are built
+in the parent afterwards, so the report does not depend on how many
+workers ran or in which order they finished.  Without ``fork``, or
+when the pool cannot start or breaks, the figures without a result run
+serially in this process.
 """
 
 from __future__ import annotations
 
+import logging
+import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .. import obs
 from ..convection.flow import FlowDirection
+from .common import gcc_power_trace
 from . import (
     run_fig02,
     run_fig03,
@@ -27,6 +41,8 @@ from . import (
     run_fig11,
     run_fig12,
 )
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -64,28 +80,159 @@ class ReproductionReport:
                                   bool(passed)))
 
 
+#: One figure experiment: its name, its ``run_figNN`` function and the
+#: keyword arguments of the call.
+FigureCall = Tuple[str, Callable[..., Any], Dict[str, Any]]
+
+#: What ``progress`` is told when a figure starts.
+_TITLES = {
+    "fig02": "Fig. 2: transient validation",
+    "fig03": "Fig. 3: steady validation",
+    "fig04": "Fig. 4: Athlon map",
+    "fig05": "Fig. 5: secondary path ablation",
+    "fig06": "Fig. 6: warm-up transients",
+    "fig07": "Fig. 7: time constants",
+    "fig08": "Fig. 8: pulse oscillation",
+    "fig09": "Fig. 9: hot-spot migration",
+    "fig10": "Fig. 10: steady maps",
+    "fig11": "Fig. 11: flow directions",
+    "fig12": "Fig. 12: trace-driven runs",
+}
+
+
+def figure_calls(fast: bool) -> List[FigureCall]:
+    """The eleven figure experiments, longest first.
+
+    Longest first keeps a pool's tail short: the last figures to start
+    are the quickest to finish.
+    """
+    grid = 20 if fast else 32
+    return [
+        ("fig12", run_fig12, {"duration": 0.02 if fast else 0.04,
+                              "nx": 12 if fast else 24}),
+        ("fig10", run_fig10, {"nx": grid, "ny": grid}),
+        ("fig11", run_fig11, {"nx": 24 if fast else 32}),
+        ("fig06", run_fig06, {"nx": 16 if fast else 24,
+                              "dt": 0.02 if fast else 0.01}),
+        ("fig03", run_fig03, {"rc_grid": 24 if fast else 40,
+                              "fd_grid": 36 if fast else 60,
+                              "fd_layers": 3 if fast else 5}),
+        ("fig05", run_fig05, {"nx": grid, "ny": grid}),
+        ("fig02", run_fig02, {"rc_grid": 12 if fast else 20,
+                              "fd_grid": 20 if fast else 32,
+                              "fd_layers": 3 if fast else 4}),
+        ("fig07", run_fig07, {"nx": 8 if fast else 16}),
+        ("fig08", run_fig08, {"nx": 16 if fast else 24,
+                              "dt": 1e-3 if fast else 0.5e-3}),
+        ("fig09", run_fig09, {"nx": 16 if fast else 24}),
+        ("fig04", run_fig04, {"nx": grid, "ny": grid}),
+    ]
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _run_pooled(
+    calls: List[FigureCall], workers: int, note: Callable[[str], None],
+) -> Dict[str, Any]:
+    """Run ``calls`` on a fork pool of ``workers`` processes.
+
+    Returns the results that came back; each worker's metrics delta is
+    merged into this process's registry.  A figure's exception
+    propagates.  When the pool cannot start or breaks, the figures
+    without a result are missing from the returned dict, for the caller
+    to run serially.
+
+    ``fork``, not ``spawn``: forked workers inherit the imported
+    package and the parent's warm gcc trace, where a spawned worker
+    would import the package again and simulate gcc again.  The pool
+    forks every worker in its first ``submit``, before it starts its
+    own manager thread, so the caller's threads are the only ones at
+    fork time.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results: Dict[str, Any] = {}
+    pool = None
+    try:
+        # ValueError: this platform has no fork start method
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"))
+        futures = [(name, pool.submit(obs.measured_call, function, **kwargs))
+                   for name, function, kwargs in calls]
+    except (OSError, ValueError, BrokenProcessPool) as exc:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _note_serial(note, exc)
+        return results
+    for name, _, _ in calls:
+        note(f"{_TITLES[name]} ...")
+    try:
+        for name, future in futures:
+            try:
+                result, delta = future.result()
+            except BrokenProcessPool as exc:
+                _note_serial(note, exc)
+                break
+            obs.metrics().merge(delta)
+            results[name] = result
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
+
+
+def _note_serial(note: Callable[[str], None], exc: BaseException) -> None:
+    message = (f"process pool unavailable ({type(exc).__name__}: {exc}); "
+               "running the remaining figures serially")
+    logger.warning(message)
+    note(f"[  NOTE ] {message}")
+
+
 def run_all_experiments(
     fast: bool = True,
     progress: Optional[Callable[[str], None]] = None,
+    jobs: Optional[int] = None,
 ) -> ReproductionReport:
     """Run every experiment and collect paper-vs-measured checks.
 
     ``fast`` lowers grid resolutions and trace lengths (the bench suite
     runs the full-resolution versions); ``progress`` receives a line
-    per figure if given.
+    per figure if given.  ``jobs`` worker processes run the figures
+    (``None``: one per available CPU, at most one per figure; ``1``:
+    serially in this process).  The report is the same for any
+    ``jobs``.
     """
     def note(message: str) -> None:
         if progress is not None:
             progress(message)
 
-    start = time.time()
-    report = ReproductionReport()
-    grid = 20 if fast else 32
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    calls = figure_calls(fast)
+    workers = min(jobs or _available_cpus(), len(calls))
+    start = time.perf_counter()
+    results: Dict[str, Any] = {}
+    if workers > 1:
+        # simulate gcc once here; every forked worker inherits the
+        # lru_caches instead of simulating it again
+        gcc_power_trace(500_000)
+        results = _run_pooled(calls, workers, note)
+    for name, function, kwargs in calls:
+        if name not in results:
+            note(f"{_TITLES[name]} ...")
+            results[name] = function(**kwargs)
+    (fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11,
+     fig12) = (results[f"fig{n:02d}"] for n in range(2, 13))
 
-    note("Fig. 2: transient validation ...")
-    fig02 = run_fig02(rc_grid=12 if fast else 20,
-                      fd_grid=20 if fast else 32,
-                      fd_layers=3 if fast else 4)
+    report = ReproductionReport()
     report.add("Fig. 2", "solver agreement (steady)", "close",
                f"{100 * fig02.steady_agreement:.1f}%",
                fig02.steady_agreement < 0.05)
@@ -95,16 +242,10 @@ def run_all_experiments(
     report.add("Fig. 2", "time constant (s)", "O(1 s)", f"{tau:.2f}",
                0.1 < tau < 1.5)
 
-    note("Fig. 3: steady validation ...")
-    fig03 = run_fig03(rc_grid=24 if fast else 40,
-                      fd_grid=36 if fast else 60,
-                      fd_layers=3 if fast else 5)
     report.add("Fig. 3", "Tmax agreement", "close",
                f"{100 * fig03.tmax_agreement:.1f}%",
                fig03.tmax_agreement < 0.10)
 
-    note("Fig. 4: Athlon map ...")
-    fig04 = run_fig04(nx=grid, ny=grid)
     hot_name, hot_temp = fig04.hottest
     _, cool_temp = fig04.coolest_active
     report.add("Fig. 4", "hottest block", "sched ~73 C",
@@ -113,8 +254,6 @@ def run_all_experiments(
     report.add("Fig. 4", "coolest active", "~45 C",
                f"{cool_temp:.1f} C", abs(cool_temp - 46) < 5)
 
-    note("Fig. 5: secondary path ablation ...")
-    fig05 = run_fig05(nx=grid, ny=grid)
     report.add("Fig. 5a", "oil error w/o secondary", "> 10 C",
                f"{fig05.oil_max_error_c:.1f} C",
                fig05.oil_max_error_c > 10.0)
@@ -126,8 +265,6 @@ def run_all_experiments(
     report.add("Fig. 5b", "air change w/ secondary", "< 1%",
                f"{100 * worst_air:.2f}%", worst_air < 0.01)
 
-    note("Fig. 6: warm-up transients ...")
-    fig06 = run_fig06(nx=16 if fast else 24, dt=0.02 if fast else 0.01)
     report.add("Fig. 6", "oil settles within 6 s", "yes",
                f"{100 * fig06.fraction_of_steady_at_end('oil'):.0f}%",
                fig06.fraction_of_steady_at_end("oil") > 0.95)
@@ -143,8 +280,6 @@ def run_all_experiments(
                f"{fig06.air_cool_steady:.0f} C",
                fig06.oil_cool_steady < fig06.air_cool_steady)
 
-    note("Fig. 7: time constants ...")
-    fig07 = run_fig07(nx=8 if fast else 16)
     report.add("Fig. 7", "R_Si (K/W)", "0.0125", f"{fig07.r_si:.4f}",
                abs(fig07.r_si - 0.0125) < 1e-3)
     report.add("Fig. 7", "tau_oil model vs Eqn 6", "match",
@@ -152,8 +287,6 @@ def run_all_experiments(
                f"{fig07.tau_oil_analytic:.2f} s",
                fig07.oil_agreement < 0.15)
 
-    note("Fig. 8: pulse oscillation ...")
-    fig08 = run_fig08(nx=16 if fast else 24, dt=1e-3 if fast else 0.5e-3)
     oil_rec = fig08.recovery_fraction(fig08.oil_trace)
     air_rec = fig08.recovery_fraction(fig08.air_trace)
     report.add("Fig. 8", "oil cools much slower", "yes",
@@ -161,16 +294,12 @@ def run_all_experiments(
                f"{100 * air_rec:.0f}% at +15 ms",
                air_rec - oil_rec > 0.15)
 
-    note("Fig. 9: hot-spot migration ...")
-    fig09 = run_fig09(nx=16 if fast else 24)
     report.add("Fig. 9", "hottest at 14 ms (air/oil)", "FPMap / IntReg",
                f"{fig09.air_hottest_at_observation} / "
                f"{fig09.oil_hottest_at_observation}",
                fig09.air_hottest_at_observation == "FPMap"
                and fig09.oil_hottest_at_observation == "IntReg")
 
-    note("Fig. 10: steady maps ...")
-    fig10 = run_fig10(nx=grid, ny=grid)
     report.add("Fig. 10", "oil hotter Tmax", "~+30 C",
                f"+{fig10.tmax_difference:.1f} C",
                fig10.tmax_difference > 5)
@@ -178,8 +307,6 @@ def run_all_experiments(
                f"+{fig10.gradient_difference:.1f} C",
                fig10.gradient_difference > 15)
 
-    note("Fig. 11: flow directions ...")
-    fig11 = run_fig11(nx=24 if fast else 32)
     hottest = [
         fig11.hottest(d) for d in (
             FlowDirection.LEFT_TO_RIGHT, FlowDirection.RIGHT_TO_LEFT,
@@ -190,9 +317,6 @@ def run_all_experiments(
                "IntReg x3, then Dcache", " / ".join(hottest),
                hottest == ["IntReg", "IntReg", "IntReg", "Dcache"])
 
-    note("Fig. 12: trace-driven runs ...")
-    fig12 = run_fig12(duration=0.02 if fast else 0.04,
-                      nx=12 if fast else 24)
     interval_air = fig12.sampling_interval_for("air", "IntReg", 0.1)
     interval_oil = fig12.sampling_interval_for("oil", "IntReg", 0.1)
     report.add("Fig. 12", "sensor sampling @0.1 C", "~60 us",
@@ -202,7 +326,7 @@ def run_all_experiments(
                ", ".join(fig12.hottest_five_air[:3]),
                {"IntReg", "Dcache"} <= set(fig12.hottest_five_air))
 
-    report.elapsed_seconds = time.time() - start
+    report.elapsed_seconds = time.perf_counter() - start
     return report
 
 

@@ -31,6 +31,8 @@ Typical use::
     obs.write_chrome_trace(obs.tracer().drain(), "fig11-trace.json")
 """
 
+from typing import Any, Callable, Tuple
+
 from .events import EVENT_TYPES, Event, make_event, read_events_jsonl
 from .export import (
     chrome_summary_table,
@@ -73,6 +75,19 @@ def tracer() -> Tracer:
 def metrics() -> MetricsRegistry:
     """The process-global metrics registry."""
     return _METRICS
+
+
+def measured_call(fn: Callable[..., Any], /, *args: Any,
+                  **kwargs: Any) -> Tuple[Any, Snapshot]:
+    """Call ``fn`` and return its result with the registry delta it caused.
+
+    The worker side of a process pool: the parent folds the delta into
+    its own registry with :meth:`MetricsRegistry.merge`, so a pooled
+    call leaves the same counts as an in-process one.
+    """
+    before = _METRICS.snapshot()
+    result = fn(*args, **kwargs)
+    return result, snapshot_diff(_METRICS.snapshot(), before)
 
 
 def span(name: str, **attrs: object) -> AnySpan:
@@ -128,6 +143,7 @@ __all__ = [
     "known_span",
     "logging_setup",
     "make_event",
+    "measured_call",
     "metrics",
     "read_events_jsonl",
     "read_trace_file",

@@ -10,11 +10,11 @@ next to the work being counted.  Only *timing* belongs behind the
 tracer's enabled flag.
 
 Cross-process aggregation works by value, not by reference: a worker
-snapshots the registry before and after a job
-(:meth:`MetricsRegistry.snapshot` / :func:`snapshot_diff`), ships the
-delta back through the campaign's ``JobOutcome``, and the parent folds
-it in with :meth:`MetricsRegistry.merge` — so pool runs and serial
-runs report identical counts.
+snapshots the registry before and after a call
+(:meth:`MetricsRegistry.snapshot` / :func:`snapshot_diff`, wrapped as
+:func:`repro.obs.measured_call`), ships the delta back with the
+result, and the parent folds it in with :meth:`MetricsRegistry.merge`
+— so pool runs and serial runs report identical counts.
 """
 
 from __future__ import annotations

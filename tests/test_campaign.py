@@ -150,6 +150,27 @@ def test_serial_and_parallel_runs_are_identical(tmp_path):
         assert serial.result_for(tag).same_values(parallel.result_for(tag))
 
 
+def test_pool_merges_worker_counters_like_a_serial_run():
+    from repro import obs
+
+    campaign = CampaignSpec(
+        name="counts",
+        jobs=tuple(steady_job(direction, direction=direction)
+                   for direction in ("left_to_right", "top_to_bottom")),
+    )
+
+    def counter_delta(jobs):
+        before = obs.metrics().snapshot()
+        run = run_campaign(campaign, jobs=jobs, capture_obs=False)
+        assert run.ok and run.parallel == (jobs > 1)
+        return obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
+
+    serial = counter_delta(1)
+    assert serial["solver.steady.factorizations"] == 2
+    assert serial["rcmodel.grid.assemblies"] == 2
+    assert counter_delta(2) == serial
+
+
 def test_executor_retries_injected_failure(tmp_path):
     job = JobSpec.make(
         "diagnostic", tag="flaky", value=7.0,

@@ -1,13 +1,20 @@
 """Tests for the one-shot reproduction report."""
 
+import multiprocessing
+import os
+
 import pytest
 
+from repro import obs
+from repro.experiments import common, report as report_module
 from repro.experiments.report import (
     CheckRow,
     ReproductionReport,
     format_report,
     run_all_experiments,
 )
+
+_TEST_PID = os.getpid()
 
 
 class TestReportStructure:
@@ -47,3 +54,82 @@ def test_cli_reproduce_writes_file(tmp_path, capsys):
     text = out.read_text()
     assert "# Reproduction report" in text
     assert "FAIL" not in text
+
+
+# ---------------------------------------------------------------------------
+# the figure fan-out
+# ---------------------------------------------------------------------------
+
+
+def _cold_fast_run(store, **kwargs):
+    """``run_all_experiments(fast=True)`` from cold trace caches.
+
+    Returns the rows as (figure, quantity, measured, passed) and the
+    ``repro.obs`` counter delta of the run.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(store))
+        for cached in (common._gcc_simulation, common.gcc_power_trace,
+                       common.gcc_synthesized_trace):
+            cached.cache_clear()
+        before = obs.metrics().snapshot()
+        report = run_all_experiments(fast=True, **kwargs)
+        counters = obs.snapshot_diff(obs.metrics().snapshot(),
+                                     before)["counters"]
+    rows = [(r.figure, r.quantity, r.measured, r.passed) for r in report.rows]
+    return rows, counters
+
+
+@pytest.fixture(scope="module")
+def serial_run(tmp_path_factory):
+    return _cold_fast_run(tmp_path_factory.mktemp("serial"), jobs=1)
+
+
+def test_pool_gives_the_serial_rows_and_counts(serial_run, tmp_path):
+    lines = []
+    rows, counters = _cold_fast_run(tmp_path, jobs=2, progress=lines.append)
+    assert not any("NOTE" in line for line in lines)  # the pool ran
+    assert len(lines) == 11
+    assert rows == serial_run[0]
+    assert counters == serial_run[1]
+
+
+def _no_fork(method=None):
+    raise OSError("no fork here")
+
+
+def test_pool_that_cannot_start_runs_serially(serial_run, tmp_path,
+                                              monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_context", _no_fork)
+    lines = []
+    rows, counters = _cold_fast_run(tmp_path, jobs=2, progress=lines.append)
+    assert any("no fork here" in line and "serially" in line
+               for line in lines)
+    assert rows == serial_run[0]
+    assert counters == serial_run[1]
+
+
+def _exit_in_worker():
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+
+
+def test_broken_pool_leaves_the_figures_to_the_caller():
+    lines = []
+    calls = [("fig04", _exit_in_worker, {}), ("fig09", _exit_in_worker, {})]
+    assert report_module._run_pooled(calls, 2, lines.append) == {}
+    assert any("BrokenProcessPool" in line for line in lines)
+
+
+def _raise_value_error(**kwargs):
+    raise ValueError("figure failed")
+
+
+def test_figure_error_propagates(monkeypatch):
+    calls = [("fig04", _raise_value_error, {}),
+             ("fig09", _raise_value_error, {})]
+    monkeypatch.setattr(report_module, "figure_calls", lambda fast: calls)
+    with pytest.raises(ValueError, match="figure failed"):
+        run_all_experiments(fast=True, jobs=2)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_all_experiments(fast=True, jobs=0)
