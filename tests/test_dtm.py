@@ -255,3 +255,39 @@ def test_dtm_loops_reject_a_bad_initial_state(hot_setup, run, bad_x0):
           else np.zeros(model.n_nodes - 1))
     with pytest.raises(SolverError):
         run(model, sensors, trace, x0)
+
+
+_DTMRUN_ARRAYS = ("times", "sensor_max", "true_max", "block_temps", "engaged")
+
+
+def _assert_runs_identical(a, b):
+    for field in _DTMRUN_ARRAYS:
+        assert np.array_equal(getattr(a, field), getattr(b, field),
+                              equal_nan=True), field
+    assert a.performance == b.performance
+    assert a.n_engagements == b.n_engagements
+
+
+def test_zero_horizon_predictive_equals_reactive_bitwise(hot_setup):
+    from repro.dtm import PredictiveDTMController
+    plan, model, sensors = hot_setup
+    trace = constant_power(plan, {"die": 40.0}, duration=0.5, dt=0.01)
+    kwargs = dict(threshold=318.15 + 30.0, engagement_duration=0.05,
+                  sampling_interval=0.02)
+    reactive = DTMController(model, sensors, ClockGating(0.2), **kwargs)
+    predictive = PredictiveDTMController(model, sensors, ClockGating(0.2),
+                                         horizon=0.0, **kwargs)
+    run = reactive.run(trace)
+    assert run.n_engagements >= 1
+    _assert_runs_identical(predictive.run(trace), run)
+
+
+def test_serial_dtm_run_equals_a_one_column_batch(hot_setup):
+    from repro.dtm.batch import run_dtm_batch
+    plan, model, sensors = hot_setup
+    trace = constant_power(plan, {"die": 40.0}, duration=0.5, dt=0.01)
+    controller = DTMController(model, sensors, ClockGating(0.3),
+                               318.15 + 35.0, 0.05, sampling_interval=0.03)
+    run = controller.run(trace)
+    assert run.n_engagements >= 1
+    _assert_runs_identical(run, run_dtm_batch([controller], [trace])[0])
