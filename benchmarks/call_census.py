@@ -7,16 +7,22 @@ reproduction's results come from:
   ``repro reproduce``), serially with ``jobs=1`` so that no figure
   runs in a forked worker the hook cannot see;
 * the ``fig12-trace`` and ``campaign-sweep`` bodies of the end-to-end
-  benchmark, imported from ``benchmarks/e2e/workloads.py``.
+  benchmark, imported from ``benchmarks/e2e/workloads.py``;
+* the claim benches: ``pytest benchmarks --ignore=benchmarks/e2e
+  --ignore=benchmarks/test_bench_analyze.py --benchmark-disable``, run
+  in-process (the analyzer bench is left out: the analyzer is a lint
+  gate, not a claim).
 
 A ``sys.setprofile`` hook records every Python code object entered.
 Each function in ``src/repro`` then counts its own lines (a nested
 function's lines belong to the nested function), and the script prints
 per module the lines of functions no run entered, largest first,
 followed by the names of those functions.  Code that only tests,
-examples or the CLI reach shows up here.
+examples or the CLI reach shows up here.  Code that runs at import
+time (a module-level ``Histogram(...)``) is entered before the hook is
+set, so the list names candidates, not verdicts.
 
-Run:  python3 benchmarks/call_census.py   (no flags; ~15 s on a 2-core machine)
+Run:  python3 benchmarks/call_census.py   (no flags; ~25 s on a 2-core machine)
 """
 
 import ast
@@ -41,6 +47,8 @@ def _run_everything(called: Set[FunctionKey]) -> None:
             code = frame.f_code
             called.add((code.co_filename, code.co_firstlineno))
 
+    import pytest
+
     from repro.experiments import report
 
     from benchmarks.e2e import workloads
@@ -56,9 +64,18 @@ def _run_everything(called: Set[FunctionKey]) -> None:
                 cls = workloads.WORKLOADS[name]
                 cls.warm(0)
                 cls(0, scratch).run()
+            exit_code = pytest.main([
+                "-q", "-p", "no:cacheprovider", "--rootdir", REPO,
+                os.path.join(REPO, "benchmarks"),
+                "--ignore", os.path.join(HERE, "e2e"),
+                "--ignore", os.path.join(HERE, "test_bench_analyze.py"),
+                "--benchmark-disable",
+            ])
         finally:
             threading.setprofile(None)  # type: ignore[arg-type]
             sys.setprofile(None)
+    if exit_code != 0:
+        raise SystemExit(f"claim benches failed (pytest exit {exit_code})")
 
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
