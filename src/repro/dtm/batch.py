@@ -1,15 +1,17 @@
-"""Lockstep execution of K closed-loop DTM simulations on one model.
+"""The closed-loop DTM loop: K controllers in lockstep on one model.
 
-A DTM policy sweep (the Section 5.1 bench) runs the *same* package
-model under several policies.  Serially each run pays its own
-factorization and its own per-step solve; here the K controller states
-advance as one ``(n_nodes, K)`` matrix through one shared
-:class:`~repro.solver.transient.TrapezoidalStepper`.  Only the linear
-solve is shared: every controller keeps its own engagement state,
-sensor sampling, and performance accounting, evaluated per column
-exactly as :meth:`~repro.dtm.controller.DTMController.run` does — so
-each returned :class:`~repro.dtm.controller.DTMRun` is bitwise
-identical to running that controller alone.
+Every DTM run goes through :func:`run_dtm_batch`.  A DTM policy sweep
+(the Section 5.1 bench) runs the *same* package model under several
+policies: the K controller states advance as one ``(n_nodes, K)``
+:class:`~repro.solver.transient.TransientSession`, so the sweep pays
+one factorization and one back-solve loop.  A serial
+:meth:`~repro.dtm.controller.DTMController.run` is the K = 1 case, on
+a 1-D state.  Only the linear solve is shared: every controller keeps
+its own engagement state, sensor sampling, and performance
+accounting, evaluated per column between two :meth:`advance
+<repro.solver.transient.TransientSession.advance>` calls — so each
+returned :class:`~repro.dtm.controller.DTMRun` is bitwise identical to
+running that controller alone.
 """
 
 from __future__ import annotations
@@ -20,8 +22,27 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
-from ..solver.transient import TrapezoidalStepper, checked_x0
+from ..solver.transient import (
+    _ALIGN_RTOL,
+    TransientSession,
+    checked_x0,
+    stacked_x0,
+)
 from .controller import DTMController, DTMRun
+
+
+def _sample_stride(interval: Optional[float], dt: float) -> int:
+    """Trace samples per sensor sample; ``None`` samples every step."""
+    if interval is None:
+        return 1
+    ratio = interval / dt
+    stride = round(ratio)
+    if stride < 1 or abs(ratio - stride) > _ALIGN_RTOL * stride:
+        raise ConfigurationError(
+            f"sampling_interval {interval:g} s must be a positive multiple "
+            f"of the trace's dt ({dt:g} s)"
+        )
+    return int(stride)
 
 
 def run_dtm_batch(
@@ -35,9 +56,10 @@ def run_dtm_batch(
     network, one factorization) and all traces must share one time
     grid (same ``dt``, same sample count) so the columns step
     together.  Violations raise :class:`ConfigurationError`; campaign
-    callers treat that as "fall back to per-job execution".  An
-    ``x0s`` entry that is not a finite ``(n_nodes,)`` state raises
-    :class:`~repro.errors.SolverError`, as the serial loops do.
+    callers treat that as "fall back to per-job execution".  So does
+    a ``sampling_interval`` that is not a positive multiple of the
+    traces' ``dt``.  An ``x0s`` entry that is not a finite
+    ``(n_nodes,)`` state raises :class:`~repro.errors.SolverError`.
     """
     if not controllers:
         raise ConfigurationError("need at least one controller")
@@ -63,80 +85,67 @@ def run_dtm_batch(
                 f"(dt={trace.dt:g}, n={trace.n_samples}); batched DTM "
                 f"requires dt={dt:g}, n={n_samples}"
             )
-
     n_scenarios = len(controllers)
-    stepper = TrapezoidalStepper(model.network, dt)
-    scales = [
-        c.policy.power_scale_vector(model.floorplan) for c in controllers
-    ]
-    strides = [
-        max(1, int(round((c.sampling_interval or dt) / dt)))
-        for c in controllers
-    ]
+    strides = [_sample_stride(c.sampling_interval, dt) for c in controllers]
+    if x0s is None:
+        x0s = [None] * n_scenarios
+    if len(x0s) != n_scenarios:
+        raise ConfigurationError(
+            f"{len(x0s)} initial states for {n_scenarios} controllers"
+        )
+    serial = n_scenarios == 1
+    n_nodes, n_blocks = model.n_nodes, len(model.floorplan)
+    session = TransientSession(
+        model.network, dt,
+        checked_x0(x0s[0], n_nodes) if serial else stacked_x0(x0s, n_nodes),
+    )
+    triggers = [c.trigger(session) for c in controllers]
+    scales = [c.policy.power_scale_vector(model.floorplan) for c in controllers]
     ambient = model.config.ambient
-
-    x = np.zeros((model.n_nodes, n_scenarios))
-    if x0s is not None:
-        if len(x0s) != n_scenarios:
-            raise ConfigurationError(
-                f"{len(x0s)} initial states for {n_scenarios} controllers"
-            )
-        for k, x0 in enumerate(x0s):
-            if x0 is not None:
-                x[:, k] = checked_x0(x0, model.n_nodes)
 
     engaged_until = [-np.inf] * n_scenarios
     n_engagements = [0] * n_scenarios
     work = [0.0] * n_scenarios
-
     times = np.empty(n_samples)
-    sensor_max = [np.empty(n_samples) for _ in range(n_scenarios)]
-    true_max = [np.empty(n_samples) for _ in range(n_scenarios)]
-    engaged_flags = [
-        np.zeros(n_samples, dtype=bool) for _ in range(n_scenarios)
-    ]
-    block_temps = [
-        np.empty((n_samples, len(model.floorplan)))
-        for _ in range(n_scenarios)
-    ]
+    sensor_max = np.empty((n_scenarios, n_samples))
+    true_max = np.empty((n_scenarios, n_samples))
+    engaged = np.zeros((n_scenarios, n_samples), dtype=bool)
+    block_temps = np.empty((n_scenarios, n_samples, n_blocks))
 
     # the K block-power columns go through the block->cell operator
-    # as one matrix, injected into a reused (n_nodes, K) buffer
-    block_power = np.empty((len(model.floorplan), n_scenarios))
-    power = np.zeros((model.n_nodes, n_scenarios))
+    # as one matrix, injected into a reused (n_nodes, K) buffer; a
+    # serial run uses the one column as a vector
+    block_power = np.empty((n_blocks, n_scenarios))
+    power = np.zeros((n_nodes, n_scenarios))
+    columns = [block_power[:, k] for k in range(n_scenarios)]
+    if serial:
+        block_power, power = columns[0], power[:, 0]
     for i in range(n_samples):
         now = i * dt
-        engaged_now = [now < engaged_until[k] for k in range(n_scenarios)]
+        engaged[:, i] = [now < until for until in engaged_until]
         for k, controller in enumerate(controllers):
-            block_power[:, k] = traces[k].samples[i] * (
-                scales[k] if engaged_now[k] else 1.0
-            )
-            work[k] += (
-                controller.policy.performance_factor if engaged_now[k]
-                else 1.0
-            ) * dt
-        x = stepper.step(x, model.inject(block_power, power))
+            on = engaged[k, i]
+            columns[k][:] = traces[k].samples[i] * (scales[k] if on else 1.0)
+            work[k] += (controller.policy.performance_factor if on
+                        else 1.0) * dt
+        node_power = model.inject(block_power, power)
+        p_eff = session.stepper.effective_power(node_power, node_power)
+        x = session.advance(p_eff)
         times[i] = now + dt
-        block_rise = model.block_rise(x.T)
+        block_temps[:, i] = np.atleast_2d(model.block_rise(x.T)) + ambient
         for k, controller in enumerate(controllers):
-            column = np.ascontiguousarray(x[:, k])
-            silicon_field = model.silicon_cell_rise(column) + ambient
-            true_max[k][i] = silicon_field.max()
-            block_temps[k][i] = block_rise[k] + ambient
-            engaged_flags[k][i] = engaged_now[k]
-            if i % strides[k] == 0:
-                reading = controller.sensors.max_reading(
-                    silicon_field, model.mapping
-                )
-                sensor_max[k][i] = reading
-                if reading >= controller.threshold:
-                    if not engaged_now[k]:
-                        n_engagements[k] += 1
-                    engaged_until[k] = (
-                        now + dt + controller.engagement_duration
-                    )
-            else:
-                sensor_max[k][i] = sensor_max[k][i - 1] if i else np.nan
+            silicon_field = model.silicon_cell_rise(session.column(k)) + ambient
+            true_max[k, i] = silicon_field.max()
+            if i % strides[k]:
+                sensor_max[k, i] = sensor_max[k, i - 1]
+                continue
+            reading = controller.sensors.max_reading(silicon_field,
+                                                     model.mapping)
+            sensor_max[k, i] = reading
+            if triggers[k](reading, p_eff, k):
+                if not engaged[k, i]:
+                    n_engagements[k] += 1
+                engaged_until[k] = now + dt + controller.engagement_duration
 
     return [
         DTMRun(
@@ -144,7 +153,7 @@ def run_dtm_batch(
             sensor_max=sensor_max[k],
             true_max=true_max[k],
             block_temps=block_temps[k],
-            engaged=engaged_flags[k],
+            engaged=engaged[k],
             performance=work[k] / traces[k].duration,
             n_engagements=n_engagements[k],
         )

@@ -16,7 +16,7 @@ longer engagement durations, costing more performance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,8 +24,13 @@ from ..errors import ConfigurationError
 from ..power.trace import PowerTrace
 from ..rcmodel.grid import ThermalGridModel
 from ..sensors.sensor import SensorArray
-from ..solver.transient import TrapezoidalStepper, checked_x0
+from ..solver.transient import TransientSession
 from .policies import DTMPolicy
+
+#: ``trigger(reading, p_eff, column)``: whether the sensor reading
+#: taken on state column ``column``, which just stepped under power term
+#: ``p_eff``, engages the policy.
+Trigger = Callable[[float, np.ndarray, int], bool]
 
 
 @dataclass
@@ -72,8 +77,10 @@ class DTMController:
     engagement_duration:
         How long each trigger engages the policy, seconds.
     sampling_interval:
-        Sensor sampling period, seconds; must be a multiple of the
-        power trace's dt (the controller acts between trace samples).
+        Sensor sampling period, seconds; must be a positive multiple of
+        the power trace's dt (the controller acts between trace
+        samples), else the run raises :class:`ConfigurationError`.
+        ``None`` samples at every trace sample.
     """
 
     def __init__(
@@ -99,60 +106,13 @@ class DTMController:
     def run(
         self, trace: PowerTrace, x0: Optional[np.ndarray] = None
     ) -> DTMRun:
-        """Simulate the trace under closed-loop DTM."""
-        model = self.model
-        trace.check_floorplan(model.floorplan)
-        dt = trace.dt
-        interval = self.sampling_interval or dt
-        sample_stride = max(1, int(round(interval / dt)))
-        stepper = TrapezoidalStepper(model.network, dt)
-        scale = self.policy.power_scale_vector(model.floorplan)
+        """Simulate the trace under closed-loop DTM (a one-column
+        :func:`~repro.dtm.batch.run_dtm_batch`)."""
+        from .batch import run_dtm_batch
 
-        x = checked_x0(x0, model.n_nodes)
-        ambient = model.config.ambient
-        engaged_until = -np.inf
-        n_engagements = 0
-        work = 0.0
+        return run_dtm_batch([self], [trace], [x0])[0]
 
-        times = np.empty(trace.n_samples)
-        sensor_max = np.empty(trace.n_samples)
-        true_max = np.empty(trace.n_samples)
-        engaged_flags = np.zeros(trace.n_samples, dtype=bool)
-        block_temps = np.empty((trace.n_samples, len(model.floorplan)))
-        node_power = np.zeros(model.n_nodes)
-
-        for i in range(trace.n_samples):
-            now = i * dt
-            engaged = now < engaged_until
-            block_power = trace.samples[i] * (scale if engaged else 1.0)
-            x = stepper.step(x, model.inject(block_power, node_power))
-            work += (self.policy.performance_factor if engaged else 1.0) * dt
-
-            silicon_field = model.silicon_cell_rise(x) + ambient
-            times[i] = now + dt
-            true_max[i] = silicon_field.max()
-            block_temps[i] = model.block_rise(x) + ambient
-            engaged_flags[i] = engaged
-
-            if i % sample_stride == 0:
-                reading = self.sensors.max_reading(
-                    silicon_field, model.mapping
-                )
-                sensor_max[i] = reading
-                if reading >= self.threshold:
-                    if not engaged:
-                        n_engagements += 1
-                    engaged_until = now + dt + self.engagement_duration
-            else:
-                sensor_max[i] = sensor_max[i - 1] if i else np.nan
-
-        performance = work / trace.duration
-        return DTMRun(
-            times=times,
-            sensor_max=sensor_max,
-            true_max=true_max,
-            block_temps=block_temps,
-            engaged=engaged_flags,
-            performance=performance,
-            n_engagements=n_engagements,
-        )
+    def trigger(self, session: TransientSession) -> Trigger:
+        """The engage decision at each sensor sample of a run on
+        ``session``: the hottest reading reaches the threshold."""
+        return lambda reading, p_eff, column: reading >= self.threshold

@@ -29,10 +29,7 @@ SPAN_NAMES = frozenset(
         "solver.steady.solve",
         "solver.steady.factorize",
         "solver.transient.factorize",
-        "solver.transient.simulate",
-        "solver.transient.schedule",
-        "solver.batched.simulate",
-        "solver.batched.schedule",
+        "solver.transient.session",
         "solver.backend.factorize",
         "solver.backend.solve",
         "campaign.batch",

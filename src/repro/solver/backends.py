@@ -28,18 +28,26 @@ try:
     from scipy.sparse import _sparsetools as _scipy_sparsetools
 
     def csr_matvecs(matrix: Any, x: np.ndarray) -> np.ndarray:
-        """``matrix @ x`` for 2-D ``x`` without operator-dispatch cost.
+        """``matrix @ x`` for 1-D or 2-D ``x`` without operator-dispatch cost.
 
-        Calls the same C kernel scipy's ``@`` runs (``csr_matvecs``),
-        which accumulates each output column in exactly the single-
-        vector order — so column ``k`` is bitwise ``matrix @ x[:, k]``.
-        The batched stepping loop calls this every step, where the
-        public operator's per-call validation would dominate on small
-        grids.
+        Calls the C kernel scipy's ``@`` runs (``csr_matvec`` for a
+        vector, ``csr_matvecs`` for columns) into the same zero-filled
+        output, so the result is bitwise ``matrix @ x``; the columns
+        kernel accumulates each output column in exactly the single-
+        vector order, so column ``k`` is bitwise ``matrix @ x[:, k]``.
+        The stepping loop calls this every step, where the public
+        operator's per-call validation would dominate on small grids.
         """
         n_row, n_col = matrix.shape
-        n_vecs = x.shape[1]
         x = np.ascontiguousarray(x)
+        if x.ndim == 1:
+            out = np.zeros(n_row)
+            _scipy_sparsetools.csr_matvec(
+                n_row, n_col, matrix.indptr, matrix.indices, matrix.data,
+                x, out,
+            )
+            return out
+        n_vecs = x.shape[1]
         out = np.zeros((n_row, n_vecs))
         _scipy_sparsetools.csr_matvecs(
             n_row, n_col, n_vecs, matrix.indptr, matrix.indices,

@@ -4,23 +4,28 @@ The paper's transient workloads are piecewise constant: a 6 s step on
 one block (Fig. 6), a 15 ms-on / 85 ms-off pulse train (Fig. 8), a
 power hand-off between IntReg and FPMap at 10 ms (Fig. 9), and the
 10 kcycle-sampled simulator traces of Fig. 12.  This module provides a
-schedule container plus an integrator that steps through the segments
-with a single reused factorization.  A trace schedule keeps its block
-powers and expands one segment at a time into a reused node-power
-buffer; no node-power trace is ever materialized.
+schedule container plus :func:`simulate_schedule`, the serial segment
+walk of :class:`~repro.solver.transient.TransientSession`.  A trace
+schedule keeps its block powers and expands one segment at a time into
+a reused node-power buffer; no node-power trace is ever materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence, Tuple
+from typing import Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..errors import PowerTraceError, SolverError
 from ..rcmodel.network import ThermalNetwork
-from .transient import TransientResult, _STEPPERS, checked_x0
+from .transient import (
+    Projector,
+    TransientResult,
+    TransientSession,
+    checked_x0,
+    stepper_class,
+)
 
 
 class PowerInjection(Protocol):
@@ -206,58 +211,27 @@ def simulate_schedule(
     x0: Optional[np.ndarray] = None,
     method: str = "trapezoidal",
     record_every: int = 1,
-    projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    projector: Optional[Projector] = None,
 ) -> TransientResult:
     """Integrate through a piecewise-constant schedule.
 
-    Each segment is stepped with the shared factorized stepper; segment
-    boundaries are always hit exactly (the last step of a segment is
-    shortened if needed by inserting a dedicated small-step stepper, but
-    in practice experiments choose ``dt`` dividing segment lengths).
-    A block-power schedule is expanded one segment at a time into one
-    reused node-power buffer.
+    The serial segment walk of
+    :class:`~repro.solver.transient.TransientSession`: segment boundaries are always hit exactly (the
+    last step of a segment is shortened if needed by a dedicated
+    small-step stepper, but in practice experiments choose ``dt``
+    dividing segment lengths).  A block-power schedule is expanded one
+    segment at a time into one reused node-power buffer.
     """
-    try:
-        stepper_cls = _STEPPERS[method]
-    except KeyError:
-        raise SolverError(
-            f"unknown method {method!r}; pick from {sorted(_STEPPERS)}"
-        ) from None
+    stepper_cls = stepper_class(method)
     if schedule.n_nodes != network.n_nodes:
         raise SolverError(
             f"schedule powers have {schedule.n_nodes} nodes, "
             f"expected {network.n_nodes}"
         )
-    x = checked_x0(x0, network.n_nodes)
-    stepper = stepper_cls(network, dt)
-    short_steppers = {}
-
-    def observe(state: np.ndarray) -> np.ndarray:
-        return projector(state) if projector is not None else state.copy()
-
-    times: List[float] = [0.0]
-    records: List[np.ndarray] = [observe(x)]
-    now = 0.0
-    step_counter = 0
-    with obs.span("solver.transient.schedule", method=method, dt=dt,
-                  n_segments=len(schedule.powers), n_nodes=network.n_nodes):
-        buffer = np.zeros(network.n_nodes)
-        for seg_index in range(len(schedule.powers)):
-            power = schedule.node_power(seg_index, buffer)
-            seg_end = schedule.boundaries[seg_index + 1]
-            while now < seg_end - 1e-12:
-                remaining = seg_end - now
-                if remaining >= dt - 1e-12:
-                    x = stepper.step(x, power)
-                    now += dt
-                else:
-                    key = round(remaining, 15)
-                    if key not in short_steppers:
-                        short_steppers[key] = stepper_cls(network, remaining)
-                    x = short_steppers[key].step(x, power)
-                    now = seg_end
-                step_counter += 1
-                if step_counter % record_every == 0 or now >= seg_end - 1e-12:
-                    times.append(now)
-                    records.append(observe(x))
+    session = TransientSession(network, dt, checked_x0(x0, network.n_nodes),
+                               stepper_cls)
+    buffer = np.zeros(network.n_nodes)
+    walk = session.segments(schedule.boundaries,
+                            lambda index: schedule.node_power(index, buffer))
+    times, records = session.record(walk, record_every, projector)
     return TransientResult(times=np.asarray(times), states=np.vstack(records))

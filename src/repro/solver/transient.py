@@ -14,16 +14,17 @@ Two steppers are provided:
   damp the start-up transient of stiff configurations and as a
   cross-check of the trapezoidal results.
 
-Both derive from one stepping core that accepts either a single state
-vector ``(n,)`` or a batch matrix ``(n, K)`` whose columns advance in
-lockstep through the same LU factorization — the mechanism behind
-:mod:`repro.solver.batched`.
+Every transient entry point is a wrapper of one core,
+:class:`TransientSession`, which advances a ``(n,)`` state (a serial
+run) or a ``(n, K)`` one (K scenarios in lockstep through the same LU
+factorization) on the fixed-``dt`` grid or segment by segment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 from scipy import sparse
@@ -34,6 +35,7 @@ from ..rcmodel.network import ThermalNetwork
 from .backends import LINEAR_BACKEND, Factor, csr_matvecs
 
 PowerInput = Union[np.ndarray, Callable[[float], np.ndarray]]
+Projector = Callable[[np.ndarray], np.ndarray]
 
 _MATRIX_BUILDS = obs.metrics().counter("solver.transient.matrix_builds")
 _STEPS = obs.metrics().counter("solver.transient.steps")
@@ -97,12 +99,12 @@ class TransientResult:
 class _ImplicitStepper:
     """Shared stepping core: one cached LU factor, 1-D or 2-D states.
 
-    Subclasses provide the factorization and the right-hand side of
-    their implicit update.  ``step`` accepts either a single state
-    vector of shape ``(n,)`` or a batch matrix of shape ``(n, K)``
-    whose columns are independent scenarios; SuperLU solves every
-    column against the same factorization, and each column's result is
-    bitwise identical to stepping it alone.
+    Subclasses provide the factorization and the two parts of the
+    right-hand side of their implicit update.  A state is either a
+    single vector of shape ``(n,)`` or a batch matrix of shape
+    ``(n, K)`` whose columns are independent scenarios; SuperLU solves
+    every column against the same factorization, and each column's
+    result is bitwise identical to stepping it alone.
     """
 
     order: int = 0
@@ -124,18 +126,12 @@ class _ImplicitStepper:
     def _factorize(self, network: ThermalNetwork) -> None:
         raise NotImplementedError
 
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        raise NotImplementedError
-
     def step(self, x: np.ndarray, p_now: np.ndarray,
              p_next: Optional[np.ndarray] = None) -> np.ndarray:
         """One time step from state(s) ``x`` under the given power(s)."""
-        rhs = self._rhs(x, p_now, p_next)
-        _STEPS.inc()
-        if rhs.ndim == 2:
-            return self._factor.solve_columns(rhs)
-        return self._factor.solve(rhs)
+        if p_next is None:
+            p_next = p_now
+        return self.step_effective(x, self.effective_power(p_now, p_next))
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
@@ -143,17 +139,13 @@ class _ImplicitStepper:
 
         Vectorizes over any leading axes (elementwise, so precomputing
         a whole block of steps at once is bitwise identical to the
-        per-step expression in ``_rhs``).
+        per-step expression).
         """
         raise NotImplementedError
 
     def step_effective(self, x: np.ndarray,
                        p_eff: np.ndarray) -> np.ndarray:
-        """Batched step with a precomputed :meth:`effective_power` term.
-
-        The hot loop of :mod:`repro.solver.batched`: identical numbers
-        to :meth:`step`, minus the per-step power arithmetic.
-        """
+        """One step with a precomputed :meth:`effective_power` term."""
         rhs = self._rhs_state(x)
         rhs += p_eff
         _STEPS.inc()
@@ -181,24 +173,12 @@ class TrapezoidalStepper(_ImplicitStepper):
         self._factor = LINEAR_BACKEND.factorize((c_over_dt + 0.5 * a).tocsc())
         self._rhs_matrix = (c_over_dt - 0.5 * a).tocsr()
 
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        if p_next is None:
-            p_next = p_now
-        if x.ndim == 2:
-            out = csr_matvecs(self._rhs_matrix, x)
-            out += 0.5 * (p_now + p_next)
-            return out
-        return self._rhs_matrix @ x + 0.5 * (p_now + p_next)
-
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
         return 0.5 * (p_now + p_next)
 
     def _rhs_state(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 2:
-            return csr_matvecs(self._rhs_matrix, x)
-        return np.asarray(self._rhs_matrix @ x)
+        return csr_matvecs(self._rhs_matrix, x)
 
 
 class BackwardEulerStepper(_ImplicitStepper):
@@ -216,13 +196,6 @@ class BackwardEulerStepper(_ImplicitStepper):
         self._factor = LINEAR_BACKEND.factorize(
             (sparse.diags(self._c_over_dt) + a).tocsc()
         )
-
-    def _rhs(self, x: np.ndarray, p_now: np.ndarray,
-             p_next: Optional[np.ndarray]) -> np.ndarray:
-        p_end = p_now if p_next is None else p_next
-        if x.ndim == 2:
-            return self._c_over_dt[:, None] * x + p_end
-        return self._c_over_dt * x + p_end
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
@@ -281,6 +254,161 @@ def checked_x0(x0: Optional[np.ndarray], n_nodes: int) -> np.ndarray:
     return x
 
 
+def stacked_x0(x0s: Sequence[Optional[np.ndarray]],
+               n_nodes: int) -> np.ndarray:
+    """K :func:`checked_x0` states as one ``(n_nodes, K)`` matrix."""
+    x = np.zeros((n_nodes, len(x0s)))
+    for k, x0 in enumerate(x0s):
+        if x0 is not None:
+            x[:, k] = checked_x0(x0, n_nodes)
+    return x
+
+
+def power_block(power: PowerInput,
+                n_nodes: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``times -> (len(times), n_nodes)``: :func:`checked_power` node
+    powers of a constant vector or of a callable ``p(t)``."""
+    if not callable(power):
+        constant = checked_power(power, 0.0, n_nodes)
+        return lambda times: np.broadcast_to(constant, (len(times), n_nodes))
+    source = power
+    return lambda times: np.array(
+        [checked_power(source(float(t)), t, n_nodes) for t in times]
+    )
+
+
+#: Steps whose powers a grid walk fetches at once: the per-step Python
+#: overhead is amortized while only ``16 x n_nodes x K`` floats are held.
+_BLOCK_STEPS = 16
+
+#: A walk advances its session and yields, after each step, the time
+#: reached and whether that step must be recorded.
+Walk = Iterator[Tuple[float, bool]]
+
+
+class TransientSession:
+    """The one stepping core: a network advanced step by step from ``x0``.
+
+    ``x0`` is the checked state, ``(n_nodes,)`` for a serial run or
+    ``(n_nodes, K)`` for K columns in lockstep through one factor;
+    ``stepper`` is the method's stepper class.  The integrators
+    :meth:`record` a walk (:meth:`grid` or :meth:`segments`); the DTM
+    loop calls :meth:`advance` once per trace sample.
+    """
+
+    def __init__(self, network: ThermalNetwork, dt: float, x0: np.ndarray,
+                 stepper: Any = TrapezoidalStepper) -> None:
+        self.network = network
+        self.stepper: _ImplicitStepper = stepper(network, dt)
+        self.dt = self.stepper.dt
+        self.x = x0
+        self.n_steps = 0
+        self._stepper_cls = stepper
+        self._short: Dict[float, _ImplicitStepper] = {}
+
+    def advance(self, p_eff: np.ndarray,
+                stepper: Optional[_ImplicitStepper] = None) -> np.ndarray:
+        """One step (of ``dt``, or of ``stepper``'s) under the power term
+        ``p_eff`` of :meth:`~_ImplicitStepper.effective_power`."""
+        self.x = (stepper or self.stepper).step_effective(self.x, p_eff)
+        self.n_steps += 1
+        return self.x
+
+    def column(self, k: int) -> np.ndarray:
+        """State column ``k`` as a contiguous vector."""
+        if self.x.ndim == 1:
+            return self.x
+        return np.ascontiguousarray(self.x[:, k])
+
+    def peek(self, p_eff: np.ndarray, stepper: _ImplicitStepper,
+             k: int) -> np.ndarray:
+        """Column ``k`` one ``stepper`` step ahead, without advancing."""
+        p_column = p_eff if p_eff.ndim == 1 else p_eff[:, k]
+        return stepper.step_effective(self.column(k), p_column)
+
+    def observe(self, projector: Optional[Projector]) -> np.ndarray:
+        """The state as recorded: a copy, or the projector's output
+        (per column, on what a serial run would hand it)."""
+        if projector is None:
+            return self.x.copy()
+        if self.x.ndim == 1:
+            return projector(self.x)
+        return np.stack([
+            np.atleast_1d(np.asarray(projector(self.column(k)), dtype=float))
+            for k in range(self.x.shape[1])
+        ], axis=-1)
+
+    def record(self, walk: Walk, record_every: int,
+               projector: Optional[Projector] = None
+               ) -> Tuple[List[float], List[np.ndarray]]:
+        """Run ``walk``; record the initial state, every
+        ``record_every``-th step and every step the walk marks."""
+        if record_every < 1:
+            raise SolverError("record_every must be >= 1")
+        times = [0.0]
+        records = [self.observe(projector)]
+        n_columns = 1 if self.x.ndim == 1 else self.x.shape[1]
+        with obs.span("solver.transient.session", method=self.stepper.method,
+                      dt=self.dt, n_nodes=self.network.n_nodes,
+                      n_columns=n_columns):
+            for count, (t, marked) in enumerate(walk, 1):
+                if marked or count % record_every == 0:
+                    times.append(t)
+                    records.append(self.observe(projector))
+        return times, records
+
+    def grid(self, powers: Callable[[np.ndarray], np.ndarray], n_full: int,
+             dt_final: Optional[float], t_end: float) -> Walk:
+        """The walk of :func:`plan_fixed_steps`: ``n_full`` steps, then
+        the partial step ``dt_final`` (if any) landing on ``t_end``.
+        ``powers(times)`` is ``(len(times)[, K], n_nodes)``."""
+        n_steps = n_full + (dt_final is not None)
+        p_prev = powers(np.zeros(1))[0]
+        for start in range(1, n_full + 1, _BLOCK_STEPS):
+            stop = min(start + _BLOCK_STEPS - 1, n_full)
+            step_times = np.arange(start, stop + 1, dtype=float) * self.dt
+            p_block = powers(step_times)
+            # elementwise, so bitwise equal to computing it per step
+            p_from = np.concatenate((p_prev[None], p_block[:-1]), axis=0)
+            p_eff = self.stepper.effective_power(p_from, p_block)
+            for j, t in enumerate(step_times.tolist()):
+                self.advance(p_eff[j].T)
+                yield t, start + j == n_steps
+            p_prev = p_block[-1]
+        if dt_final is not None:
+            final = self._stepper_cls(self.network, dt_final)
+            p_end = powers(np.array([t_end]))[0]
+            self.advance(final.effective_power(p_prev, p_end).T, final)
+            yield t_end, True
+
+    def segments(self, boundaries: Sequence[float],
+                 powers: Callable[[int], np.ndarray]) -> Walk:
+        """Segment ``i`` runs to ``boundaries[i + 1]`` under node power
+        ``powers(i)``; its last step is shortened to land on it."""
+        dt = self.dt
+        now = 0.0
+        for index in range(len(boundaries) - 1):
+            seg_end = boundaries[index + 1]
+            power = powers(index)
+            # constant within the segment: one power term for its steps
+            p_eff = self.stepper.effective_power(power, power)
+            while now < seg_end - 1e-12:
+                remaining = seg_end - now
+                if remaining >= dt - 1e-12:
+                    self.advance(p_eff)
+                    now += dt
+                else:
+                    self.advance(p_eff, self._short_stepper(remaining))
+                    now = seg_end
+                yield now, now >= seg_end - 1e-12
+
+    def _short_stepper(self, length: float) -> _ImplicitStepper:
+        key = round(length, 15)
+        if key not in self._short:
+            self._short[key] = self._stepper_cls(self.network, length)
+        return self._short[key]
+
+
 def transient_simulate(
     network: ThermalNetwork,
     power: PowerInput,
@@ -289,7 +417,7 @@ def transient_simulate(
     x0: Optional[np.ndarray] = None,
     method: str = "trapezoidal",
     record_every: int = 1,
-    projector: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    projector: Optional[Projector] = None,
 ) -> TransientResult:
     """Integrate the network from ``x0`` to ``t_end``.
 
@@ -312,47 +440,14 @@ def transient_simulate(
         Optional reduction applied to each recorded state (e.g.
         ``model.block_rise``) so long runs don't store full node fields.
     """
-    if record_every < 1:
-        raise SolverError("record_every must be >= 1")
     stepper_cls = stepper_class(method)
     n_full, dt_final = plan_fixed_steps(t_end, dt)
-    stepper = stepper_cls(network, dt)
-
-    n_steps = n_full + (1 if dt_final is not None else 0)
-    n_nodes = network.n_nodes
-    if callable(power):
-        schedule = power
-        power_at = lambda t: checked_power(schedule(t), t, n_nodes)  # noqa: E731
-    else:
-        constant = checked_power(power, 0.0, n_nodes)
-        power_at = lambda _t: constant  # noqa: E731 - trivial closure
-
-    x = checked_x0(x0, n_nodes)
-
-    def observe(state: np.ndarray) -> np.ndarray:
-        return projector(state) if projector is not None else state.copy()
-
-    times: List[float] = [0.0]
-    records: List[np.ndarray] = [observe(x)]
-    p_now = np.asarray(power_at(0.0), dtype=float)
-    with obs.span("solver.transient.simulate", method=method,
-                  n_steps=n_steps, dt=dt, n_nodes=network.n_nodes):
-        for step_index in range(1, n_full + 1):
-            t_next = step_index * dt
-            p_next = np.asarray(power_at(t_next), dtype=float)
-            x = stepper.step(x, p_now, p_next)
-            p_now = p_next
-            if step_index % record_every == 0 or step_index == n_steps:
-                times.append(t_next)
-                records.append(observe(x))
-        if dt_final is not None:
-            # exact final partial step: a misaligned dt must not
-            # silently shrink or stretch the simulated horizon
-            final_stepper = stepper_cls(network, dt_final)
-            p_next = np.asarray(power_at(t_end), dtype=float)
-            x = final_stepper.step(x, p_now, p_next)
-            times.append(t_end)
-            records.append(observe(x))
+    powers = power_block(power, network.n_nodes)
+    session = TransientSession(network, dt, checked_x0(x0, network.n_nodes),
+                               stepper_cls)
+    times, records = session.record(
+        session.grid(powers, n_full, dt_final, t_end), record_every, projector
+    )
     states = np.vstack(records) if records[0].ndim else np.asarray(records)
     return TransientResult(times=np.asarray(times), states=states)
 

@@ -291,3 +291,43 @@ def test_serial_dtm_run_equals_a_one_column_batch(hot_setup):
     run = controller.run(trace)
     assert run.n_engagements >= 1
     _assert_runs_identical(run, run_dtm_batch([controller], [trace])[0])
+
+
+def _run_with_interval(entry, model, sensors, trace, interval):
+    from repro.dtm import PredictiveDTMController
+    from repro.dtm.batch import run_dtm_batch
+    args = (model, sensors, ClockGating(0.3), 318.15 + 40.0, 0.1)
+    if entry == "controller":
+        return DTMController(*args, sampling_interval=interval).run(trace)
+    if entry == "predictive":
+        return PredictiveDTMController(
+            *args, horizon=0.05, sampling_interval=interval
+        ).run(trace)
+    controller = DTMController(*args, sampling_interval=interval)
+    return run_dtm_batch([controller, controller], [trace, trace])[1]
+
+
+_ENTRIES = ["controller", "predictive", "batch"]
+
+
+@pytest.mark.parametrize("steps", [1.5, 0.0, -1.0], ids=["1.5dt", "0", "-dt"])
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_sampling_interval_must_be_a_positive_multiple_of_dt(
+        hot_setup, entry, steps):
+    plan, model, sensors = hot_setup
+    trace = constant_power(plan, {"die": 40.0}, duration=0.3, dt=0.01)
+    with pytest.raises(ConfigurationError, match="sampling_interval"):
+        _run_with_interval(entry, model, sensors, trace, steps * trace.dt)
+
+
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_sampling_interval_of_twenty_steps_samples_every_twentieth(
+        hot_setup, entry):
+    plan, model, sensors = hot_setup
+    trace = constant_power(plan, {"die": 40.0}, duration=0.5, dt=0.01)
+    run = _run_with_interval(entry, model, sensors, trace, 20 * trace.dt)
+    # held readings repeat between samples, taken at steps 0, 20, 40
+    fresh = np.flatnonzero(np.diff(run.sensor_max) != 0) + 1
+    assert set(fresh) <= {20, 40}
+    assert run.sensor_max[19] == run.sensor_max[0]
+    assert run.sensor_max[20] != run.sensor_max[19]
