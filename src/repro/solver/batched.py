@@ -3,28 +3,20 @@
 The paper's transient studies — the four oil-flow directions, the DTM
 policy sweeps of Sec. 5.1, sensor-placement ensembles, the Fig. 12
 trace runs — all integrate the *same* RC network under many power
-inputs.  Serial integration pays K factorizations and K Python
-stepping loops for what is mathematically one factorization applied to
-K right-hand sides.  Here the K scenario states are the ``(n_nodes, K)``
-state of one :class:`~repro.solver.transient.TransientSession`, which
-advances every column through one cached LU factor per step: SuperLU
-solves a 2-D right-hand side column by column with exactly the serial
-operation order, and the serial entry points run the same walks on a
-1-D state, so **each column is bitwise identical to running that
-scenario alone** — the batch changes the cost, never the numbers.
-
-Two entry points cover the two walks:
+inputs.  Here the K scenarios are the K columns of one
+:class:`~repro.solver.transient.TransientSession`: one factorization
+and one Python loop for all of them, where serial runs pay K of each.
+The serial entry points walk the same code on a 1-D state, and SuperLU
+back-solves the columns one by one in the serial order, so **each
+column is bitwise identical to running that scenario alone**
+(DESIGN.md §5.4).
 
 * :func:`batched_transient_simulate` is the K-column
-  :func:`~repro.solver.transient.transient_simulate` (fixed ``dt``
-  grid, exact final partial step); a scenario's power may also be a
-  piecewise-constant schedule.
+  :func:`~repro.solver.transient.transient_simulate`.
 * :func:`batched_simulate_schedules` is the K-column
-  :func:`~repro.solver.events.simulate_schedule` (segment walking with
-  short-step insertion) for K schedules sharing one boundary grid and
-  one model — the shape of a same-model campaign group (e.g. a Fig. 12
-  seed ensemble).  Each segment's K block-power rows are injected as
-  one ``(n_nodes, K)`` matrix into a reused buffer.
+  :func:`~repro.solver.events.simulate_schedule`, for K schedules
+  sharing one boundary grid and one model — the shape of a same-model
+  campaign group (e.g. a Fig. 12 seed ensemble).
 """
 
 from __future__ import annotations

@@ -107,7 +107,6 @@ class _ImplicitStepper:
     result is bitwise identical to stepping it alone.
     """
 
-    order: int = 0
     method: str = ""
     #: Factorization of the implicit system matrix, built by the
     #: subclass ``_factorize`` through :data:`LINEAR_BACKEND`.
@@ -129,9 +128,8 @@ class _ImplicitStepper:
     def step(self, x: np.ndarray, p_now: np.ndarray,
              p_next: Optional[np.ndarray] = None) -> np.ndarray:
         """One time step from state(s) ``x`` under the given power(s)."""
-        if p_next is None:
-            p_next = p_now
-        return self.step_effective(x, self.effective_power(p_now, p_next))
+        p_end = p_now if p_next is None else p_next
+        return self.step_effective(x, self.effective_power(p_now, p_end))
 
     def effective_power(self, p_now: np.ndarray,
                         p_next: np.ndarray) -> np.ndarray:
@@ -164,7 +162,6 @@ class TrapezoidalStepper(_ImplicitStepper):
     Advances ``(C/dt + A/2) x' = (C/dt - A/2) x + (p + p')/2``.
     """
 
-    order = 2
     method = "trapezoidal"
 
     def _factorize(self, network: ThermalNetwork) -> None:
@@ -187,7 +184,6 @@ class BackwardEulerStepper(_ImplicitStepper):
     Advances ``(C/dt + A) x' = (C/dt) x + p'``.
     """
 
-    order = 1
     method = "backward_euler"
 
     def _factorize(self, network: ThermalNetwork) -> None:
