@@ -10,13 +10,14 @@ a 1-D state.  Only the linear solve is shared: every controller keeps
 its own engagement state, sensor sampling, and performance
 accounting, evaluated per column between two :meth:`advance
 <repro.solver.transient.TransientSession.advance>` calls — so each
-returned :class:`~repro.dtm.controller.DTMRun` is bitwise identical to
+returned :class:`DTMRun` is bitwise identical to
 running that controller alone.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +29,37 @@ from ..solver.transient import (
     checked_x0,
     stacked_x0,
 )
-from .controller import DTMController, DTMRun
+
+if TYPE_CHECKING:
+    from .controller import DTMController
+
+
+@dataclass
+class DTMRun:
+    """Results of one closed-loop DTM simulation.
+
+    Temperatures are absolute Kelvin.  ``engaged`` flags each sample
+    interval; ``performance`` is the fraction of nominal work completed
+    over the run (1.0 = no DTM penalty).
+    """
+
+    times: np.ndarray
+    sensor_max: np.ndarray
+    true_max: np.ndarray
+    block_temps: np.ndarray
+    engaged: np.ndarray
+    performance: float
+    n_engagements: int
+
+    @property
+    def engaged_fraction(self) -> float:
+        """Fraction of intervals spent with DTM engaged."""
+        return float(np.mean(self.engaged))
+
+    @property
+    def peak_temperature(self) -> float:
+        """Hottest true die temperature over the run, K."""
+        return float(self.true_max.max())
 
 
 def _sample_stride(interval: Optional[float], dt: float) -> int:

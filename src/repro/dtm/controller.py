@@ -15,7 +15,6 @@ longer engagement durations, costing more performance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,40 +24,13 @@ from ..power.trace import PowerTrace
 from ..rcmodel.grid import ThermalGridModel
 from ..sensors.sensor import SensorArray
 from ..solver.transient import TransientSession
+from .batch import DTMRun, run_dtm_batch
 from .policies import DTMPolicy
 
 #: ``trigger(reading, p_eff, column)``: whether the sensor reading
 #: taken on state column ``column``, which just stepped under power term
 #: ``p_eff``, engages the policy.
 Trigger = Callable[[float, np.ndarray, int], bool]
-
-
-@dataclass
-class DTMRun:
-    """Results of one closed-loop DTM simulation.
-
-    Temperatures are absolute Kelvin.  ``engaged`` flags each sample
-    interval; ``performance`` is the fraction of nominal work completed
-    over the run (1.0 = no DTM penalty).
-    """
-
-    times: np.ndarray
-    sensor_max: np.ndarray
-    true_max: np.ndarray
-    block_temps: np.ndarray
-    engaged: np.ndarray
-    performance: float
-    n_engagements: int
-
-    @property
-    def engaged_fraction(self) -> float:
-        """Fraction of intervals spent with DTM engaged."""
-        return float(np.mean(self.engaged))
-
-    @property
-    def peak_temperature(self) -> float:
-        """Hottest true die temperature over the run, K."""
-        return float(self.true_max.max())
 
 
 class DTMController:
@@ -108,8 +80,6 @@ class DTMController:
     ) -> DTMRun:
         """Simulate the trace under closed-loop DTM (a one-column
         :func:`~repro.dtm.batch.run_dtm_batch`)."""
-        from .batch import run_dtm_batch
-
         return run_dtm_batch([self], [trace], [x0])[0]
 
     def trigger(self, session: TransientSession) -> Trigger:

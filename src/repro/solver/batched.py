@@ -222,9 +222,13 @@ def batched_simulate_schedules(
     tags_resolved = _resolve_tags(
         list(tags) if tags is not None else [""] * n_scenarios, n_scenarios
     )
-    x0 = stacked_x0(
-        list(x0s) if x0s is not None else [None] * n_scenarios, n_nodes
-    )
+    if x0s is None:
+        x0s = [None] * n_scenarios
+    if len(x0s) != n_scenarios:
+        raise SolverError(
+            f"{len(x0s)} initial states for {n_scenarios} schedules"
+        )
+    x0 = stacked_x0(x0s, n_nodes)
     session = TransientSession(network, dt, x0, stepper_cls)
     # each segment's K rows, injected as one (n_nodes, K) matrix into
     # a reused buffer

@@ -387,3 +387,13 @@ def test_mixed_trace_grids_raise_in_batch_runner():
     ]
     with pytest.raises((CampaignError, SolverError)):
         batch_trace_transient(jobs)
+
+
+def test_schedule_walk_rejects_a_wrong_number_of_initial_states(model):
+    net = model.network
+    schedule = PiecewiseConstantSchedule.from_segments(
+        [(0.01, np.ones(model.n_nodes))]
+    )
+    with pytest.raises(SolverError, match="initial states"):
+        batched_simulate_schedules(net, [schedule, schedule], dt=0.01,
+                                   x0s=[None])
