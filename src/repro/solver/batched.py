@@ -36,7 +36,7 @@ from .transient import (
     TransientSession,
     Walk,
     plan_fixed_steps,
-    power_block,
+    power_source,
     stacked_x0,
     stepper_class,
 )
@@ -104,12 +104,12 @@ class BatchedTransientResult:
 
 
 def _column_for(power: BatchPowerInput,
-                n_nodes: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``times -> (len(times), n_nodes)`` powers of one scenario column
-    (a schedule is sampled through ``power_at``)."""
+                n_nodes: int) -> Callable[[float], np.ndarray]:
+    """``t -> (n_nodes,)`` powers of one scenario column (a schedule is
+    sampled through ``power_at``)."""
     if isinstance(power, PiecewiseConstantSchedule):
-        return power_block(power.power_at, n_nodes)
-    return power_block(power, n_nodes)
+        return power_source(power.power_at, n_nodes)
+    return power_source(power, n_nodes)
 
 
 def _resolve_tags(
@@ -167,10 +167,8 @@ def batched_transient_simulate(
         network, dt, stacked_x0([sc.x0 for sc in scenarios], n_nodes),
         stepper_cls,
     )
-    # (steps, K, n_nodes): each step's (n_nodes, K) matrix is a
-    # transposed view, which elementwise consumers do not mind
     walk = session.grid(
-        lambda times: np.stack([column(times) for column in columns], axis=1),
+        lambda t: np.stack([column(t) for column in columns], axis=1),
         n_full, dt_final, t_end,
     )
     return _recorded(session, walk, record_every, projector, tags)

@@ -260,22 +260,16 @@ def stacked_x0(x0s: Sequence[Optional[np.ndarray]],
     return x
 
 
-def power_block(power: PowerInput,
-                n_nodes: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``times -> (len(times), n_nodes)``: :func:`checked_power` node
-    powers of a constant vector or of a callable ``p(t)``."""
-    if not callable(power):
-        constant = checked_power(power, 0.0, n_nodes)
-        return lambda times: np.broadcast_to(constant, (len(times), n_nodes))
-    source = power
-    return lambda times: np.array(
-        [checked_power(source(float(t)), t, n_nodes) for t in times]
-    )
+def power_source(power: PowerInput,
+                 n_nodes: int) -> Callable[[float], np.ndarray]:
+    """``t -> (n_nodes,)``: :func:`checked_power` node powers of a
+    constant vector (checked once, here) or of a callable ``p(t)``."""
+    if callable(power):
+        source = power
+        return lambda t: checked_power(source(t), t, n_nodes)
+    constant = checked_power(power, 0.0, n_nodes)
+    return lambda _t: constant
 
-
-#: Steps whose powers a grid walk fetches at once: the per-step Python
-#: overhead is amortized while only ``16 x n_nodes x K`` floats are held.
-_BLOCK_STEPS = 16
 
 #: A walk advances its session and yields, after each step, the time
 #: reached and whether that step must be recorded.
@@ -353,28 +347,22 @@ class TransientSession:
                     records.append(self.observe(projector))
         return times, records
 
-    def grid(self, powers: Callable[[np.ndarray], np.ndarray], n_full: int,
+    def grid(self, powers: Callable[[float], np.ndarray], n_full: int,
              dt_final: Optional[float], t_end: float) -> Walk:
         """The walk of :func:`plan_fixed_steps`: ``n_full`` steps, then
         the partial step ``dt_final`` (if any) landing on ``t_end``.
-        ``powers(times)`` is ``(len(times)[, K], n_nodes)``."""
-        n_steps = n_full + (dt_final is not None)
-        p_prev = powers(np.zeros(1))[0]
-        for start in range(1, n_full + 1, _BLOCK_STEPS):
-            stop = min(start + _BLOCK_STEPS - 1, n_full)
-            step_times = np.arange(start, stop + 1, dtype=float) * self.dt
-            p_block = powers(step_times)
-            # elementwise, so bitwise equal to computing it per step
-            p_from = np.concatenate((p_prev[None], p_block[:-1]), axis=0)
-            p_eff = self.stepper.effective_power(p_from, p_block)
-            for j, t in enumerate(step_times.tolist()):
-                self.advance(p_eff[j].T)
-                yield t, start + j == n_steps
-            p_prev = p_block[-1]
+        ``powers(t)`` is the node power at ``t``, ``(n_nodes[, K])``."""
+        p_prev = powers(0.0)
+        for index in range(1, n_full + 1):
+            t = index * self.dt
+            p_next = powers(t)
+            self.advance(self.stepper.effective_power(p_prev, p_next))
+            p_prev = p_next
+            yield t, index == n_full and dt_final is None
         if dt_final is not None:
             final = self._stepper_cls(self.network, dt_final)
-            p_end = powers(np.array([t_end]))[0]
-            self.advance(final.effective_power(p_prev, p_end).T, final)
+            p_end = powers(t_end)
+            self.advance(final.effective_power(p_prev, p_end), final)
             yield t_end, True
 
     def segments(self, boundaries: Sequence[float],
@@ -438,7 +426,7 @@ def transient_simulate(
     """
     stepper_cls = stepper_class(method)
     n_full, dt_final = plan_fixed_steps(t_end, dt)
-    powers = power_block(power, network.n_nodes)
+    powers = power_source(power, network.n_nodes)
     session = TransientSession(network, dt, checked_x0(x0, network.n_nodes),
                                stepper_cls)
     times, records = session.record(
