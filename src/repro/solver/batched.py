@@ -108,7 +108,7 @@ def _column_for(power: BatchPowerInput,
     """``t -> (n_nodes,)`` powers of one scenario column (a schedule is
     sampled through ``power_at``)."""
     if isinstance(power, PiecewiseConstantSchedule):
-        return power_source(power.power_at, n_nodes)
+        power = power.power_at
     return power_source(power, n_nodes)
 
 
