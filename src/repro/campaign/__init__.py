@@ -4,7 +4,8 @@ Turns ad-hoc experiment scripts into declarative, parallel, resumable
 campaigns: frozen :class:`JobSpec`/:class:`CampaignSpec` descriptions
 with deterministic content hashes (:mod:`~repro.campaign.spec`), an
 on-disk content-addressed result store (:mod:`~repro.campaign.cache`),
-a process-pool executor with retry/timeout/serial-fallback semantics
+an executor that fans cache misses out over one fork pool, with no
+retries or timeouts and a serial fallback
 (:mod:`~repro.campaign.executor`), JSONL run manifests and summaries
 (:mod:`~repro.campaign.manifest`), and a registry of named campaigns
 wrapping the paper's experiment sweeps

@@ -5,23 +5,24 @@ Execution of one campaign proceeds in three steps:
 1. **Cache probe** — each job's content hash is looked up in the
    result cache (when one is configured); hits short-circuit without
    ever reaching a worker.
-2. **Fan-out** — misses run on a ``ProcessPoolExecutor`` with
-   ``--jobs`` workers.  Failures retry with exponential backoff up to
-   ``retries`` times; a per-job ``timeout`` (measured from the moment
-   the engine starts waiting on that job) marks stragglers failed and
-   abandons their worker.  If the pool itself cannot be created (no
-   ``fork``/``spawn``, sandboxed ``/dev/shm``, ...), or ``jobs <= 1``,
-   the engine degrades gracefully to serial in-process execution with
-   identical results — only the timeout is then advisory (a running
-   job cannot be interrupted in-process).
+2. **Fan-out** — misses that share a model run as one in-process
+   batch (:mod:`repro.campaign.batching`); the rest go through
+   :func:`fan_out`, a ``fork`` pool of ``--jobs`` workers (serial
+   in-process for one worker).  Jobs are deterministic, so nothing is
+   retried or timed out: a job that raises is recorded ``failed``.
+   When the pool cannot start or breaks, the jobs without a result
+   run serially in this process, each once.
 3. **Record** — fresh results are stored back to the cache and every
    job appends a manifest record; the run closes with a summary
    (hit rate, p50/p95 job latency, aggregated metrics).
 
+:func:`fan_out` is also the figure fan-out of ``repro reproduce``
+(:func:`repro.experiments.report.run_all_experiments`).
+
 Observability: progress is reported through the stdlib
 ``repro.campaign`` logger (wire a handler with
 :func:`repro.obs.logging_setup`).  A pool worker always returns the
-:mod:`repro.obs` metrics delta of its job
+:mod:`repro.obs` metrics delta of its call
 (:func:`repro.obs.measured_call`) and the parent merges it, so pool
 and serial runs leave the same global counts.  When tracing is
 enabled — or ``capture_obs=True`` is passed — each job also runs
@@ -37,69 +38,126 @@ callback never feeds a result, record or summary metric.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import time
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
+    Sequence,
     Tuple,
+    TypeVar,
 )
 
 from .. import obs
-from ..errors import CampaignError
+from ..errors import CampaignError, ConfigurationError
 from .cache import JobResult, ResultCache
 from .manifest import CampaignSummary, ManifestWriter, summarize
 from .runners import get_runner
 from .spec import CampaignSpec, JobSpec
 
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
 logger = logging.getLogger("repro.campaign")
 
 _ATTEMPTS = obs.metrics().counter("campaign.jobs.attempts")
-_RETRIES = obs.metrics().counter("campaign.jobs.retries")
-_TIMEOUTS = obs.metrics().counter("campaign.jobs.timeouts")
 _FAILURES = obs.metrics().counter("campaign.jobs.failures")
 _BATCHED = obs.metrics().counter("campaign.jobs.batched")
 _JOB_SECONDS = obs.metrics().histogram("campaign.job.wall_seconds")
 
-#: What a worker returns: result, wall seconds, worker pid, and the
-#: observability capture (``None`` unless capture was requested).
-WorkerReturn = Tuple[JobResult, float, int, Optional[Dict[str, Any]]]
+T = TypeVar("T")
 
 
-def execute_job(spec: JobSpec, capture: bool = False) -> WorkerReturn:
-    """Run one job in the current process (the worker entry point).
+def fan_out(
+    calls: Sequence[Callable[[], T]],
+    jobs: int,
+    started: Optional[Callable[[int], None]] = None,
+    note: Optional[Callable[[str], None]] = None,
+) -> Iterator[T]:
+    """Run ``calls`` on a fork pool; yield their results in call order.
 
-    Module-level so it pickles to pool workers.  With ``capture`` the
-    job runs under a forced-on tracer span and the return carries an
-    observability record: the serialized span tree and a flat metrics
-    delta for manifests.
+    ``min(jobs, len(calls))`` workers run the calls when that is above
+    one; otherwise they run serially in this process.  Each result is
+    yielded as soon as it and every earlier one have landed.
+    ``started(index)`` fires when call ``index`` is dispatched: at pool
+    submission, or just before it runs in this process.  A call's
+    exception propagates.  Nothing is retried or timed out: the calls
+    are deterministic, so a second run would fail the same way.
+
+    Each pool call is ``obs.measured_call(call)``; the parent merges the
+    returned metrics delta, so the :mod:`repro.obs` counts equal a
+    serial run's.  ``fork``, whatever the interpreter's default:
+    forked workers inherit the imported package and the parent's warm
+    caches (the gcc trace), where a spawned worker would import and
+    simulate again.  The pool forks every worker in its first
+    ``submit``, before it starts its own manager thread, so the
+    caller's threads are the only ones at fork time.
+
+    When the pool cannot start (``OSError``; ``ValueError`` without
+    ``fork``) or breaks (``BrokenProcessPool``), ``note`` gets one
+    ``[  NOTE ]`` line and the calls without a result run serially in
+    this process, each once.
     """
-    start = time.perf_counter()
-    if not capture:
-        result = get_runner(spec.kind)(spec)
-        return result, time.perf_counter() - start, os.getpid(), None
+    # imported on first use, so importing repro stays free of them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-    tracer = obs.tracer()
-    was_enabled = tracer.enabled
-    tracer.enabled = True
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(calls))
+    pool: Optional[ProcessPoolExecutor] = None
+    futures: List[Future] = []
     try:
-        with obs.Span("campaign.job", {"tag": spec.tag, "kind": spec.kind},
-                      tracer=tracer) as job_span:
-            result, delta = obs.measured_call(get_runner(spec.kind), spec)
+        if workers > 1:
+            try:
+                pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=multiprocessing.get_context("fork"))
+                futures = [pool.submit(obs.measured_call, call)
+                           for call in calls]
+            except (OSError, ValueError, BrokenProcessPool) as exc:
+                futures = []
+                _note_serial(note, exc)
+        for index in range(len(futures)):
+            if started is not None:
+                started(index)
+        broken = False
+        for index, call in enumerate(calls):
+            if futures:
+                try:
+                    result, delta = futures[index].result()
+                except BrokenProcessPool as exc:
+                    if not broken:
+                        _note_serial(note, exc)
+                        broken = True
+                else:
+                    obs.metrics().merge(delta)
+                    yield result
+                    continue
+            if started is not None:
+                started(index)
+            yield call()
     finally:
-        tracer.enabled = was_enabled
-    capture_record: Dict[str, Any] = {
-        "pid": os.getpid(),
-        "span": job_span.to_dict(),
-        "metrics": obs.flatten_snapshot(delta),
-    }
-    return result, time.perf_counter() - start, os.getpid(), capture_record
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _note_serial(note: Optional[Callable[[str], None]],
+                 exc: BaseException) -> None:
+    message = (f"process pool unavailable ({type(exc).__name__}: {exc}); "
+               "running the rest serially")
+    logger.warning(message)
+    if note is not None:
+        note(f"[  NOTE ] {message}")
 
 
 @dataclass
@@ -107,12 +165,11 @@ class JobOutcome:
     """How one job of a campaign run ended."""
 
     spec: JobSpec
-    status: str  # "ok" | "cached" | "failed" | "timeout"
+    status: str  # "ok" | "cached" | "failed"
     result: Optional[JobResult] = None
     error: Optional[str] = None
     wall_s: float = 0.0
     worker: str = ""
-    retries: int = 0
     #: Observability capture from the (possibly remote) worker:
     #: ``{"pid", "span", "metrics"}`` or ``None``.
     obs: Optional[Dict[str, Any]] = None
@@ -154,7 +211,6 @@ class JobOutcome:
             "cached": self.status == "cached",
             "wall_s": round(self.wall_s, 6),
             "worker": self.worker,
-            "retries": self.retries,
             "error": self.error,
             "obs": self.obs_record(),
         }
@@ -168,6 +224,7 @@ class CampaignRun:
     outcomes: List[JobOutcome] = field(default_factory=list)
     summary: Optional[CampaignSummary] = None
     manifest_path: Optional[str] = None
+    #: Whether any job ran in a pool worker rather than this process.
     parallel: bool = False
 
     @property
@@ -209,15 +266,6 @@ class CampaignRun:
         return roots
 
 
-def _backoff_sleep(backoff: float, attempt: int) -> None:
-    """Exponential-backoff delay between submit retries.
-
-    Deliberately blocking: retry pacing is its whole purpose.
-    """
-    if backoff > 0:
-        time.sleep(backoff * (2 ** attempt))
-
-
 def _report(
     outcome: JobOutcome, progress: Optional[Callable[[str], None]]
 ) -> None:
@@ -240,8 +288,8 @@ def _emit(on_event: EventSink, type: str, tag: str = "",
 def _emit_outcome(on_event: EventSink, outcome: JobOutcome) -> None:
     """Emit the completion event for one outcome.
 
-    Built from the parent's outcome, so failures, timeouts and cache
-    hits all report uniformly.
+    Built from the parent's outcome, so failures and cache hits report
+    uniformly.
     """
     if outcome.status == "cached":
         _emit(on_event, "job_cached", tag=outcome.spec.tag,
@@ -251,51 +299,52 @@ def _emit_outcome(on_event: EventSink, outcome: JobOutcome) -> None:
     _emit(
         on_event, "job_finished", tag=outcome.spec.tag,
         kind=outcome.spec.kind, status=outcome.status, elapsed_s=outcome.wall_s,
-        worker=outcome.worker, retries=outcome.retries,
-        error=outcome.error, metrics=metrics,
+        worker=outcome.worker, error=outcome.error, metrics=metrics,
     )
 
 
-def _run_serial(
-    pending: List[JobSpec],
-    retries: int,
-    backoff: float,
-    progress: Optional[Callable[[str], None]],
-    capture: bool,
-    on_event: EventSink = None,
-) -> Dict[str, JobOutcome]:
-    outcomes: Dict[str, JobOutcome] = {}
-    for spec in pending:
-        _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
-        attempt = 0
-        while True:
-            _ATTEMPTS.inc()
+def execute_job(spec: JobSpec, capture: bool = False) -> JobOutcome:
+    """Run one job in the current process (the worker entry point).
+
+    Module-level so it pickles to pool workers.  A job's exception is
+    caught here and becomes its ``failed`` outcome, so one bad job
+    never stops the campaign.  With ``capture`` the job runs under a
+    forced-on tracer span and the outcome carries an observability
+    record: the serialized span tree and a flat metrics delta for
+    manifests.
+    """
+    _ATTEMPTS.inc()
+    start = time.perf_counter()
+    captured: Optional[Dict[str, Any]] = None
+    try:
+        if not capture:
+            result = get_runner(spec.kind)(spec)
+        else:
+            tracer = obs.tracer()
+            was_enabled = tracer.enabled
+            tracer.enabled = True
             try:
-                result, wall, pid, captured = execute_job(spec, capture)
-                _JOB_SECONDS.observe(wall)
-                outcomes[spec.tag] = JobOutcome(
-                    spec=spec, status="ok", result=result, wall_s=wall,
-                    worker=str(pid), retries=attempt, obs=captured,
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                if attempt < retries:
-                    logger.debug("job %s attempt %d failed (%s); retrying",
-                                 spec.tag, attempt + 1, exc)
-                    _RETRIES.inc()
-                    _backoff_sleep(backoff, attempt)
-                    attempt += 1
-                    continue
-                _FAILURES.inc()
-                outcomes[spec.tag] = JobOutcome(
-                    spec=spec, status="failed",
-                    error=f"{type(exc).__name__}: {exc}",
-                    worker=str(os.getpid()), retries=attempt,
-                )
-                break
-        _report(outcomes[spec.tag], progress)
-        _emit_outcome(on_event, outcomes[spec.tag])
-    return outcomes
+                with obs.Span("campaign.job",
+                              {"tag": spec.tag, "kind": spec.kind},
+                              tracer=tracer) as job_span:
+                    result, delta = obs.measured_call(get_runner(spec.kind),
+                                                      spec)
+            finally:
+                tracer.enabled = was_enabled
+            captured = {
+                "pid": os.getpid(),
+                "span": job_span.to_dict(),
+                "metrics": obs.flatten_snapshot(delta),
+            }
+    except Exception as exc:  # noqa: BLE001 - job isolation boundary
+        _FAILURES.inc()
+        return JobOutcome(spec=spec, status="failed",
+                          error=f"{type(exc).__name__}: {exc}",
+                          worker=str(os.getpid()))
+    wall = time.perf_counter() - start
+    _JOB_SECONDS.observe(wall)
+    return JobOutcome(spec=spec, status="ok", result=result, wall_s=wall,
+                      worker=str(os.getpid()), obs=captured)
 
 
 def _run_batched(
@@ -377,88 +426,10 @@ def _run_batched(
     return outcomes, rest
 
 
-def _run_parallel(
-    pending: List[JobSpec],
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    progress: Optional[Callable[[str], None]],
-    capture: bool,
-    on_event: EventSink = None,
-) -> Dict[str, JobOutcome]:
-    from concurrent.futures import ProcessPoolExecutor
-
-    outcomes: Dict[str, JobOutcome] = {}
-    registry = obs.metrics()
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    abandoned = False
-    try:
-        futures = []
-        for spec in pending:
-            futures.append((pool.submit(obs.measured_call, execute_job, spec,
-                                        capture), spec))
-            _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
-        _ATTEMPTS.inc(len(futures))
-        for fut, spec in futures:
-            attempt = 0
-            while True:
-                try:
-                    (result, wall, pid, captured), delta = fut.result(
-                        timeout=timeout)
-                    # the worker's counts join this registry, so pool
-                    # and serial runs leave identical global counts
-                    registry.merge(delta)
-                    _JOB_SECONDS.observe(wall)
-                    outcomes[spec.tag] = JobOutcome(
-                        spec=spec, status="ok", result=result, wall_s=wall,
-                        worker=str(pid), retries=attempt, obs=captured,
-                    )
-                    break
-                except FutureTimeoutError:
-                    fut.cancel()
-                    abandoned = True
-                    _TIMEOUTS.inc()
-                    outcomes[spec.tag] = JobOutcome(
-                        spec=spec, status="timeout",
-                        error=f"exceeded {timeout:g} s budget",
-                        wall_s=float(timeout), retries=attempt,
-                    )
-                    break
-                except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                    if attempt < retries:
-                        logger.debug(
-                            "job %s attempt %d failed (%s); retrying",
-                            spec.tag, attempt + 1, exc,
-                        )
-                        _RETRIES.inc()
-                        _backoff_sleep(backoff, attempt)
-                        attempt += 1
-                        _ATTEMPTS.inc()
-                        fut = pool.submit(obs.measured_call, execute_job,
-                                          spec, capture)
-                        continue
-                    _FAILURES.inc()
-                    outcomes[spec.tag] = JobOutcome(
-                        spec=spec, status="failed",
-                        error=f"{type(exc).__name__}: {exc}",
-                        retries=attempt,
-                    )
-                    break
-            _report(outcomes[spec.tag], progress)
-            _emit_outcome(on_event, outcomes[spec.tag])
-    finally:
-        # A timed-out worker cannot be interrupted; don't block the
-        # campaign on it — abandon the pool and let it drain on exit.
-        pool.shutdown(wait=not abandoned, cancel_futures=abandoned)
-    return outcomes
-
-
 def _progress_line(outcome: JobOutcome) -> str:
     status = outcome.status.upper()
     detail = f"{outcome.wall_s:.3f} s" if outcome.ok else (outcome.error or "")
-    retry_note = f" (retries={outcome.retries})" if outcome.retries else ""
-    return f"[{status:>7}] {outcome.spec.tag}: {detail}{retry_note}"
+    return f"[{status:>7}] {outcome.spec.tag}: {detail}"
 
 
 def _aggregate_metrics(
@@ -475,12 +446,6 @@ def _aggregate_metrics(
     batched = sum(1 for o in run.outcomes if o.worker == "batched")
     if batched:
         totals["campaign.jobs.batched"] = float(batched)
-    retries = sum(o.retries for o in run.outcomes)
-    if retries:
-        totals["campaign.jobs.retries"] = float(retries)
-    timeouts = sum(1 for o in run.outcomes if o.status == "timeout")
-    if timeouts:
-        totals["campaign.jobs.timeouts"] = float(timeouts)
     return {name: round(value, 9) for name, value in sorted(totals.items())}
 
 
@@ -489,9 +454,6 @@ def run_campaign(
     jobs: int = 1,
     cache: Optional[ResultCache] = None,
     manifest_path: Optional[str] = None,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = 0.1,
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     capture_obs: Optional[bool] = None,
@@ -505,19 +467,12 @@ def run_campaign(
     campaign:
         The declarative campaign to run.
     jobs:
-        Worker processes; ``1`` runs serially in-process.
+        Worker processes of :func:`fan_out`; ``1`` runs serially
+        in-process, below ``1`` raises ``ConfigurationError``.
     cache:
         Content-addressed result store; ``None`` disables caching.
     manifest_path:
         Where to append the JSONL run manifest; ``None`` skips it.
-    timeout:
-        Per-job wall budget in seconds (pool mode only; advisory in
-        serial mode).
-    retries:
-        How many times a *failing* job is re-attempted (timeouts are
-        final: the straggler would just straggle again).
-    backoff:
-        Base of the exponential retry backoff, seconds.
     force:
         Recompute even on cache hits (refreshes the stored entries).
     progress:
@@ -539,9 +494,10 @@ def run_campaign(
         Optional callback for the lifecycle events of
         :mod:`repro.obs.events`, called synchronously in this process:
         ``campaign_started``; ``job_cached`` per cache hit;
-        ``job_started`` when a job is handed to execution (before its
-        first serial attempt, before its batch group runs, or at pool
-        submission) and ``job_finished`` when its outcome lands;
+        ``job_started`` when a job is handed to execution (before it
+        runs serially, before its batch group runs, or at pool
+        submission; again if a broken pool hands it back to this
+        process) and ``job_finished`` when its outcome lands;
         ``campaign_finished``.  A job is therefore "running" from
         dispatch to outcome.  Events never change results or recorded
         metrics.
@@ -582,27 +538,19 @@ def run_campaign(
         if pending and batch:
             fresh, pending = _run_batched(pending, progress, capture,
                                           on_event)
-        if pending:
-            use_pool = jobs > 1 and len(pending) > 1
-            if use_pool:
-                try:
-                    fresh.update(_run_parallel(
-                        pending, jobs, timeout, retries, backoff, progress,
-                        capture, on_event,
-                    ))
-                    run.parallel = True
-                except Exception as exc:  # pool unavailable: degrade to serial
-                    note = (f"process pool unavailable "
-                            f"({type(exc).__name__}: {exc}); running serially")
-                    logger.warning(note)
-                    if progress:
-                        progress(f"[  NOTE ] {note}")
-                    use_pool = False
-            if not use_pool:
-                fresh.update(
-                    _run_serial(pending, retries, backoff, progress, capture,
-                                on_event)
-                )
+
+        def started(index: int) -> None:
+            _emit(on_event, "job_started", tag=pending[index].tag,
+                  kind=pending[index].kind)
+
+        parent = str(os.getpid())
+        calls = [functools.partial(execute_job, spec, capture)
+                 for spec in pending]
+        for outcome in fan_out(calls, jobs, started, progress):
+            fresh[outcome.spec.tag] = outcome
+            run.parallel = run.parallel or outcome.worker != parent
+            _report(outcome, progress)
+            _emit_outcome(on_event, outcome)
 
         if cache is not None:
             with obs.span("campaign.cache.store", n=len(fresh)):

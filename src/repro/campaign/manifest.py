@@ -1,11 +1,13 @@
 """JSONL run manifests and campaign summaries.
 
 Every campaign run appends one ``{"type": "job", ...}`` line per job —
-wall time, cache hit/miss, worker id, retries, outcome — and closes
+wall time, cache hit/miss, worker id, outcome — and closes
 with a ``{"type": "summary", ...}`` line carrying the aggregate the
 operator actually watches: hit rate and p50/p95 job latency.  JSONL
 keeps the file appendable from a crashing run and greppable without
-tooling.
+tooling.  Manifests from before retries and timeouts were removed
+still read: their jobs' ``"retries"`` key is ignored and a
+``"timeout"`` status counts as failed.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ class CampaignSummary:
     total_wall_s: float
     #: Aggregated observability counters across the run: per-job metric
     #: deltas summed over jobs, plus engine counts (``campaign.cache.hits``
-    #: / ``.misses``, retries, timeouts).  Empty when jobs ran without
-    #: capture; defaulted so pre-metrics manifests still round-trip.
+    #: / ``.misses``, ``campaign.jobs.batched``).  Empty when jobs ran
+    #: without capture; defaulted so pre-metrics manifests still
+    #: round-trip.
     metrics: Dict[str, float] = field(default_factory=dict)
 
     @property

@@ -112,11 +112,10 @@ def _dtm_policies(**params: Any) -> CampaignSpec:
 def _smoke(**params: Any) -> CampaignSpec:
     from .spec import JobSpec
 
-    sleep = float(params.pop("sleep", 0.0))
     if params:
         raise TypeError(f"unexpected parameters {sorted(params)}")
     jobs = tuple(
-        JobSpec.make("diagnostic", tag=f"probe-{i}", value=float(i), sleep=sleep)
+        JobSpec.make("diagnostic", tag=f"probe-{i}", value=float(i))
         for i in range(2)
     )
     return CampaignSpec(name="smoke", jobs=jobs)

@@ -12,7 +12,6 @@ to the old inline loops.
 from __future__ import annotations
 
 import os
-import time
 from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
@@ -253,44 +252,12 @@ def run_dtm_policy(spec: JobSpec) -> JobResult:
     return dtm_result(run, model)
 
 
-def _claim_attempt(marker_dir: str) -> int:
-    """Atomically claim the next attempt number in ``marker_dir``.
-
-    Creating ``attempt-N`` with ``O_EXCL`` is atomic across processes,
-    so concurrent retries of one diagnostic job count correctly.
-    """
-    os.makedirs(marker_dir, exist_ok=True)
-    attempt = 0
-    while True:
-        path = os.path.join(marker_dir, f"attempt-{attempt}")
-        try:
-            os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-            return attempt
-        except FileExistsError:
-            attempt += 1
-
-
 @runner("diagnostic")
 def run_diagnostic(spec: JobSpec) -> JobResult:
     """A no-solve job for exercising the executor and CI smoke runs.
 
-    ``sleep`` stalls (timeout path); ``fail_times`` with a
-    ``marker_dir`` makes the first N attempts raise (retry path);
     ``value`` is echoed back so tests can check result plumbing.
     """
-    sleep = float(spec.param("sleep", 0.0))
-    if sleep > 0:
-        time.sleep(sleep)
-    fail_times = int(spec.param("fail_times", 0))
-    if fail_times > 0:
-        marker_dir = spec.param("marker_dir")
-        if not marker_dir:
-            raise CampaignError("diagnostic fail_times needs a marker_dir")
-        attempt = _claim_attempt(str(marker_dir))
-        if attempt < fail_times:
-            raise CampaignError(
-                f"injected failure (attempt {attempt + 1}/{fail_times})"
-            )
     value = float(spec.param("value", 0.0))
     return JobResult(
         scalars={"value": value, "pid": float(os.getpid())},

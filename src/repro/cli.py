@@ -152,10 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--manifest", default=None,
                       help="JSONL manifest path (default: "
                            "<cache-dir>/manifests/<name>-<time>.jsonl)")
-    crun.add_argument("--timeout", type=float, default=None,
-                      help="per-job wall budget, seconds (pool mode)")
-    crun.add_argument("--retries", type=int, default=2,
-                      help="re-attempts per failing job (default 2)")
     crun.add_argument("--force", action="store_true",
                       help="recompute even when results are cached")
     crun.add_argument("--no-batch", action="store_true",
@@ -523,7 +519,7 @@ def _campaign_run(args) -> int:
     try:
         run = run_campaign(
             spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
-            timeout=args.timeout, retries=args.retries, force=args.force,
+            force=args.force,
             batch=not args.no_batch,
             on_event=on_event if renderer is not None else None,
         )

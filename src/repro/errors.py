@@ -55,5 +55,6 @@ class CampaignError(ReproError):
     """A simulation campaign is malformed or failed to execute.
 
     Examples: an unknown campaign or job-runner name, duplicate job
-    tags within one campaign, or a job that exhausted its retries.
+    tags within one campaign, or asking a run for the result of a job
+    that failed.
     """

@@ -12,20 +12,21 @@ simulates gcc first, so every worker inherits the cached trace; each
 worker returns its figure's result with the :mod:`repro.obs` metrics
 delta of the call, which the parent merges.  The check rows are built
 in the parent afterwards, so the report does not depend on how many
-workers ran or in which order they finished.  Without ``fork``, or
-when the pool cannot start or breaks, the figures without a result run
-serially in this process.
+workers ran or in which order they finished.  The pool is the
+campaign engine's :func:`~repro.campaign.executor.fan_out`: without
+``fork``, or when the pool cannot start or breaks, the figures without
+a result run serially in this process.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .. import obs
+from ..campaign.executor import fan_out
 from ..convection.flow import FlowDirection
 from .common import gcc_power_trace
 from . import (
@@ -41,9 +42,6 @@ from . import (
     run_fig11,
     run_fig12,
 )
-
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class CheckRow:
@@ -137,65 +135,6 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_pooled(
-    calls: List[FigureCall], workers: int, note: Callable[[str], None],
-) -> Dict[str, Any]:
-    """Run ``calls`` on a fork pool of ``workers`` processes.
-
-    Returns the results that came back; each worker's metrics delta is
-    merged into this process's registry.  A figure's exception
-    propagates.  When the pool cannot start or breaks, the figures
-    without a result are missing from the returned dict, for the caller
-    to run serially.
-
-    ``fork``, not ``spawn``: forked workers inherit the imported
-    package and the parent's warm gcc trace, where a spawned worker
-    would import the package again and simulate gcc again.  The pool
-    forks every worker in its first ``submit``, before it starts its
-    own manager thread, so the caller's threads are the only ones at
-    fork time.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    results: Dict[str, Any] = {}
-    pool = None
-    try:
-        # ValueError: this platform has no fork start method
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"))
-        futures = [(name, pool.submit(obs.measured_call, function, **kwargs))
-                   for name, function, kwargs in calls]
-    except (OSError, ValueError, BrokenProcessPool) as exc:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        _note_serial(note, exc)
-        return results
-    for name, _, _ in calls:
-        note(f"{_TITLES[name]} ...")
-    try:
-        for name, future in futures:
-            try:
-                result, delta = future.result()
-            except BrokenProcessPool as exc:
-                _note_serial(note, exc)
-                break
-            obs.metrics().merge(delta)
-            results[name] = result
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return results
-
-
-def _note_serial(note: Callable[[str], None], exc: BaseException) -> None:
-    message = (f"process pool unavailable ({type(exc).__name__}: {exc}); "
-               "running the remaining figures serially")
-    logger.warning(message)
-    note(f"[  NOTE ] {message}")
-
-
 def run_all_experiments(
     fast: bool = True,
     progress: Optional[Callable[[str], None]] = None,
@@ -207,28 +146,28 @@ def run_all_experiments(
     runs the full-resolution versions); ``progress`` receives a line
     per figure if given.  ``jobs`` worker processes run the figures
     (``None``: one per available CPU, at most one per figure; ``1``:
-    serially in this process).  The report is the same for any
-    ``jobs``.
+    serially in this process; below ``1``: ``ConfigurationError``).
+    The report is the same for any ``jobs``.
     """
-    def note(message: str) -> None:
-        if progress is not None:
-            progress(message)
-
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     calls = figure_calls(fast)
-    workers = min(jobs or _available_cpus(), len(calls))
+    if jobs is None:
+        jobs = _available_cpus()
+
+    def started(index: int) -> None:
+        if progress is not None:
+            progress(f"{_TITLES[calls[index][0]]} ...")
+
     start = time.perf_counter()
-    results: Dict[str, Any] = {}
-    if workers > 1:
+    if min(jobs, len(calls)) > 1:
         # simulate gcc once here; every forked worker inherits the
         # lru_caches instead of simulating it again
         gcc_power_trace(500_000)
-        results = _run_pooled(calls, workers, note)
-    for name, function, kwargs in calls:
-        if name not in results:
-            note(f"{_TITLES[name]} ...")
-            results[name] = function(**kwargs)
+    results = dict(zip(
+        (name for name, _, _ in calls),
+        fan_out([functools.partial(function, **kwargs)
+                 for _, function, kwargs in calls],
+                jobs, started, progress),
+    ))
     (fig02, fig03, fig04, fig05, fig06, fig07, fig08, fig09, fig10, fig11,
      fig12) = (results[f"fig{n:02d}"] for n in range(2, 13))
 

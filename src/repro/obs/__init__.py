@@ -9,7 +9,7 @@ codebase *sees* that behaviour:
   decorator APIs; the process-global tracer is a no-op until enabled,
   so instrumented hot paths cost one attribute check when off;
 * :mod:`~repro.obs.metrics` — always-on counters/gauges/histograms
-  for domain events (factorizations, cache hits, steps, retries),
+  for domain events (factorizations, cache hits, steps, job failures),
   snapshot/merge-able across the campaign process pool;
 * :mod:`~repro.obs.export` — JSONL span logs, Chrome trace-event JSON
   (``chrome://tracing`` / Perfetto loadable), and plain-text summary

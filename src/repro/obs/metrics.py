@@ -3,7 +3,7 @@
 Where spans answer *where did the time go*, metrics answer *how often
 did the interesting thing happen*: LU factorizations versus
 fingerprint cache hits, implicit transient steps, result-cache
-hits/misses, job retries.  Metrics are **always on** — an increment is
+hits/misses, job failures.  Metrics are **always on** — an increment is
 a lock acquire plus an add, and every instrumented event is coarse
 (one per solve / factorization / cache probe), so the cost vanishes
 next to the work being counted.  Only *timing* belongs behind the

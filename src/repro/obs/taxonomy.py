@@ -52,8 +52,6 @@ METRIC_NAMES = frozenset(
         "rcmodel.grid.assemblies",
         "rcmodel.grid.assembly_seconds",
         "campaign.jobs.attempts",
-        "campaign.jobs.retries",
-        "campaign.jobs.timeouts",
         "campaign.jobs.failures",
         "campaign.job.wall_seconds",
     }

@@ -1,25 +1,33 @@
 """Tests for the campaign engine: specs, cache, executor, manifests."""
 
+import json
 import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.campaign import (
     CampaignSpec,
+    JobOutcome,
     JobResult,
     JobSpec,
     ModelSpec,
     ResultCache,
     get_campaign,
+    list_campaigns,
     manifest_summary,
     read_manifest,
     run_campaign,
 )
-from repro.errors import CampaignError
+from repro.campaign import executor
+from repro.errors import CampaignError, ConfigurationError
 from repro.power import PowerTrace
+
+_TEST_PID = os.getpid()
 
 TWO_BLOCK_POWER = (("IntReg", 3.0), ("Dcache", 2.0))
 
@@ -83,6 +91,26 @@ def test_campaign_rejects_duplicate_tags_and_empty():
 def test_params_must_be_primitives():
     with pytest.raises(CampaignError):
         JobSpec.make("diagnostic", tag="bad", callback=lambda: None)
+
+
+def test_registered_campaigns_cross_the_pool_boundary():
+    """Every registered campaign's jobs, and what a job returns, survive
+    the pickling that a pool worker's call and return go through."""
+    for definition in list_campaigns():
+        params = {} if definition.name == "smoke" else {"nx": 8}
+        for job in get_campaign(definition.name, **params).jobs:
+            clone = pickle.loads(pickle.dumps(job))
+            assert clone == job
+            assert clone.content_hash == job.content_hash
+    result = JobResult(
+        scalars={"t_max_k": 330.25},
+        arrays={"block_rise_k": np.arange(12.0).reshape(4, 3)},
+        meta={"block_names": ["a", "b", "c"], "ambient_k": 318.15},
+    )
+    outcome = pickle.loads(pickle.dumps(
+        JobOutcome(spec=steady_job(), status="ok", result=result)))
+    assert outcome.result.same_values(result)
+    assert outcome.spec.content_hash == steady_job().content_hash
 
 
 # ---------------------------------------------------------------------------
@@ -171,58 +199,76 @@ def test_pool_merges_worker_counters_like_a_serial_run():
     assert counter_delta(2) == serial
 
 
-def test_executor_retries_injected_failure(tmp_path):
-    job = JobSpec.make(
-        "diagnostic", tag="flaky", value=7.0,
-        fail_times=1, marker_dir=str(tmp_path / "markers"),
-    )
-    run = run_campaign(CampaignSpec(name="retry", jobs=(job,)),
-                       retries=2, backoff=0.0)
-    assert run.ok
-    outcome = run.outcome_for("flaky")
-    assert outcome.status == "ok"
-    assert outcome.retries == 1
-    assert run.result_for("flaky").scalars["value"] == 7.0
-
-
-def test_executor_reports_exhausted_retries(tmp_path):
-    job = JobSpec.make(
-        "diagnostic", tag="doomed", fail_times=99,
-        marker_dir=str(tmp_path / "markers"),
-    )
-    manifest = tmp_path / "run.jsonl"
-    run = run_campaign(CampaignSpec(name="fail", jobs=(job,)),
-                       retries=1, backoff=0.0, manifest_path=str(manifest))
-    assert not run.ok
-    outcome = run.outcome_for("doomed")
-    assert outcome.status == "failed"
-    assert outcome.retries == 1
-    assert "injected failure" in outcome.error
-    with pytest.raises(CampaignError):
-        run.result_for("doomed")
-    records = read_manifest(manifest)
-    job_records = [r for r in records if r["type"] == "job"]
-    assert job_records[0]["status"] == "failed"
-    assert job_records[0]["retries"] == 1
-
-
-def test_executor_times_out_stragglers():
-    jobs = (
-        JobSpec.make("diagnostic", tag="straggler", sleep=1.5),
-        JobSpec.make("diagnostic", tag="quick", value=1.0),
-    )
-    run = run_campaign(CampaignSpec(name="slow", jobs=jobs),
-                       jobs=2, timeout=0.3, retries=0)
-    assert run.outcome_for("straggler").status == "timeout"
-    assert run.outcome_for("quick").ok
-    assert not run.ok
-
-
 def test_unknown_kind_fails_cleanly():
     job = JobSpec.make("no_such_runner", tag="x")
-    run = run_campaign(CampaignSpec(name="bad", jobs=(job,)), retries=0)
+    run = run_campaign(CampaignSpec(name="bad", jobs=(job,)))
     assert run.outcome_for("x").status == "failed"
     assert "unknown job kind" in run.outcome_for("x").error
+
+
+def _runner_that_dies_in_a_worker(doomed):
+    """A ``get_runner`` whose runner for job ``doomed`` kills its pool
+    worker; in this process it runs the real runner."""
+    real = executor.get_runner
+
+    def get_runner(kind):
+        job_runner = real(kind)
+
+        def run(spec):
+            if spec.tag == doomed and os.getpid() != _TEST_PID:
+                os._exit(1)
+            return job_runner(spec)
+
+        return run
+
+    return get_runner
+
+
+def test_dead_worker_runs_every_job_once(monkeypatch):
+    # fork carries the patch into the pool workers
+    monkeypatch.setattr(executor, "get_runner",
+                        _runner_that_dies_in_a_worker("probe-1"))
+    jobs = tuple(JobSpec.make("diagnostic", tag=f"probe-{i}", value=float(i))
+                 for i in range(4))
+    events = []
+    lines = []
+    before = obs.metrics().snapshot()
+    run = run_campaign(CampaignSpec(name="dead-worker", jobs=jobs), jobs=2,
+                       progress=lines.append, on_event=events.append)
+    counters = obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
+    assert [o.status for o in run.outcomes] == ["ok"] * 4
+    finished = sorted(e["tag"] for e in events if e["type"] == "job_finished")
+    assert finished == [spec.tag for spec in jobs]
+    assert counters["campaign.jobs.attempts"] == 4
+    assert sum("BrokenProcessPool" in line for line in lines) == 1
+    for i in range(4):
+        assert run.result_for(f"probe-{i}").scalars["value"] == i
+
+
+def test_dead_worker_leaves_the_serial_counts(monkeypatch):
+    campaign = CampaignSpec(
+        name="dead-counts",
+        jobs=tuple(steady_job(direction, direction=direction)
+                   for direction in ("left_to_right", "top_to_bottom")),
+    )
+
+    def counter_delta(jobs):
+        before = obs.metrics().snapshot()
+        run = run_campaign(campaign, jobs=jobs, capture_obs=False)
+        assert run.ok
+        return obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
+
+    serial = counter_delta(1)
+    monkeypatch.setattr(executor, "get_runner",
+                        _runner_that_dies_in_a_worker("top_to_bottom"))
+    assert counter_delta(2) == serial
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_a_configuration_error(jobs):
+    campaign = CampaignSpec(name="bad-jobs", jobs=(steady_job("a"),))
+    with pytest.raises(ConfigurationError, match="at least 1"):
+        run_campaign(campaign, jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +382,7 @@ def test_cli_campaign_run_and_rerun_hit_cache(tmp_path, capsys, monkeypatch):
     jobs = [r for r in records if r["type"] == "job"]
     assert len(jobs) == 8  # two runs appended to one manifest
     assert all(r["cached"] for r in jobs[4:])
-    assert {"wall_s", "worker", "retries", "status", "key"} <= set(jobs[0])
+    assert {"wall_s", "worker", "status", "key"} <= set(jobs[0])
 
     assert main(["campaign", "status",
                  "--cache-dir", str(tmp_path / "cache"),
@@ -351,3 +397,33 @@ def test_cli_campaign_run_smoke_no_cache(capsys):
     assert main(["campaign", "run", "smoke", "--no-cache"]) == 0
     out = capsys.readouterr().out
     assert "2/2 jobs ok" in out
+
+
+def test_cli_campaign_status_reads_a_manifest_with_retries_keys(tmp_path,
+                                                               capsys):
+    """Manifests written before retries were removed still summarize."""
+    from repro.cli import main
+
+    manifest = tmp_path / "old.jsonl"
+    old_jobs = [
+        {"type": "job", "campaign": "old", "tag": "a", "kind": "diagnostic",
+         "key": "k-a", "status": "ok", "cached": False, "wall_s": 0.25,
+         "worker": "101", "retries": 1, "error": None, "obs": None},
+        {"type": "job", "campaign": "old", "tag": "b", "kind": "diagnostic",
+         "key": "k-b", "status": "timeout", "cached": False, "wall_s": 0.5,
+         "worker": "", "retries": 0, "error": "exceeded 0.5 s budget",
+         "obs": None},
+    ]
+    manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                for r in old_jobs))
+    assert main(["campaign", "status", "--cache-dir", str(tmp_path / "cache"),
+                 "--manifest", str(manifest)]) == 0
+    assert "campaign old: 1/2 ok" in capsys.readouterr().out
+
+
+def test_cli_campaign_run_rejects_jobs_below_one(capsys):
+    from repro.cli import main
+
+    assert main(["campaign", "run", "smoke", "--jobs", "-3",
+                 "--no-cache"]) == 1
+    assert "error: jobs must be at least 1" in capsys.readouterr().err

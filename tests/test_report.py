@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro import obs
+from repro.campaign.executor import fan_out
+from repro.errors import ConfigurationError
 from repro.experiments import common, report as report_module
 from repro.experiments.report import (
     CheckRow,
@@ -114,11 +116,15 @@ def _exit_in_worker():
         os._exit(1)
 
 
-def test_broken_pool_leaves_the_figures_to_the_caller():
+def test_broken_pool_runs_the_rest_serially():
     lines = []
-    calls = [("fig04", _exit_in_worker, {}), ("fig09", _exit_in_worker, {})]
-    assert report_module._run_pooled(calls, 2, lines.append) == {}
-    assert any("BrokenProcessPool" in line for line in lines)
+    started = []
+    calls = [_exit_in_worker, _exit_in_worker]
+    assert list(fan_out(calls, 2, started.append, lines.append)) == [None,
+                                                                     None]
+    assert sum("BrokenProcessPool" in line for line in lines) == 1
+    # dispatched to the pool, then once more each in this process
+    assert started == [0, 1, 0, 1]
 
 
 def _raise_value_error(**kwargs):
@@ -131,5 +137,12 @@ def test_figure_error_propagates(monkeypatch):
     monkeypatch.setattr(report_module, "figure_calls", lambda fast: calls)
     with pytest.raises(ValueError, match="figure failed"):
         run_all_experiments(fast=True, jobs=2)
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ConfigurationError, match="at least 1"):
         run_all_experiments(fast=True, jobs=0)
+
+
+def test_cli_reproduce_rejects_jobs_below_one(capsys):
+    from repro.cli import main
+
+    assert main(["reproduce", "-j", "0"]) == 1
+    assert "error: jobs must be at least 1" in capsys.readouterr().err
