@@ -64,7 +64,7 @@ from .runners import get_runner
 from .spec import CampaignSpec, JobSpec
 
 if TYPE_CHECKING:
-    from concurrent.futures import Future, ProcessPoolExecutor
+    from concurrent.futures import Future
 
 logger = logging.getLogger("repro.campaign")
 
