@@ -9,9 +9,7 @@ reproduction's results come from:
 * the ``fig12-trace`` and ``campaign-sweep`` bodies of the end-to-end
   benchmark, imported from ``benchmarks/e2e/workloads.py``;
 * the claim benches: ``pytest benchmarks --ignore=benchmarks/e2e
-  --ignore=benchmarks/test_bench_analyze.py --benchmark-disable``, run
-  in-process (the analyzer bench is left out: the analyzer is a lint
-  gate, not a claim).
+  --benchmark-disable``, run in-process.
 
 A ``sys.setprofile`` hook records every Python code object entered.
 Each function in ``src/repro`` then counts its own lines (a nested
@@ -68,7 +66,6 @@ def _run_everything(called: Set[FunctionKey]) -> None:
                 "-q", "-p", "no:cacheprovider", "--rootdir", REPO,
                 os.path.join(REPO, "benchmarks"),
                 "--ignore", os.path.join(HERE, "e2e"),
-                "--ignore", os.path.join(HERE, "test_bench_analyze.py"),
                 "--benchmark-disable",
             ])
         finally:

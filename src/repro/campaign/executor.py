@@ -564,7 +564,9 @@ def run_campaign(
         records = [outcome.record(campaign.name) for outcome in run.outcomes]
         run.summary = summarize(
             campaign.name, records, time.perf_counter() - start,
-            metrics=_aggregate_metrics(run, len(cached), len(pending)),
+            metrics=_aggregate_metrics(
+                run, len(cached), len(campaign.jobs) - len(cached)
+            ),
         )
         if manifest_path:
             writer = ManifestWriter(manifest_path)

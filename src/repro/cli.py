@@ -174,53 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     csub.add_parser("list", help="list registered campaigns")
 
-    analyze = sub.add_parser(
-        "analyze",
-        help="physics-aware static analysis (units, cache invalidation, "
-             "hash determinism, pickle safety, float equality, obs "
-             "taxonomy, lock discipline)",
-    )
-    analyze.add_argument("paths", nargs="*", default=["src"],
-                         help="files/directories to analyze (default: src)")
-    analyze.add_argument("--format", choices=("text", "json", "sarif"),
-                         default="text", dest="output_format",
-                         help="report format (default: text)")
-    analyze.add_argument("--baseline", default=None,
-                         help="baseline file of accepted legacy findings "
-                              "(default: analysis-baseline.json when present)")
-    analyze.add_argument("--write-baseline", action="store_true",
-                         help="rewrite the baseline from the current "
-                              "findings and exit")
-    analyze.add_argument("--fail-on", choices=("error", "warning", "note",
-                                               "never"),
-                         default="error",
-                         help="exit non-zero when a non-baselined finding "
-                              "at/above this severity exists (default: error)")
-    analyze.add_argument("--rules", default=None,
-                         help="comma-separated subset of rules to run")
-    analyze.add_argument("--list-rules", action="store_true",
-                         help="list available rules and exit")
-    analyze.add_argument("--no-hints", action="store_true",
-                         help="omit fix-it hints from text output")
-    analyze.add_argument("-o", "--output", default="-",
-                         help="report destination ('-' = stdout)")
-    analyze.add_argument("-j", "--jobs", type=int, default=1,
-                         help="analyze files in N worker processes "
-                              "(1 = serial, default)")
-    analyze.add_argument("--no-cache", action="store_true",
-                         help="disable the per-file analysis cache")
-    analyze.add_argument("--cache-dir", default=None,
-                         help="analysis cache directory (default: "
-                              "$REPRO_ANALYZE_CACHE_DIR or "
-                              "~/.cache/repro-analyze)")
-    analyze.add_argument("--diff", default=None, metavar="REF",
-                         help="report findings only in files changed "
-                              "since the merge base with REF (the whole "
-                              "project is still linked)")
-    analyze.add_argument("--changed-only", action="store_true",
-                         help="report findings only in files with "
-                              "uncommitted or untracked changes")
-
     cstatus = csub.add_parser(
         "status", help="show result-cache contents and manifest summaries"
     )
@@ -582,72 +535,6 @@ def _campaign_status(args) -> int:
     return 0
 
 
-def cmd_analyze(args) -> int:
-    import os
-
-    from .analysis import static as static_analysis
-
-    if args.list_rules:
-        for rule in static_analysis.make_rules():
-            print(f"{rule.name:<20} {rule.severity:<8} {rule.description}")
-        return 0
-
-    rule_names = None
-    if args.rules:
-        rule_names = [name.strip() for name in args.rules.split(",") if name.strip()]
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(static_analysis.DEFAULT_BASELINE):
-        baseline_path = static_analysis.DEFAULT_BASELINE
-
-    baseline = None
-    if baseline_path is not None and not args.write_baseline:
-        baseline = static_analysis.Baseline.load(baseline_path)
-
-    if args.write_baseline and (args.diff or args.changed_only):
-        print("error: --write-baseline needs a full run, not --diff/"
-              "--changed-only", file=sys.stderr)
-        return 2
-
-    result = static_analysis.analyze_paths(
-        args.paths, rule_names=rule_names, baseline=baseline,
-        jobs=args.jobs, cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        changed_only=args.changed_only, diff_ref=args.diff,
-    )
-
-    if args.write_baseline:
-        target = baseline_path or static_analysis.DEFAULT_BASELINE
-        static_analysis.Baseline.from_findings(result.all_pairs).write(target)
-        print(f"wrote {target} ({len(result.all_pairs)} finding(s) baselined, "
-              f"{result.files_analyzed} file(s) analyzed)", file=sys.stderr)
-        return 0
-
-    if args.output_format == "text":
-        text = static_analysis.format_text(
-            result.findings,
-            show_hints=not args.no_hints,
-            baselined_count=len(result.baselined),
-            stale_count=len(result.stale_fingerprints),
-        ) + "\n"
-    elif args.output_format == "json":
-        text = static_analysis.format_json(
-            result.findings,
-            baselined_count=len(result.baselined),
-            stale_count=len(result.stale_fingerprints),
-        )
-    else:
-        text = static_analysis.format_sarif(result.findings, result.rules)
-
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 1 if result.fails(args.fail_on) else 0
-
-
 def cmd_campaign(args) -> int:
     handlers = {
         "run": _campaign_run,
@@ -788,7 +675,6 @@ _COMMANDS = {
     "info": cmd_info,
     "reproduce": cmd_reproduce,
     "campaign": cmd_campaign,
-    "analyze": cmd_analyze,
     "trace": cmd_trace,
     "obs": cmd_obs,
 }

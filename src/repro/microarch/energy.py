@@ -155,7 +155,7 @@ class EnergyModel:
     ) -> np.ndarray:
         """Per-block leakage power (W), optionally temperature-scaled."""
         base = self.leakage_density * self.floorplan.areas()
-        if block_temps is None or self.leakage_beta == 0.0:  # repro-ok: float-equality; exact zero = scaling off
+        if block_temps is None or self.leakage_beta == 0.0:  # exact zero = scaling off
             return base
         block_temps = np.asarray(block_temps, dtype=float)
         return base * np.exp(self.leakage_beta * (block_temps - self.t_ref))

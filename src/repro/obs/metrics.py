@@ -20,9 +20,7 @@ result, and the parent folds it in with :meth:`MetricsRegistry.merge`
 from __future__ import annotations
 
 import threading
-from typing import Annotated, Any, Dict, List, Optional, Sequence, Tuple, Union
-
-from .. import units
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Default histogram buckets for durations in seconds: ~log-spaced from
 #: 100 microseconds (one sparse triangular solve on a small grid) to
@@ -42,9 +40,9 @@ class Counter:
 
     __slots__ = ("name", "_value", "_lock")
 
-    #: mutations hold the (possibly registry-shared) lock; the
+    #: mutations hold ``_lock`` (possibly registry-shared); the
     #: ``value`` property is an intentional lock-free fast read
-    _value: Annotated[float, units.guarded_by("_lock")]
+    _value: float
 
     def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
@@ -66,7 +64,7 @@ class Gauge:
 
     __slots__ = ("name", "_value", "_lock")
 
-    _value: Annotated[float, units.guarded_by("_lock")]
+    _value: float  # written only under _lock
 
     def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
         self.name = name
@@ -93,9 +91,9 @@ class Histogram:
 
     __slots__ = ("name", "bounds", "_counts", "_sum", "_n", "_lock")
 
-    _counts: Annotated[List[int], units.guarded_by("_lock")]
-    _sum: Annotated[float, units.guarded_by("_lock")]
-    _n: Annotated[int, units.guarded_by("_lock")]
+    _counts: List[int]  # written only under _lock
+    _sum: float  # written only under _lock
+    _n: int  # written only under _lock
 
     def __init__(
         self,
@@ -152,8 +150,8 @@ class MetricsRegistry:
     """
 
     #: get-or-create and snapshot iterate/mutate this map from
-    #: arbitrary threads; every access holds the registry lock
-    _metrics: Annotated[Dict[str, "Metric"], units.guarded_by("_lock")]
+    #: arbitrary threads; every access holds the registry's ``_lock``
+    _metrics: Dict[str, "Metric"]
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}

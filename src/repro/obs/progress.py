@@ -19,9 +19,8 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import IO, Annotated, Any, Dict, List, Optional
+from typing import IO, Any, Dict, List, Optional
 
-from .. import units
 from .events import Event
 
 #: Job states, in lifecycle order.
@@ -69,10 +68,9 @@ class CampaignProgress:
     """
 
     #: the job table and its insertion order are written by
-    #: :meth:`observe` while renderers may read them; R12 checks every
-    #: mutation holds ``_lock``
-    _jobs: Annotated[Dict[str, JobProgress], units.guarded_by("_lock")]
-    _order: Annotated[List[str], units.guarded_by("_lock")]
+    #: :meth:`observe` while renderers may read them
+    _jobs: Dict[str, JobProgress]  # written only under _lock
+    _order: List[str]  # written only under _lock
 
     def __init__(self, total: int = 0) -> None:
         self.total = total
@@ -232,8 +230,8 @@ class LiveRenderer:
 
     #: paint bookkeeping, shared by :meth:`on_event` and :meth:`close`
     #: callers on any thread
-    _last_paint: Annotated[float, units.guarded_by("_lock")]
-    _painted_finished: Annotated[bool, units.guarded_by("_lock")]
+    _last_paint: float  # written only under _lock
+    _painted_finished: bool  # written only under _lock
 
     def __init__(
         self,

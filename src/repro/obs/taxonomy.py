@@ -3,11 +3,12 @@
 Observability names are dotted paths whose first segment is the owning
 subsystem; DESIGN.md §7 documents the full taxonomy.  This module is
 the *enforced* copy: instrumentation must register every span and
-metric name here, and the ``obs-taxonomy`` static-analysis rule
-(:mod:`repro.analysis.static.rules_obs`) flags any string literal used
-in a ``span(...)``/``counter(...)``/``histogram(...)``/``gauge(...)``
-call that the registry does not know — so a misspelled metric name
-fails CI instead of silently splitting a counter in two.
+metric name here, and ``tests/test_taxonomy.py`` fails on any string
+literal used in a ``span(...)``/``counter(...)``/``histogram(...)``/
+``gauge(...)`` call in ``src/repro`` that the registry does not know —
+so a misspelled metric name fails CI instead of silently splitting a
+counter in two.  The same file fails on a registered name that no
+module emits.
 
 Dynamic names (f-strings) are allowed when they fall under a
 registered *prefix*: ``campaign.cache.`` (suffixes are the

@@ -195,7 +195,7 @@ class NetworkBuilder:
         if np.any(a_nodes == b_nodes):
             raise ModelBuildError("cannot connect a node to itself")
         values = _non_negative("conductance", conductances, a_nodes.shape)
-        keep = values != 0.0  # repro-ok: float-equality; exact zero = omitted edge
+        keep = values != 0.0  # exact zero = omitted edge
         self._edges.append((a_nodes[keep], b_nodes[keep], values[keep]))
 
     def to_ambient(self, node: int, conductance: float) -> None:
@@ -213,7 +213,7 @@ class NetworkBuilder:
         """
         nodes = np.asarray(nodes, dtype=int).ravel()
         values = _non_negative("conductance", conductances, nodes.shape)
-        keep = values != 0.0  # repro-ok: float-equality; exact zero = no ambient path
+        keep = values != 0.0  # exact zero = no ambient path
         self._ambient.append((nodes[keep], values[keep]))
 
     def build(self) -> ThermalNetwork:

@@ -15,80 +15,6 @@ import numpy as np
 
 ArrayLike = Union[float, np.ndarray]
 
-#: Machine-readable dimension table consumed by the static analyzer
-#: (:mod:`repro.analysis.static`).  Maps the *symbols this module
-#: exports* — constants and constructor functions — to the dimension of
-#: the value they denote (for constants) or return (for functions).
-#: Dimension strings use SI unit syntax: products with ``*``, quotients
-#: with ``/``, powers with ``^``; ``1`` denotes a dimensionless value.
-#: The analyzer parses these into base-unit exponent vectors, so derived
-#: units (W, J, Pa, ...) and base-unit spellings of the same physical
-#: dimension compare equal.
-DIMENSIONS = {
-    # constants
-    "ZERO_CELSIUS_IN_KELVIN": "K",
-    "DEFAULT_AMBIENT_KELVIN": "K",
-    # constructors: the dimension of the *return value*.  ``degC`` is
-    # the analyzer's pseudo-dimension for the Celsius scale — Kelvin
-    # and Celsius differ by an offset, so mixing them is flagged like
-    # any other dimension mismatch.
-    "celsius_to_kelvin": "K",
-    "kelvin_to_celsius": "degC",
-    "mm": "m",
-    "um": "m",
-}
-
-#: Dimensions of well-known attribute names used across the package
-#: (material properties, network quantities).  The analyzer uses these
-#: to infer the dimension of ``obj.<attr>`` expressions.
-ATTRIBUTE_DIMENSIONS = {
-    # repro.materials.Material / Fluid properties
-    "conductivity": "W/(m*K)",
-    "density": "kg/m^3",
-    "specific_heat": "J/(kg*K)",
-    "volumetric_heat": "J/(m^3*K)",
-    "kinematic_viscosity": "m^2/s",
-    "thermal_diffusivity": "m^2/s",
-    "prandtl": "1",
-    # thermal RC network quantities
-    "capacitance": "J/K",
-    "conductance": "W/K",
-    "ambient_conductance": "W/K",
-    # package / convection quantities
-    "convection_resistance": "W^-1*K",
-    "heat_transfer_coefficient": "W/(m^2*K)",
-    "ambient": "K",
-    "velocity": "m/s",
-    "die_width": "m",
-    "die_height": "m",
-    "area": "m^2",
-}
-
-#: Prefix that :func:`guarded_by` attaches to its lock names inside
-#: ``typing.Annotated`` metadata, so annotations survive as plain
-#: strings at runtime while remaining recognizable to the analyzer.
-GUARDED_PREFIX = "guarded:"
-
-
-def guarded_by(*locks: str) -> str:
-    """Declare that an attribute is protected by the named lock(s).
-
-    Used inside ``typing.Annotated`` on a class-body attribute
-    declaration to state its concurrency contract::
-
-        class CampaignProgress:
-            _jobs: Annotated[Dict[str, JobProgress], guarded_by("_lock")]
-
-    At runtime this is just a tagged string; the static analyzer's
-    lock-discipline rule (R12) verifies, whole-program, that every
-    mutation of the attribute happens while at least one of the named
-    locks is held (lexically via ``with self._lock:`` or via a caller
-    that already holds it).  Plain reads are deliberately exempt — the
-    codebase uses intentional lock-free fast reads (``Counter.value``).
-    """
-    return GUARDED_PREFIX + ",".join(locks)
-
-
 #: Offset between the Kelvin and Celsius scales.
 ZERO_CELSIUS_IN_KELVIN = 273.15
 

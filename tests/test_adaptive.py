@@ -190,7 +190,7 @@ def test_repeated_integrations_share_final_factors():
     )
     assert first >= 1.0
     # everything (ladder + final) served from cache -- exact sentinel
-    assert second == 0.0  # repro-ok: float-equality
+    assert second == 0.0
 
 
 # --- non-finite power (regression) -------------------------------------------

@@ -91,7 +91,7 @@ def test_misaligned_horizon_bitwise_identical(model, powers):
     net = model.network
     scenarios = [BatchScenario(power=p) for p in powers]
     batched = batched_transient_simulate(net, scenarios, t_end=0.505, dt=0.01)
-    assert batched.times[-1] == 0.505  # repro-ok: float-equality; exact horizon
+    assert batched.times[-1] == 0.505  # exact horizon
     for k, p in enumerate(powers):
         serial = transient_simulate(net, p, t_end=0.505, dt=0.01)
         assert_column_identical(serial, batched, k)
@@ -255,8 +255,18 @@ def test_campaign_batches_same_model_trace_jobs():
         assert np.array_equal(a.arrays["times"], b.arrays["times"])
         assert np.array_equal(a.arrays["block_rise_k"],
                               b.arrays["block_rise_k"])
-    assert batched.summary.metrics["campaign.jobs.batched"] == 3.0  # repro-ok: float-equality
+    assert batched.summary.metrics["campaign.jobs.batched"] == 3.0
     assert "campaign.jobs.batched" not in serial.summary.metrics
+
+
+def test_batched_cold_jobs_count_as_cache_misses(tmp_path):
+    from repro.campaign import ResultCache, run_campaign
+
+    run = run_campaign(_trace_ensemble_campaign(),
+                       cache=ResultCache(tmp_path))
+    assert all(outcome.worker == "batched" for outcome in run.outcomes)
+    assert run.summary.metrics["campaign.cache.hits"] == 0.0
+    assert run.summary.metrics["campaign.cache.misses"] == 3.0
 
 
 def test_campaign_batches_dtm_policy_groups():

@@ -1,5 +1,5 @@
-"""Runtime demonstrations of the race class the lock-discipline rule
-(R12) guards against.
+"""Runtime demonstrations of the race class that the ``_lock`` of each
+``repro.obs`` metric and progress structure guards against.
 
 The torn-update harness first *shows* the corruption mode — a barrier
 forces every thread into the read/write gap of an unguarded
@@ -26,7 +26,7 @@ def _run_threads(target, n=N_THREADS):
 
 
 class TornCounter:
-    """Deliberately unguarded read-modify-write: the R12 bug class."""
+    """Deliberately unguarded read-modify-write: the race a lock prevents."""
 
     def __init__(self):
         self.ticks = 0

@@ -186,7 +186,7 @@ class PerEdgeNetworkBuilder:
             self.add_capacitance(int(node), float(value))
 
     def connect(self, a, b, conductance):
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = omitted edge
+        if conductance == 0.0:  # exact zero = omitted edge
             return
         self._rows.append(int(a))
         self._cols.append(int(b))
@@ -201,7 +201,7 @@ class PerEdgeNetworkBuilder:
             self.connect(int(a), int(b), float(g))
 
     def to_ambient(self, node, conductance):
-        if conductance == 0.0:  # repro-ok: float-equality; exact zero = no ambient path
+        if conductance == 0.0:  # exact zero = no ambient path
             return
         self._amb_nodes.append(int(node))
         self._amb_vals.append(float(conductance))

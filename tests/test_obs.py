@@ -131,9 +131,9 @@ def test_counter_gauge_histogram_basics():
     counter = reg.counter("events")
     counter.inc()
     counter.inc(2.5)
-    assert counter.value == 3.5  # repro-ok: float-equality
+    assert counter.value == 3.5
     reg.gauge("depth").set(4.0)
-    assert reg.gauge("depth").value == 4.0  # repro-ok: float-equality
+    assert reg.gauge("depth").value == 4.0
     hist = reg.histogram("lat", buckets=(0.1, 1.0))
     for v in (0.05, 0.5, 5.0):
         hist.observe(v)
@@ -156,11 +156,11 @@ def test_snapshot_diff_and_merge_across_registries():
     parent.counter("solves").inc(1)
     parent.merge(delta)
     parent.merge(delta)  # merging twice adds twice (caller de-dupes)
-    assert parent.counter("solves").value == 7.0  # repro-ok: float-equality
+    assert parent.counter("solves").value == 7.0
     assert parent.histogram("t", buckets=(1.0,)).count == 2
     flat = obs.flatten_snapshot(parent.snapshot())
-    assert flat["solves"] == 7.0  # repro-ok: float-equality
-    assert flat["t.count"] == 2.0  # repro-ok: float-equality
+    assert flat["solves"] == 7.0
+    assert flat["t.count"] == 2.0
 
 
 def test_solver_metrics_count_factorizations_and_steps():
@@ -179,10 +179,10 @@ def test_solver_metrics_count_factorizations_and_steps():
     flat = obs.flatten_snapshot(
         obs.snapshot_diff(obs.metrics().snapshot(), before)
     )
-    assert flat["rcmodel.grid.assemblies"] == 1.0  # repro-ok: float-equality
-    assert flat["solver.steady.solves"] == 1.0  # repro-ok: float-equality
-    assert flat["solver.transient.steps"] == 10.0  # repro-ok: float-equality
-    assert flat["solver.transient.matrix_builds"] == 1.0  # repro-ok: float-equality
+    assert flat["rcmodel.grid.assemblies"] == 1.0
+    assert flat["solver.steady.solves"] == 1.0
+    assert flat["solver.transient.steps"] == 10.0
+    assert flat["solver.transient.matrix_builds"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +391,7 @@ def test_campaign_capture_serial_records_spans_and_metrics(tmp_path):
         assert span["name"] == "campaign.job"
         names = {c["name"] for c in span["children"]}
         assert "solver.steady.solve" in names
-        assert outcome.obs["metrics"]["solver.steady.solves"] == 1.0  # repro-ok: float-equality
+        assert outcome.obs["metrics"]["solver.steady.solves"] == 1.0
     # in-process capture must not be merged back (it already counted)
     assert run.span_roots() == []
     records = read_manifest(manifest)
@@ -399,8 +399,8 @@ def test_campaign_capture_serial_records_spans_and_metrics(tmp_path):
     assert all(r["obs"]["spans"]["campaign.job"]["count"] == 1
                for r in job_records)
     (summary,) = [r for r in records if r["type"] == "summary"]
-    assert summary["metrics"]["solver.steady.solves"] == 2.0  # repro-ok: float-equality
-    assert summary["metrics"]["campaign.cache.misses"] == 2.0  # repro-ok: float-equality
+    assert summary["metrics"]["solver.steady.solves"] == 2.0
+    assert summary["metrics"]["campaign.cache.misses"] == 2.0
 
 
 def test_campaign_capture_round_trips_through_pool(tmp_path):
@@ -423,11 +423,11 @@ def test_campaign_capture_round_trips_through_pool(tmp_path):
     delta = obs.flatten_snapshot(
         obs.snapshot_diff(obs.metrics().snapshot(), before)
     )
-    assert delta["solver.steady.solves"] == 3.0  # repro-ok: float-equality
-    assert delta["rcmodel.grid.assemblies"] == 3.0  # repro-ok: float-equality
+    assert delta["solver.steady.solves"] == 3.0
+    assert delta["rcmodel.grid.assemblies"] == 3.0
     (summary,) = [r for r in read_manifest(manifest)
                   if r["type"] == "summary"]
-    assert summary["metrics"]["solver.steady.solves"] == 3.0  # repro-ok: float-equality
+    assert summary["metrics"]["solver.steady.solves"] == 3.0
 
 
 def test_campaign_without_capture_stays_lean(tmp_path):

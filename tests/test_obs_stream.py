@@ -133,7 +133,7 @@ def test_batched_jobs_get_apportioned_obs_records():
     shares = [r["metrics"].get("solver.batched.scenarios", 0.0)
               for r in records]
     assert shares[0] == shares[1] == shares[2]
-    assert sum(shares) == 3.0  # repro-ok: float-equality
+    assert sum(shares) == 3.0
     # apportioned records come from this process: nothing to merge
     assert all(o.obs["pid"] == os.getpid() for o in run.outcomes)
 
@@ -245,7 +245,7 @@ def test_progress_model_folds_lifecycle():
     assert counts["running"] == 1
     assert progress.done == 2
     assert progress.total == 3
-    assert progress.cache_hit_rate() == 0.5  # repro-ok: float-equality
+    assert progress.cache_hit_rate() == 0.5
     assert progress.eta_s() is not None
     [job_b] = [j for j in progress.jobs() if j.tag == "b"]
     assert job_b.state == "finished"
@@ -267,7 +267,7 @@ def test_progress_finishes_and_eta_drops_to_zero():
         progress.observe(event)
     assert progress.finished
     assert progress.counts()["failed"] == 1
-    assert progress.eta_s() == 0.0  # repro-ok: float-equality
+    assert progress.eta_s() == 0.0
     assert progress.throughput() >= 0.0
 
 

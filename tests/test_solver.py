@@ -233,7 +233,7 @@ def test_misaligned_horizon_lands_exactly_on_t_end():
     result, builds = _matrix_builds_during(
         lambda: transient_simulate(net, np.array([p]), t_end=1.0, dt=0.3)
     )
-    assert result.times[-1] == 1.0  # repro-ok: float-equality; exact horizon
+    assert result.times[-1] == 1.0  # exact horizon
     # trapezoidal at these steps tracks the analytic charge-up closely
     analytic = p * r * (1 - np.exp(-1.0 / (r * c)))
     assert result.final()[0] == pytest.approx(analytic, rel=2e-3)

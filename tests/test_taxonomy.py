@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.taxonomy import METRIC_NAMES, SPAN_NAMES
+from repro.obs.taxonomy import (
+    METRIC_NAMES,
+    METRIC_PREFIXES,
+    SPAN_NAMES,
+    known_metric,
+    known_span,
+)
 from repro.experiments.common import celsius
 from repro.floorplan import ev6_floorplan
 from repro.package import (
@@ -138,17 +144,48 @@ def test_menu_contains_the_taxonomy():
 # --- the observability name registry ----------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+REGISTRY = SRC / "obs" / "taxonomy.py"
+
+
+def _src_trees():
+    """(path, parsed module) for every ``src/repro`` module but the registry."""
+    for path in sorted(SRC.rglob("*.py")):
+        if path != REGISTRY:
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_every_registered_name_is_emitted():
     """A registered span/metric name that no module spells out is dead
     taxonomy: nothing can ever emit it."""
-    registry = SRC / "obs" / "taxonomy.py"
     literals = set()
-    for path in SRC.rglob("*.py"):
-        if path == registry:
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in _src_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 literals.add(node.value)
     assert sorted((METRIC_NAMES | SPAN_NAMES) - literals) == []
+
+
+def test_every_emitted_name_is_registered():
+    """A span/metric name that the registry does not know is a
+    misspelling: it silently splits one time series in two."""
+    unknown = []
+    for path, tree in _src_trees():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            func = node.func
+            kind = getattr(func, "attr", getattr(func, "id", None))
+            if kind not in ("span", "counter", "gauge", "histogram"):
+                continue
+            name = node.args[0]
+            where = f"{path.relative_to(SRC)}:{node.lineno}"
+            if isinstance(name, ast.Constant) and isinstance(name.value, str):
+                known = known_span if kind == "span" else known_metric
+                if not known(name.value):
+                    unknown.append(f"{where} {kind}({name.value!r})")
+            elif isinstance(name, ast.JoinedStr):
+                head = name.values[0] if name.values else None
+                prefix = head.value if isinstance(head, ast.Constant) else ""
+                if kind == "span" or not prefix.startswith(METRIC_PREFIXES):
+                    unknown.append(f"{where} {kind}(f{prefix!r}...)")
+    assert unknown == []
