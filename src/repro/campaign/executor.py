@@ -24,11 +24,7 @@ Observability: progress is reported through the stdlib
 :func:`repro.obs.logging_setup`).  A pool worker always returns the
 :mod:`repro.obs` metrics delta of its call
 (:func:`repro.obs.measured_call`) and the parent merges it, so pool
-and serial runs leave the same global counts.  When tracing is
-enabled — or ``capture_obs=True`` is passed — each job also runs
-under a span and ships the span tree plus a flat metrics delta back
-through :class:`JobOutcome`, so per-job solver behaviour
-(factorizations, steps, cache hits) lands in the JSONL manifest.
+and serial runs leave the same global counts.
 
 Live progress: ``on_event`` receives the campaign's lifecycle events
 (:mod:`repro.obs.events`), called synchronously in this process as the
@@ -170,35 +166,11 @@ class JobOutcome:
     error: Optional[str] = None
     wall_s: float = 0.0
     worker: str = ""
-    #: Observability capture from the (possibly remote) worker:
-    #: ``{"pid", "span", "metrics"}`` or ``None``.
-    obs: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
         """Whether a result is available (fresh or cached)."""
         return self.status in ("ok", "cached")
-
-    def obs_record(self) -> Optional[Dict[str, Any]]:
-        """The condensed observability record for the manifest.
-
-        Per-span-name count/total aggregates plus the flat metrics
-        delta — small enough for one JSONL line, rich enough to show
-        where a job's time went without loading a trace file.
-        """
-        if not self.obs:
-            return None
-        record: Dict[str, Any] = {
-            "worker_pid": self.obs.get("pid"),
-            "spans": (obs.span_summary([self.obs["span"]])
-                      if self.obs.get("span") else []),
-            "metrics": self.obs.get("metrics", {}),
-        }
-        # Batched jobs carry an even 1/K share of the group's delta
-        # (see _run_batched); record K so readers know it's apportioned.
-        if self.obs.get("apportioned"):
-            record["apportioned"] = self.obs["apportioned"]
-        return record
 
     def record(self, campaign: str) -> Dict[str, Any]:
         """The manifest record for this outcome."""
@@ -212,7 +184,6 @@ class JobOutcome:
             "wall_s": round(self.wall_s, 6),
             "worker": self.worker,
             "error": self.error,
-            "obs": self.obs_record(),
         }
 
 
@@ -251,20 +222,6 @@ class CampaignRun:
             )
         return outcome.result
 
-    def span_roots(self) -> List[Dict[str, Any]]:
-        """Span trees captured in *other* processes during this run.
-
-        Spans recorded in this process are already on the global
-        tracer; these are the worker-side trees to export alongside
-        them (each shows up as its own pid track in Chrome/Perfetto).
-        """
-        parent_pid = os.getpid()
-        roots: List[Dict[str, Any]] = []
-        for outcome in self.outcomes:
-            if outcome.obs and outcome.obs.get("pid") != parent_pid:
-                roots.append(outcome.obs["span"])
-        return roots
-
 
 def _report(
     outcome: JobOutcome, progress: Optional[Callable[[str], None]]
@@ -295,62 +252,39 @@ def _emit_outcome(on_event: EventSink, outcome: JobOutcome) -> None:
         _emit(on_event, "job_cached", tag=outcome.spec.tag,
               kind=outcome.spec.kind, elapsed_s=outcome.wall_s)
         return
-    metrics = outcome.obs.get("metrics", {}) if outcome.obs else {}
     _emit(
         on_event, "job_finished", tag=outcome.spec.tag,
         kind=outcome.spec.kind, status=outcome.status, elapsed_s=outcome.wall_s,
-        worker=outcome.worker, error=outcome.error, metrics=metrics,
+        worker=outcome.worker, error=outcome.error,
     )
 
 
-def execute_job(spec: JobSpec, capture: bool = False) -> JobOutcome:
+def execute_job(spec: JobSpec) -> JobOutcome:
     """Run one job in the current process (the worker entry point).
 
     Module-level so it pickles to pool workers.  A job's exception is
-    caught here and becomes its ``failed`` outcome, so one bad job
-    never stops the campaign.  With ``capture`` the job runs under a
-    forced-on tracer span and the outcome carries an observability
-    record: the serialized span tree and a flat metrics delta for
-    manifests.
+    caught here and becomes its ``failed`` outcome, with the time it
+    ran, so one bad job never stops the campaign.
     """
     _ATTEMPTS.inc()
     start = time.perf_counter()
-    captured: Optional[Dict[str, Any]] = None
     try:
-        if not capture:
-            result = get_runner(spec.kind)(spec)
-        else:
-            tracer = obs.tracer()
-            was_enabled = tracer.enabled
-            tracer.enabled = True
-            try:
-                with obs.Span("campaign.job",
-                              {"tag": spec.tag, "kind": spec.kind},
-                              tracer=tracer) as job_span:
-                    result, delta = obs.measured_call(get_runner(spec.kind),
-                                                      spec)
-            finally:
-                tracer.enabled = was_enabled
-            captured = {
-                "pid": os.getpid(),
-                "span": job_span.to_dict(),
-                "metrics": obs.flatten_snapshot(delta),
-            }
+        result = get_runner(spec.kind)(spec)
     except Exception as exc:  # noqa: BLE001 - job isolation boundary
         _FAILURES.inc()
         return JobOutcome(spec=spec, status="failed",
                           error=f"{type(exc).__name__}: {exc}",
+                          wall_s=time.perf_counter() - start,
                           worker=str(os.getpid()))
     wall = time.perf_counter() - start
     _JOB_SECONDS.observe(wall)
     return JobOutcome(spec=spec, status="ok", result=result, wall_s=wall,
-                      worker=str(os.getpid()), obs=captured)
+                      worker=str(os.getpid()))
 
 
 def _run_batched(
     pending: List[JobSpec],
     progress: Optional[Callable[[str], None]],
-    capture: bool = False,
     on_event: EventSink = None,
 ) -> Tuple[Dict[str, JobOutcome], List[JobSpec]]:
     """Execute same-model job groups in-process through batch runners.
@@ -361,30 +295,19 @@ def _run_batched(
     normal per-job execution, so batching can only change cost, never
     the campaign's results.  Batched outcomes report ``worker``
     ``"batched"`` and the group's amortized per-job wall time.
-
-    With ``capture``, the group's metric delta is measured around the
-    lockstep run and apportioned evenly across its K member jobs
-    (:func:`repro.obs.scale_snapshot`), so manifest ``"obs"`` records
-    stay populated under batching instead of silently lumping K jobs'
-    solver counters into nothing.  Apportioned records carry this
-    process's pid; the counts they share out are already in its
-    registry.
     """
     from .batching import batch_groups, get_batch_runner
 
     groups, rest = batch_groups(pending)
     outcomes: Dict[str, JobOutcome] = {}
-    registry = obs.metrics()
     for group in groups:
         kind = group[0].kind
         start = time.perf_counter()
         _ATTEMPTS.inc(len(group))
         for spec in group:
             _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
-        before = registry.snapshot() if capture else None
         try:
-            with obs.span("campaign.batch", kind=kind, n_jobs=len(group)):
-                results = get_batch_runner(kind)(group)
+            results = get_batch_runner(kind)(group)
             missing = [s.tag for s in group if s.tag not in results]
             if missing:
                 raise CampaignError(
@@ -401,25 +324,11 @@ def _run_batched(
             continue
         wall = (time.perf_counter() - start) / len(group)
         _BATCHED.inc(len(group))
-        share: Optional[Dict[str, float]] = None
-        if before is not None:
-            delta = obs.snapshot_diff(registry.snapshot(), before)
-            share = obs.flatten_snapshot(
-                obs.scale_snapshot(delta, 1.0 / len(group))
-            )
         for spec in group:
             _JOB_SECONDS.observe(wall)
-            captured: Optional[Dict[str, Any]] = None
-            if share is not None:
-                captured = {
-                    "pid": os.getpid(),
-                    "span": None,
-                    "metrics": dict(share),
-                    "apportioned": len(group),
-                }
             outcomes[spec.tag] = JobOutcome(
                 spec=spec, status="ok", result=results[spec.tag],
-                wall_s=wall, worker="batched", obs=captured,
+                wall_s=wall, worker="batched",
             )
             _report(outcomes[spec.tag], progress)
             _emit_outcome(on_event, outcomes[spec.tag])
@@ -435,18 +344,13 @@ def _progress_line(outcome: JobOutcome) -> str:
 def _aggregate_metrics(
     run: CampaignRun, n_cached: int, n_fresh: int
 ) -> Dict[str, float]:
-    """Fold per-job metric deltas plus engine counters for the summary."""
-    totals: Dict[str, float] = {}
-    for outcome in run.outcomes:
-        if outcome.obs:
-            for name, value in outcome.obs.get("metrics", {}).items():
-                totals[name] = totals.get(name, 0.0) + float(value)
-    totals["campaign.cache.hits"] = float(n_cached)
-    totals["campaign.cache.misses"] = float(n_fresh)
+    """The engine counts of one run for the summary, sorted by name."""
+    totals = {"campaign.cache.hits": float(n_cached),
+              "campaign.cache.misses": float(n_fresh)}
     batched = sum(1 for o in run.outcomes if o.worker == "batched")
     if batched:
         totals["campaign.jobs.batched"] = float(batched)
-    return {name: round(value, 9) for name, value in sorted(totals.items())}
+    return totals
 
 
 def run_campaign(
@@ -456,7 +360,6 @@ def run_campaign(
     manifest_path: Optional[str] = None,
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    capture_obs: Optional[bool] = None,
     batch: bool = True,
     on_event: EventSink = None,
 ) -> CampaignRun:
@@ -478,18 +381,12 @@ def run_campaign(
     progress:
         Optional extra per-job callback; progress always goes to the
         ``repro.campaign`` logger regardless.
-    capture_obs:
-        Record per-job span trees and metric deltas in the outcomes
-        and manifest (the global counts merge either way).  ``None``
-        (default) follows the global tracer's enabled flag.
     batch:
         Recognize pending jobs that share ``(kind, model)`` and run
         each such group as one in-process lockstep solve (see
         :mod:`repro.campaign.batching`); results are bitwise identical
         to per-job execution, groups that cannot batch fall back
-        automatically.  Batched jobs' spans land on this process's
-        tracer; their metric deltas are measured around the group run
-        and apportioned evenly across member jobs when capturing.
+        automatically.
     on_event:
         Optional callback for the lifecycle events of
         :mod:`repro.obs.events`, called synchronously in this process:
@@ -502,78 +399,70 @@ def run_campaign(
         dispatch to outcome.  Events never change results or recorded
         metrics.
     """
-    capture = obs.tracing_enabled() if capture_obs is None else capture_obs
     start = time.perf_counter()
     run = CampaignRun(campaign=campaign, manifest_path=manifest_path)
-    logger.debug("campaign %s: %d jobs, %d worker(s), capture=%s",
-                 campaign.name, len(campaign.jobs), jobs, capture)
+    logger.debug("campaign %s: %d jobs, %d worker(s)",
+                 campaign.name, len(campaign.jobs), jobs)
     _emit(
         on_event, "campaign_started", campaign=campaign.name,
         total=len(campaign.jobs),
         tags=[spec.tag for spec in campaign.jobs],
     )
 
-    with obs.span("campaign.run", campaign=campaign.name,
-                  n_jobs=len(campaign.jobs), workers=jobs):
-        pending: List[JobSpec] = []
-        cached: Dict[str, JobOutcome] = {}
-        with obs.span("campaign.cache.probe", campaign=campaign.name) as probe:
-            for spec in campaign.jobs:
-                if cache is not None and not force:
-                    probe_start = time.perf_counter()
-                    hit = cache.get(spec.content_hash)
-                    if hit is not None:
-                        cached[spec.tag] = JobOutcome(
-                            spec=spec, status="cached", result=hit,
-                            wall_s=time.perf_counter() - probe_start,
-                            worker="cache",
-                        )
-                        _report(cached[spec.tag], progress)
-                        _emit_outcome(on_event, cached[spec.tag])
-                        continue
-                pending.append(spec)
-            probe.annotate(hits=len(cached), misses=len(pending))
+    pending: List[JobSpec] = []
+    cached: Dict[str, JobOutcome] = {}
+    for spec in campaign.jobs:
+        if cache is not None and not force:
+            probe_start = time.perf_counter()
+            hit = cache.get(spec.content_hash)
+            if hit is not None:
+                cached[spec.tag] = JobOutcome(
+                    spec=spec, status="cached", result=hit,
+                    wall_s=time.perf_counter() - probe_start,
+                    worker="cache",
+                )
+                _report(cached[spec.tag], progress)
+                _emit_outcome(on_event, cached[spec.tag])
+                continue
+        pending.append(spec)
 
-        fresh: Dict[str, JobOutcome] = {}
-        if pending and batch:
-            fresh, pending = _run_batched(pending, progress, capture,
-                                          on_event)
+    fresh: Dict[str, JobOutcome] = {}
+    if pending and batch:
+        fresh, pending = _run_batched(pending, progress, on_event)
 
-        def started(index: int) -> None:
-            _emit(on_event, "job_started", tag=pending[index].tag,
-                  kind=pending[index].kind)
+    def started(index: int) -> None:
+        _emit(on_event, "job_started", tag=pending[index].tag,
+              kind=pending[index].kind)
 
-        parent = str(os.getpid())
-        calls = [functools.partial(execute_job, spec, capture)
-                 for spec in pending]
-        for outcome in fan_out(calls, jobs, started, progress):
-            fresh[outcome.spec.tag] = outcome
-            run.parallel = run.parallel or outcome.worker != parent
-            _report(outcome, progress)
-            _emit_outcome(on_event, outcome)
+    parent = str(os.getpid())
+    calls = [functools.partial(execute_job, spec) for spec in pending]
+    for outcome in fan_out(calls, jobs, started, progress):
+        fresh[outcome.spec.tag] = outcome
+        run.parallel = run.parallel or outcome.worker != parent
+        _report(outcome, progress)
+        _emit_outcome(on_event, outcome)
 
-        if cache is not None:
-            with obs.span("campaign.cache.store", n=len(fresh)):
-                for outcome in fresh.values():
-                    if outcome.status == "ok" and outcome.result is not None:
-                        cache.put(outcome.spec.content_hash, outcome.result)
+    if cache is not None:
+        for outcome in fresh.values():
+            if outcome.status == "ok" and outcome.result is not None:
+                cache.put(outcome.spec.content_hash, outcome.result)
 
-        run.outcomes = [
-            cached.get(spec.tag) or fresh[spec.tag] for spec in campaign.jobs
-        ]
-        records = [outcome.record(campaign.name) for outcome in run.outcomes]
-        run.summary = summarize(
-            campaign.name, records, time.perf_counter() - start,
-            metrics=_aggregate_metrics(
-                run, len(cached), len(campaign.jobs) - len(cached)
-            ),
-        )
-        if manifest_path:
-            writer = ManifestWriter(manifest_path)
-            for record in records:
-                writer.job(record)
-            writer.summary(run.summary)
-            logger.debug("manifest appended: %s", manifest_path)
+    run.outcomes = [
+        cached.get(spec.tag) or fresh[spec.tag] for spec in campaign.jobs
+    ]
+    records = [outcome.record(campaign.name) for outcome in run.outcomes]
+    run.summary = summarize(
+        campaign.name, records, time.perf_counter() - start,
+        metrics=_aggregate_metrics(
+            run, len(cached), len(campaign.jobs) - len(cached)
+        ),
+    )
+    if manifest_path:
+        writer = ManifestWriter(manifest_path)
+        for record in records:
+            writer.job(record)
+        writer.summary(run.summary)
+        logger.debug("manifest appended: %s", manifest_path)
     _emit(
         on_event, "campaign_finished", campaign=campaign.name,
         total=len(campaign.jobs),

@@ -5,8 +5,9 @@ wall time, cache hit/miss, worker id, outcome — and closes
 with a ``{"type": "summary", ...}`` line carrying the aggregate the
 operator actually watches: hit rate and p50/p95 job latency.  JSONL
 keeps the file appendable from a crashing run and greppable without
-tooling.  Manifests from before retries and timeouts were removed
-still read: their jobs' ``"retries"`` key is ignored and a
+tooling.  Older manifests still read: a job's ``"retries"`` key
+(from before retries and timeouts were removed) and its ``"obs"`` key
+(from before per-job capture was removed) are ignored, and a
 ``"timeout"`` status counts as failed.
 """
 
@@ -34,11 +35,9 @@ class CampaignSummary:
     p50_wall_s: float
     p95_wall_s: float
     total_wall_s: float
-    #: Aggregated observability counters across the run: per-job metric
-    #: deltas summed over jobs, plus engine counts (``campaign.cache.hits``
-    #: / ``.misses``, ``campaign.jobs.batched``).  Empty when jobs ran
-    #: without capture; defaulted so pre-metrics manifests still
-    #: round-trip.
+    #: The run's engine counts: ``campaign.cache.hits`` / ``.misses``,
+    #: and ``campaign.jobs.batched`` when any job ran in a batch.
+    #: Defaulted so pre-metrics manifests still round-trip.
     metrics: Dict[str, float] = field(default_factory=dict)
 
     @property

@@ -17,12 +17,7 @@ for this library so the models can be driven without writing Python:
     manifest); ``campaign list`` and ``campaign status`` inspect the
     registry and the cache; ``--live`` renders progress from the
     engine's job lifecycle events and appends them to
-    ``<manifest>.events.jsonl``, which ``obs tail`` follows;
-* ``python -m repro trace run fig11 --trace fig11.json``
-    the same, with :mod:`repro.obs` span tracing enabled — writes a
-    Chrome trace-event file (load in Perfetto or ``chrome://tracing``)
-    and prints a summary tree; ``trace report <file>`` re-summarizes
-    or schema-checks an existing trace file.
+    ``<manifest>.events.jsonl``, which ``obs tail`` follows.
 
 Package selection mirrors the paper: ``--package air`` (default) or
 ``--package oil``, with ``--rconv``, ``--velocity``, ``--direction``
@@ -161,9 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="KEY=VALUE",
                       help="campaign builder parameter, repeatable "
                            "(e.g. -P nx=16 -P instructions=100000)")
-    crun.add_argument("--trace", default=None, metavar="PATH",
-                      help="enable span tracing and write a Chrome "
-                           "trace-event file here")
     crun.add_argument("--live", action="store_true",
                       help="render live progress (done/cached/failed "
                            "counts, throughput, cache rate, ETA) from the "
@@ -181,45 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cache directory to inspect")
     cstatus.add_argument("--manifest", default=None,
                          help="summarize one JSONL manifest file")
-
-    trace = sub.add_parser(
-        "trace",
-        help="run experiments under span tracing and inspect trace files",
-    )
-    tsub = trace.add_subparsers(dest="trace_command", required=True)
-
-    trun = tsub.add_parser(
-        "run", help="run one campaign with tracing on and export the spans"
-    )
-    trun.add_argument("name", help="campaign name (see 'campaign list')")
-    trun.add_argument("-o", "--trace", default=None, metavar="PATH",
-                      help="trace output path (default: <name>-trace.json)")
-    trun.add_argument("--format", choices=("chrome", "jsonl"),
-                      default="chrome", dest="trace_format",
-                      help="chrome = Perfetto-loadable trace-event JSON, "
-                           "jsonl = one span tree per line (default: chrome)")
-    trun.add_argument("-j", "--jobs", type=int, default=1,
-                      help="worker processes (1 = serial, default)")
-    trun.add_argument("--cache-dir", default=None,
-                      help="result cache directory")
-    trun.add_argument("--no-cache", action="store_true",
-                      help="disable the result cache for this run")
-    trun.add_argument("--force", action="store_true",
-                      help="recompute even when results are cached")
-    trun.add_argument("--no-batch", action="store_true",
-                      help="disable lockstep batching of same-model "
-                           "job groups (always run per job)")
-    trun.add_argument("-P", "--param", action="append", default=[],
-                      metavar="KEY=VALUE",
-                      help="campaign builder parameter, repeatable")
-
-    treport = tsub.add_parser(
-        "report", help="summarize (or schema-check) a trace file"
-    )
-    treport.add_argument("file", help="Chrome trace-event JSON or span JSONL")
-    treport.add_argument("--check", action="store_true",
-                         help="validate against the Chrome trace-event "
-                              "schema and exit non-zero on problems")
 
     obs_cmd = sub.add_parser(
         "obs",
@@ -438,9 +391,6 @@ def _campaign_run(args) -> int:
 
     import logging
 
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        obs.enable_tracing()
     logging.getLogger("repro.cli").info(
         "campaign %s: %d jobs, %d worker(s), cache %s",
         spec.name, len(spec), args.jobs,
@@ -448,7 +398,7 @@ def _campaign_run(args) -> int:
     )
     renderer = None
     sidecar: Optional[IO[str]] = None
-    if getattr(args, "live", False):
+    if args.live:
         renderer = obs.LiveRenderer(obs.CampaignProgress(total=len(spec)))
         if manifest:
             sidecar = _open_sidecar(manifest + ".events.jsonl")
@@ -490,10 +440,6 @@ def _campaign_run(args) -> int:
           f"total {summary.total_wall_s:.3f} s")
     if manifest:
         print(f"manifest: {manifest}")
-    if trace_path:
-        roots = list(obs.tracer().drain()) + run.span_roots()
-        n_events = obs.write_chrome_trace(roots, trace_path)
-        print(f"trace: {trace_path} ({n_events} events)")
     return 0 if run.ok else 2
 
 
@@ -542,66 +488,6 @@ def cmd_campaign(args) -> int:
         "status": _campaign_status,
     }
     return handlers[args.campaign_command](args)
-
-
-def _trace_run(args) -> int:
-    import time as _time
-
-    from .campaign import (
-        ResultCache,
-        default_cache_dir,
-        disk_cache_enabled,
-        get_campaign,
-        run_campaign,
-    )
-
-    spec = get_campaign(args.name, **_parse_campaign_params(args.param))
-    cache = None
-    if not args.no_cache and disk_cache_enabled():
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    out = args.trace or f"{spec.name}-trace.json"
-
-    obs.enable_tracing()
-    t0 = _time.perf_counter()
-    run = run_campaign(
-        spec, jobs=args.jobs, cache=cache, force=args.force,
-        capture_obs=True, batch=not args.no_batch,
-    )
-    wall = _time.perf_counter() - t0
-
-    roots = list(obs.tracer().drain()) + run.span_roots()
-    if args.trace_format == "chrome":
-        count = obs.write_chrome_trace(roots, out)
-        what = f"{count} trace events"
-    else:
-        count = obs.write_spans_jsonl(roots, out)
-        what = f"{count} span trees"
-    print(obs.summary_tree(roots, total_s=wall))
-    print(f"trace: {out} ({what}, {wall:.3f} s traced)", file=sys.stderr)
-    return 0 if run.ok else 2
-
-
-def _trace_report(args) -> int:
-    kind, data = obs.read_trace_file(args.file)
-    if args.check:
-        trace = data if kind == "chrome" else obs.chrome_trace(data)
-        errors = obs.validate_chrome_trace(trace)
-        for problem in errors:
-            print(f"error: {problem}", file=sys.stderr)
-        n = len(trace.get("traceEvents", []))
-        print(f"{args.file}: {kind} format, {n} events, "
-              f"{'INVALID' if errors else 'valid'}")
-        return 1 if errors else 0
-    if kind == "chrome":
-        print(obs.chrome_summary_table(data))
-    else:
-        print(obs.summary_tree(data))
-    return 0
-
-
-def cmd_trace(args) -> int:
-    handlers = {"run": _trace_run, "report": _trace_report}
-    return handlers[args.trace_command](args)
 
 
 def _events_sidecar_path(path: str) -> str:
@@ -675,7 +561,6 @@ _COMMANDS = {
     "info": cmd_info,
     "reproduce": cmd_reproduce,
     "campaign": cmd_campaign,
-    "trace": cmd_trace,
     "obs": cmd_obs,
 }
 

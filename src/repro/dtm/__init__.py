@@ -3,11 +3,7 @@
 from .policies import DTMPolicy, FetchThrottle, DVFS, ClockGating
 from .controller import DTMController, DTMRun
 from .predictive import PredictiveDTMController
-from .metrics import (
-    time_above_threshold,
-    engagement_statistics,
-    cooldown_time_after_trigger,
-)
+from .metrics import time_above_threshold
 
 __all__ = [
     "DTMPolicy",
@@ -18,6 +14,4 @@ __all__ = [
     "DTMRun",
     "PredictiveDTMController",
     "time_above_threshold",
-    "engagement_statistics",
-    "cooldown_time_after_trigger",
 ]

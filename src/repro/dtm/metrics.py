@@ -1,14 +1,9 @@
 """Metrics over DTM runs and temperature traces.
 
-Quantifies the Section 5 comparisons: time spent in thermal violation,
-engagement statistics, and how long a package takes to cool back below
-threshold once DTM cuts the power (the paper's core argument for why
-OIL-SILICON needs longer engagement durations).
+Quantifies the Section 5 comparisons: time spent in thermal violation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,73 +21,3 @@ def time_above_threshold(
     dt = np.diff(times)
     above = temps[1:] >= threshold
     return float(dt[above].sum())
-
-
-@dataclass(frozen=True)
-class EngagementStatistics:
-    """Summary of DTM engagement episodes in a run."""
-
-    count: int
-    total_time: float
-    mean_duration: float
-    longest: float
-
-
-def engagement_statistics(
-    times: np.ndarray, engaged: np.ndarray
-) -> EngagementStatistics:
-    """Episode statistics from the controller's per-sample engage flags."""
-    times = np.asarray(times, dtype=float)
-    engaged = np.asarray(engaged, dtype=bool)
-    if times.size != engaged.size:
-        raise ConfigurationError("times and engaged flags must align")
-    if times.size == 0 or not engaged.any():
-        return EngagementStatistics(0, 0.0, 0.0, 0.0)
-    dt = float(np.median(np.diff(times))) if times.size > 1 else 0.0
-    edges = np.flatnonzero(np.diff(engaged.astype(int)))
-    starts = list(edges[engaged[edges + 1]] + 1)
-    ends = list(edges[~engaged[edges + 1]] + 1)
-    if engaged[0]:
-        starts.insert(0, 0)
-    if engaged[-1]:
-        ends.append(engaged.size)
-    durations = [(e - s) * dt for s, e in zip(starts, ends)]
-    return EngagementStatistics(
-        count=len(durations),
-        total_time=float(sum(durations)),
-        mean_duration=float(np.mean(durations)),
-        longest=float(max(durations)),
-    )
-
-
-def cooldown_time_after_trigger(
-    times: np.ndarray,
-    temps: np.ndarray,
-    threshold: float,
-    margin: float = 1.0,
-) -> float:
-    """Time from first crossing the threshold to falling ``margin``
-    Kelvin below it.
-
-    This is the quantity that dictates the minimum useful DTM
-    engagement duration: engaging for less than this leaves the die
-    still in (or immediately re-entering) violation.  Returns NaN if
-    the trace never crosses or never cools below threshold - margin.
-    """
-    times = np.asarray(times, dtype=float)
-    temps = np.asarray(temps, dtype=float)
-    crossing = np.flatnonzero(temps >= threshold)
-    if crossing.size == 0:
-        return float("nan")
-    start = int(crossing[0])
-    below = np.flatnonzero(temps[start:] <= threshold - margin)
-    if below.size == 0:
-        return float("nan")
-    return float(times[start + int(below[0])] - times[start])
-
-
-def performance_penalty(performance: float) -> float:
-    """Penalty fraction of a DTM run (1 - achieved/nominal)."""
-    if not 0.0 <= performance <= 1.0 + 1e-9:
-        raise ConfigurationError("performance must lie in [0, 1]")
-    return max(0.0, 1.0 - performance)

@@ -9,8 +9,8 @@ handler on the ``"repro"`` logger:
 * verbosity ``<= -2`` — errors only;
 * verbosity ``-1`` (``--quiet``) — warnings and errors;
 * verbosity ``0`` (default) — info: per-job campaign progress lines;
-* verbosity ``>= 1`` (``--verbose``) — debug: cache probes, span
-  bookkeeping, retry scheduling.
+* verbosity ``>= 1`` (``--verbose``) — debug: campaign setup and
+  manifest writes.
 
 Calling it again replaces the handler (picking up the *current*
 ``sys.stderr``, which matters under pytest's capture) rather than

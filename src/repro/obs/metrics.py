@@ -1,13 +1,11 @@
-"""Counters, gauges, and fixed-bucket histograms for domain events.
+"""Counters and fixed-bucket histograms for domain events.
 
-Where spans answer *where did the time go*, metrics answer *how often
-did the interesting thing happen*: LU factorizations versus
-fingerprint cache hits, implicit transient steps, result-cache
-hits/misses, job failures.  Metrics are **always on** — an increment is
-a lock acquire plus an add, and every instrumented event is coarse
-(one per solve / factorization / cache probe), so the cost vanishes
-next to the work being counted.  Only *timing* belongs behind the
-tracer's enabled flag.
+Metrics answer *how often did the interesting thing happen*: LU
+factorizations versus fingerprint cache hits, implicit transient
+steps, result-cache hits/misses, job failures.  They are **always
+on** — an increment is a lock acquire plus an add, and every
+instrumented event is coarse (one per solve / factorization / cache
+probe), so the cost vanishes next to the work being counted.
 
 Cross-process aggregation works by value, not by reference: a worker
 snapshots the registry before and after a call
@@ -53,27 +51,6 @@ class Counter:
         """Add ``n`` (default 1) to the count."""
         with self._lock:
             self._value += n
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-
-class Gauge:
-    """A last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "_value", "_lock")
-
-    _value: float  # written only under _lock
-
-    def __init__(self, name: str, lock: Optional[threading.Lock] = None) -> None:
-        self.name = name
-        self._value = 0.0
-        self._lock = lock if lock is not None else threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -135,9 +112,9 @@ class Histogram:
         return list(self._counts)
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
-#: A snapshot: ``{"counters": {...}, "gauges": {...}, "histograms": {...}}``.
+#: A snapshot: ``{"counters": {...}, "histograms": {...}}``.
 Snapshot = Dict[str, Dict[str, Any]]
 
 
@@ -178,13 +155,6 @@ class MetricsRegistry:
         assert isinstance(metric, Counter)
         return metric
 
-    def gauge(self, name: str) -> Gauge:
-        metric = self._get_or_create(
-            name, lambda: Gauge(name, lock=self._lock), Gauge
-        )
-        assert isinstance(metric, Gauge)
-        return metric
-
     def histogram(
         self, name: str, buckets: Optional[Sequence[float]] = None
     ) -> Histogram:
@@ -212,14 +182,11 @@ class MetricsRegistry:
         after an event and instrument B before it.
         """
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, Any]] = {}
         with self._lock:
             for name, metric in self._metrics.items():
                 if isinstance(metric, Counter):
                     counters[name] = metric._value
-                elif isinstance(metric, Gauge):
-                    gauges[name] = metric._value
                 else:
                     histograms[name] = {
                         "bounds": list(metric.bounds),
@@ -227,19 +194,16 @@ class MetricsRegistry:
                         "sum": metric._sum,
                         "count": metric._n,
                     }
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+        return {"counters": counters, "histograms": histograms}
 
     def merge(self, snapshot: Snapshot) -> None:
         """Fold a (delta) snapshot from another process into this registry.
 
-        Counters and histogram buckets add; gauges take the incoming
-        value (last write wins, same as in-process).
+        Counters and histogram buckets add.
         """
         for name, value in snapshot.get("counters", {}).items():
             if value:
                 self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
         for name, data in snapshot.get("histograms", {}).items():
             hist = self.histogram(name, data.get("bounds") or None)
             incoming = list(data.get("counts", []))
@@ -261,15 +225,13 @@ class MetricsRegistry:
 def snapshot_diff(after: Snapshot, before: Snapshot) -> Snapshot:
     """The change between two snapshots (``after - before``).
 
-    Zero-delta counters/histograms are dropped so job records stay
-    small; gauges keep their ``after`` value.
+    Zero-delta counters/histograms are dropped so deltas stay small.
     """
     counters: Dict[str, float] = {}
     for name, value in after.get("counters", {}).items():
         delta = value - before.get("counters", {}).get(name, 0.0)
         if delta:
             counters[name] = delta
-    gauges = dict(after.get("gauges", {}))
     histograms: Dict[str, Dict[str, Any]] = {}
     for name, data in after.get("histograms", {}).items():
         prior = before.get("histograms", {}).get(name)
@@ -291,47 +253,4 @@ def snapshot_diff(after: Snapshot, before: Snapshot) -> Snapshot:
                 "sum": delta_sum,
                 "count": delta_n,
             }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def scale_snapshot(snapshot: Snapshot, factor: float) -> Snapshot:
-    """A copy of ``snapshot`` with counters/histograms scaled by ``factor``.
-
-    Used to apportion a lockstep batch's metric delta evenly across its
-    K member jobs (``factor = 1/K``): counter values, histogram bucket
-    counts, sums, and counts all scale; gauges are instantaneous and
-    pass through unscaled.  Scaled bucket counts may be fractional —
-    apportioned snapshots are for *reporting* (flattened into manifest
-    records), never merged back into a live registry.
-    """
-    counters = {
-        name: value * factor
-        for name, value in snapshot.get("counters", {}).items()
-    }
-    gauges = dict(snapshot.get("gauges", {}))
-    histograms: Dict[str, Dict[str, Any]] = {}
-    for name, data in snapshot.get("histograms", {}).items():
-        histograms[name] = {
-            "bounds": list(data.get("bounds", [])),
-            "counts": [float(c) * factor for c in data.get("counts", [])],
-            "sum": float(data.get("sum", 0.0)) * factor,
-            "count": float(data.get("count", 0)) * factor,
-        }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def flatten_snapshot(snapshot: Snapshot) -> Dict[str, float]:
-    """One flat ``name -> number`` mapping for manifests and reports.
-
-    Histograms contribute ``<name>.count`` and ``<name>.sum_s``; the
-    bucket detail stays in the structured snapshot.
-    """
-    flat: Dict[str, float] = {}
-    for name, value in snapshot.get("counters", {}).items():
-        flat[name] = value
-    for name, value in snapshot.get("gauges", {}).items():
-        flat[name] = value
-    for name, data in snapshot.get("histograms", {}).items():
-        flat[f"{name}.count"] = float(data.get("count", 0))
-        flat[f"{name}.sum_s"] = float(data.get("sum", 0.0))
-    return flat
+    return {"counters": counters, "histograms": histograms}

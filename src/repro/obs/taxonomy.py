@@ -1,14 +1,13 @@
-"""The span and metric name registry (DESIGN.md §7, machine-readable).
+"""The metric name registry (DESIGN.md §7, machine-readable).
 
-Observability names are dotted paths whose first segment is the owning
+Metric names are dotted paths whose first segment is the owning
 subsystem; DESIGN.md §7 documents the full taxonomy.  This module is
-the *enforced* copy: instrumentation must register every span and
-metric name here, and ``tests/test_taxonomy.py`` fails on any string
-literal used in a ``span(...)``/``counter(...)``/``histogram(...)``/
-``gauge(...)`` call in ``src/repro`` that the registry does not know —
-so a misspelled metric name fails CI instead of silently splitting a
-counter in two.  The same file fails on a registered name that no
-module emits.
+the *enforced* copy: instrumentation must register every metric name
+here, and ``tests/test_taxonomy.py`` fails on any string literal used
+in a ``counter(...)``/``histogram(...)`` call in ``src/repro`` that the
+registry does not know — so a misspelled metric name fails CI instead
+of silently splitting a counter in two.  The same file fails on a
+registered name that no module emits.
 
 Dynamic names (f-strings) are allowed when they fall under a
 registered *prefix*: ``campaign.cache.`` (suffixes are the
@@ -18,24 +17,6 @@ registered *prefix*: ``campaign.cache.`` (suffixes are the
 from __future__ import annotations
 
 from typing import Tuple
-
-#: Every span name the codebase may open (DESIGN.md §7, "Spans").
-SPAN_NAMES = frozenset(
-    {
-        "campaign.run",
-        "campaign.cache.probe",
-        "campaign.cache.store",
-        "campaign.job",
-        "rcmodel.grid.assemble",
-        "solver.steady.solve",
-        "solver.steady.factorize",
-        "solver.transient.factorize",
-        "solver.transient.session",
-        "solver.backend.factorize",
-        "solver.backend.solve",
-        "campaign.batch",
-    }
-)
 
 #: Every metric name the codebase may record (DESIGN.md §7, "Metrics").
 METRIC_NAMES = frozenset(
@@ -60,11 +41,6 @@ METRIC_NAMES = frozenset(
 
 #: Prefixes under which dynamically-built metric names are legal.
 METRIC_PREFIXES: Tuple[str, ...] = ("campaign.cache.",)
-
-
-def known_span(name: str) -> bool:
-    """Whether ``name`` is a registered span name."""
-    return name in SPAN_NAMES
 
 
 def known_metric(name: str) -> bool:

@@ -74,10 +74,8 @@ class ThermalGridModel:
         self._builder = NetworkBuilder()
         self.layer_nodes: Dict[str, _LayerNodes] = {}
         t0 = time.perf_counter()
-        with obs.span("rcmodel.grid.assemble", nx=nx, ny=ny,
-                      config=config.name, chip=floorplan.name):
-            self._assemble()
-            self.network: ThermalNetwork = self._builder.build()
+        self._assemble()
+        self.network: ThermalNetwork = self._builder.build()
         _ASSEMBLIES.inc()
         _ASSEMBLY_SECONDS.observe(time.perf_counter() - t0)
         del self._builder

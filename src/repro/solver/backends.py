@@ -21,7 +21,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .. import obs
 from ..errors import SolverError
 
 try:
@@ -108,23 +107,21 @@ class LinearBackend:
 
     def factorize(self, matrix: sparse.spmatrix) -> Factor:
         """Factorize a sparse system matrix, or raise SolverError."""
-        with obs.span("solver.backend.factorize",
-                      n_nodes=matrix.shape[0], nnz=int(matrix.nnz)):
-            try:
-                lu = splu(
-                    matrix.tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    options=dict(SymmetricMode=True),
-                )
-            except (RuntimeError, ValueError, ArithmeticError) as exc:
-                # RuntimeError: SuperLU singular-matrix errors;
-                # ValueError: scipy input validation.
-                raise SolverError(f"factorization failed: {exc}") from exc
-            except np.linalg.LinAlgError as exc:
-                # A ValueError subclass on recent numpy, but derives
-                # straight from Exception on older releases — name it
-                # explicitly so the 3.9 CI lane normalizes it too.
-                raise SolverError(f"factorization failed: {exc}") from exc
+        try:
+            lu = splu(
+                matrix.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True),
+            )
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
+            # RuntimeError: SuperLU singular-matrix errors;
+            # ValueError: scipy input validation.
+            raise SolverError(f"factorization failed: {exc}") from exc
+        except np.linalg.LinAlgError as exc:
+            # A ValueError subclass on recent numpy, but derives
+            # straight from Exception on older releases — name it
+            # explicitly so the 3.9 CI lane normalizes it too.
+            raise SolverError(f"factorization failed: {exc}") from exc
         return _SuperLUFactor(lu)
 
 

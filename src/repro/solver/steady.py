@@ -67,10 +67,8 @@ def _factorize(network: ThermalNetwork) -> Factor:
         _FACTOR_CACHE_HITS.inc()
         factor: Factor = cached[1]
         return factor
-    with obs.span("solver.steady.factorize",
-                  n_nodes=matrix.shape[0], nnz=int(matrix.nnz)):
-        # factorize normalizes SuperLU's failure modes to SolverError
-        factor = LINEAR_BACKEND.factorize(matrix)
+    # factorize normalizes SuperLU's failure modes to SolverError
+    factor = LINEAR_BACKEND.factorize(matrix)
     _FACTORIZATIONS.inc()
     setattr(network, _FACTOR_CACHE_ATTR, (key, factor))
     return factor
@@ -93,14 +91,12 @@ def steady_state(
             "check the block power map before solving"
         )
     t0 = time.perf_counter()
-    with obs.span("solver.steady.solve", n_nodes=network.n_nodes):
-        factor = _factorize(network)
-        with obs.span("solver.backend.solve", n_nodes=network.n_nodes):
-            rise = factor.solve(node_power)
-        if not np.all(np.isfinite(rise)):
-            raise SolverError(
-                "steady-state solve produced non-finite temperatures"
-            )
+    factor = _factorize(network)
+    rise = factor.solve(node_power)
+    if not np.all(np.isfinite(rise)):
+        raise SolverError(
+            "steady-state solve produced non-finite temperatures"
+        )
     _SOLVES.inc()
     _SOLVE_SECONDS.observe(time.perf_counter() - t0)
     return rise

@@ -107,7 +107,6 @@ class _ImplicitStepper:
     result is bitwise identical to stepping it alone.
     """
 
-    method: str = ""
     #: Factorization of the implicit system matrix, built by the
     #: subclass ``_factorize`` through :data:`LINEAR_BACKEND`.
     _factor: Factor
@@ -117,9 +116,7 @@ class _ImplicitStepper:
             raise SolverError("dt must be positive")
         self.network = network
         self.dt = float(dt)
-        with obs.span("solver.transient.factorize", method=self.method,
-                      n_nodes=network.n_nodes, dt=self.dt):
-            self._factorize(network)
+        self._factorize(network)
         _MATRIX_BUILDS.inc()
 
     def _factorize(self, network: ThermalNetwork) -> None:
@@ -162,8 +159,6 @@ class TrapezoidalStepper(_ImplicitStepper):
     Advances ``(C/dt + A/2) x' = (C/dt - A/2) x + (p + p')/2``.
     """
 
-    method = "trapezoidal"
-
     def _factorize(self, network: ThermalNetwork) -> None:
         c_over_dt = sparse.diags(network.capacitance / self.dt)
         a = network.system_matrix
@@ -183,8 +178,6 @@ class BackwardEulerStepper(_ImplicitStepper):
 
     Advances ``(C/dt + A) x' = (C/dt) x + p'``.
     """
-
-    method = "backward_euler"
 
     def _factorize(self, network: ThermalNetwork) -> None:
         self._c_over_dt = network.capacitance / self.dt
@@ -337,14 +330,10 @@ class TransientSession:
             raise SolverError("record_every must be >= 1")
         times = [0.0]
         records = [self.observe(projector)]
-        n_columns = 1 if self.x.ndim == 1 else self.x.shape[1]
-        with obs.span("solver.transient.session", method=self.stepper.method,
-                      dt=self.dt, n_nodes=self.network.n_nodes,
-                      n_columns=n_columns):
-            for count, (t, marked) in enumerate(walk, 1):
-                if marked or count % record_every == 0:
-                    times.append(t)
-                    records.append(self.observe(projector))
+        for count, (t, marked) in enumerate(walk, 1):
+            if marked or count % record_every == 0:
+                times.append(t)
+                records.append(self.observe(projector))
         return times, records
 
     def grid(self, powers: Callable[[float], np.ndarray], n_full: int,

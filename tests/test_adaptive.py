@@ -137,10 +137,8 @@ def _builds_during(fn):
 
     before = obs.metrics().snapshot()
     result = fn()
-    flat = obs.flatten_snapshot(
-        obs.snapshot_diff(obs.metrics().snapshot(), before)
-    )
-    return result, flat.get("solver.transient.matrix_builds", 0.0)
+    counters = obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
+    return result, counters.get("solver.transient.matrix_builds", 0.0)
 
 
 def test_final_partial_step_reuses_ladder_factor():

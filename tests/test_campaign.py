@@ -189,7 +189,7 @@ def test_pool_merges_worker_counters_like_a_serial_run():
 
     def counter_delta(jobs):
         before = obs.metrics().snapshot()
-        run = run_campaign(campaign, jobs=jobs, capture_obs=False)
+        run = run_campaign(campaign, jobs=jobs)
         assert run.ok and run.parallel == (jobs > 1)
         return obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
 
@@ -204,6 +204,24 @@ def test_unknown_kind_fails_cleanly():
     run = run_campaign(CampaignSpec(name="bad", jobs=(job,)))
     assert run.outcome_for("x").status == "failed"
     assert "unknown job kind" in run.outcome_for("x").error
+
+
+def test_failed_job_records_the_time_it_ran(tmp_path):
+    job = JobSpec.make(
+        "steady_blocks", tag="bad",
+        model=ModelSpec(chip="ev6", package="oil", nx=6, ny=6,
+                        direction="left_to_right", ambient_c=45.0),
+        power="blocks", power_blocks=(("NoSuchBlock", 1.0),),
+    )
+    manifest = tmp_path / "m.jsonl"
+    run = run_campaign(CampaignSpec(name="bad-block", jobs=(job,)),
+                       manifest_path=str(manifest))
+    outcome = run.outcome_for("bad")
+    assert outcome.status == "failed"
+    assert outcome.wall_s > 0
+    (record,) = [r for r in read_manifest(manifest) if r["type"] == "job"]
+    assert record["wall_s"] == round(outcome.wall_s, 6)
+    assert run.summary.p50_wall_s == record["wall_s"]
 
 
 def _runner_that_dies_in_a_worker(doomed):
@@ -254,7 +272,7 @@ def test_dead_worker_leaves_the_serial_counts(monkeypatch):
 
     def counter_delta(jobs):
         before = obs.metrics().snapshot()
-        run = run_campaign(campaign, jobs=jobs, capture_obs=False)
+        run = run_campaign(campaign, jobs=jobs)
         assert run.ok
         return obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
 
@@ -401,7 +419,8 @@ def test_cli_campaign_run_smoke_no_cache(capsys):
 
 def test_cli_campaign_status_reads_a_manifest_with_retries_keys(tmp_path,
                                                                capsys):
-    """Manifests written before retries were removed still summarize."""
+    """Manifests written before retries and per-job capture were
+    removed still summarize."""
     from repro.cli import main
 
     manifest = tmp_path / "old.jsonl"
@@ -413,12 +432,18 @@ def test_cli_campaign_status_reads_a_manifest_with_retries_keys(tmp_path,
          "key": "k-b", "status": "timeout", "cached": False, "wall_s": 0.5,
          "worker": "", "retries": 0, "error": "exceeded 0.5 s budget",
          "obs": None},
+        {"type": "job", "campaign": "old", "tag": "c", "kind": "diagnostic",
+         "key": "k-c", "status": "ok", "cached": False, "wall_s": 0.75,
+         "worker": "102", "retries": 0, "error": None,
+         "obs": {"worker_pid": 102,
+                 "spans": {"campaign.job": {"count": 1, "total_s": 0.75}},
+                 "metrics": {"solver.steady.solves": 1.0}}},
     ]
     manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
                                 for r in old_jobs))
     assert main(["campaign", "status", "--cache-dir", str(tmp_path / "cache"),
                  "--manifest", str(manifest)]) == 0
-    assert "campaign old: 1/2 ok" in capsys.readouterr().out
+    assert "campaign old: 2/3 ok" in capsys.readouterr().out
 
 
 def test_cli_campaign_run_rejects_jobs_below_one(capsys):

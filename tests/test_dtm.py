@@ -8,10 +8,8 @@ from repro.dtm import (
     DTMController,
     DVFS,
     FetchThrottle,
-    engagement_statistics,
     time_above_threshold,
 )
-from repro.dtm.metrics import cooldown_time_after_trigger, performance_penalty
 from repro.errors import ConfigurationError, SolverError
 from repro.floorplan import ev6_floorplan, uniform_grid_floorplan
 from repro.package import oil_silicon_package
@@ -119,38 +117,6 @@ class TestMetrics:
         times = np.array([0.0, 1.0, 2.0, 3.0])
         temps = np.array([10.0, 20.0, 20.0, 10.0])
         assert time_above_threshold(times, temps, 15.0) == pytest.approx(2.0)
-
-    def test_engagement_statistics(self):
-        times = np.arange(10) * 0.1
-        engaged = np.array([0, 1, 1, 0, 0, 1, 1, 1, 0, 0], dtype=bool)
-        stats = engagement_statistics(times, engaged)
-        assert stats.count == 2
-        assert stats.total_time == pytest.approx(0.5)
-        assert stats.longest == pytest.approx(0.3)
-
-    def test_engagement_statistics_empty(self):
-        stats = engagement_statistics(np.arange(5.0), np.zeros(5, bool))
-        assert stats.count == 0 and stats.total_time == 0.0
-
-    def test_cooldown_time(self):
-        times = np.linspace(0, 10, 101)
-        temps = np.where(times < 2, 50.0, 50.0 * np.exp(-(times - 2)))
-        t = cooldown_time_after_trigger(times, temps, threshold=40.0,
-                                        margin=1.0)
-        # crosses at t=0 (50 >= 40), drops below 39 when 50 e^-(t-2) < 39
-        expected = 2.0 + np.log(50.0 / 39.0)
-        assert t == pytest.approx(expected, abs=0.2)
-
-    def test_cooldown_never_crossed(self):
-        times = np.linspace(0, 1, 10)
-        assert np.isnan(
-            cooldown_time_after_trigger(times, np.zeros(10), 10.0)
-        )
-
-    def test_performance_penalty(self):
-        assert performance_penalty(0.9) == pytest.approx(0.1)
-        with pytest.raises(ConfigurationError):
-            performance_penalty(1.5)
 
 
 class TestPredictiveController:

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.taxonomy import (
-    METRIC_NAMES,
-    METRIC_PREFIXES,
-    SPAN_NAMES,
-    known_metric,
-    known_span,
-)
+from repro.obs.taxonomy import METRIC_NAMES, METRIC_PREFIXES, known_metric
 from repro.experiments.common import celsius
 from repro.floorplan import ev6_floorplan
 from repro.package import (
@@ -155,18 +149,18 @@ def _src_trees():
 
 
 def test_every_registered_name_is_emitted():
-    """A registered span/metric name that no module spells out is dead
+    """A registered metric name that no module spells out is dead
     taxonomy: nothing can ever emit it."""
     literals = set()
     for _, tree in _src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 literals.add(node.value)
-    assert sorted((METRIC_NAMES | SPAN_NAMES) - literals) == []
+    assert sorted(METRIC_NAMES - literals) == []
 
 
 def test_every_emitted_name_is_registered():
-    """A span/metric name that the registry does not know is a
+    """A metric name that the registry does not know is a
     misspelling: it silently splits one time series in two."""
     unknown = []
     for path, tree in _src_trees():
@@ -175,17 +169,16 @@ def test_every_emitted_name_is_registered():
                 continue
             func = node.func
             kind = getattr(func, "attr", getattr(func, "id", None))
-            if kind not in ("span", "counter", "gauge", "histogram"):
+            if kind not in ("counter", "histogram"):
                 continue
             name = node.args[0]
             where = f"{path.relative_to(SRC)}:{node.lineno}"
             if isinstance(name, ast.Constant) and isinstance(name.value, str):
-                known = known_span if kind == "span" else known_metric
-                if not known(name.value):
+                if not known_metric(name.value):
                     unknown.append(f"{where} {kind}({name.value!r})")
             elif isinstance(name, ast.JoinedStr):
                 head = name.values[0] if name.values else None
                 prefix = head.value if isinstance(head, ast.Constant) else ""
-                if kind == "span" or not prefix.startswith(METRIC_PREFIXES):
+                if not prefix.startswith(METRIC_PREFIXES):
                     unknown.append(f"{where} {kind}(f{prefix!r}...)")
     assert unknown == []
