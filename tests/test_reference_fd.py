@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from repro.convection.flow import FlowDirection, FlowSpec
 from repro.errors import SolverError
-from repro.validation import ReferenceFDSolver
+from repro.experiments.common import VALIDATION_DIE, VALIDATION_VELOCITY
+from repro.validation import ReferenceFDSolver, reference_fd
 
 L = 20e-3
 T = 0.5e-3
@@ -121,3 +124,128 @@ def test_transient_probe_accepts_float_residue(solver):
     result = solver.transient_probe(np.zeros(solver.n_cells), 0.3, 0.1, probe)
     assert len(result.times) == 4
     assert result.times[-1] == pytest.approx(0.3)
+
+
+# --- input validation --------------------------------------------------------
+
+
+def test_non_integer_grid_count_rejected():
+    with pytest.raises(SolverError, match="positive integer"):
+        ReferenceFDSolver(L, L, T, FLOW, nx=2.5, ny=4, nz=2)
+
+
+def test_steady_rise_rejects_nan_power_before_solving(solver):
+    power = solver.uniform_power(1.0)
+    power[0] = np.nan
+    with pytest.raises(SolverError, match="not finite"):
+        solver.steady_rise(power)
+
+
+def test_transient_probe_rejects_nan_power(solver):
+    power = solver.uniform_power(1.0)
+    power[0] = np.nan
+    with pytest.raises(SolverError, match="not finite"):
+        solver.transient_probe(power, 0.1, 0.05, probe=0)
+
+
+def test_transient_probe_rejects_wrong_length_power(solver):
+    with pytest.raises(SolverError, match="shape"):
+        solver.transient_probe(np.ones(5), 0.1, 0.05, probe=0)
+
+
+def test_transient_probe_rejects_wrong_length_power_sample(solver):
+    with pytest.raises(SolverError, match="shape"):
+        solver.transient_probe(lambda _t: np.ones(5), 0.1, 0.05, probe=0)
+
+
+def test_transient_probe_rejects_infinite_x0(solver):
+    x0 = np.zeros(solver.n_cells)
+    x0[-1] = np.inf
+    with pytest.raises(SolverError, match="not finite"):
+        solver.transient_probe(solver.uniform_power(1.0), 0.1, 0.05,
+                               probe=0, x0=x0)
+
+
+@pytest.mark.parametrize("probe", [-1, 24 * 24 * 3])
+def test_transient_probe_rejects_probe_outside_grid(solver, probe):
+    with pytest.raises(SolverError, match="cell index"):
+        solver.transient_probe(solver.uniform_power(1.0), 0.1, 0.05, probe)
+
+
+def test_probe_index_rejects_point_outside_die(solver):
+    with pytest.raises(SolverError, match="outside the die"):
+        solver.probe_index(-1e-3, L / 2)
+
+
+# --- the preconditioned conjugate-gradient solve -----------------------------
+
+DIRECTED = FlowSpec(velocity=10.0, direction=FlowDirection.LEFT_TO_RIGHT)
+
+
+def _small(flow, nz):
+    return ReferenceFDSolver(L, L, T, flow, nx=12, ny=10, nz=nz)
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3])
+@pytest.mark.parametrize("flow", [FLOW, DIRECTED], ids=["uniform", "directed"])
+def test_steady_rise_matches_direct_solve(flow, nz):
+    fd = _small(flow, nz)
+    power = fd.rect_power(3e-3, 9e-3, 5e-3, 8e-3, 10.0)
+    direct = splu(fd._system.tocsc()).solve(power)
+    np.testing.assert_allclose(fd.steady_rise(power), direct, rtol=1e-10)
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3])
+@pytest.mark.parametrize("flow", [FLOW, DIRECTED], ids=["uniform", "directed"])
+def test_transient_probe_matches_direct_stepping(flow, nz):
+    fd = _small(flow, nz)
+    power = fd.rect_power(3e-3, 9e-3, 5e-3, 8e-3, 10.0)
+    probe = fd.probe_index(6e-3, 6e-3)
+    dt = 0.02
+    rate = fd._capacitance / dt
+    lhs = splu((fd._system + sparse.diags(rate)).tocsc())
+    x = np.zeros(fd.n_cells)
+    expected = [0.0]
+    for _ in range(10):
+        x = lhs.solve(rate * x + power)
+        expected.append(x[probe])
+    result = fd.transient_probe(power, t_end=0.2, dt=dt, probe=probe)
+    np.testing.assert_allclose(result.values, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dt", [None, 0.01], ids=["steady", "transient"])
+def test_separable_inverse_is_exact_for_uniform_film(dt):
+    fd = ReferenceFDSolver(L, L, T, FLOW, nx=9, ny=7, nz=4)
+    layer_shift = np.zeros(fd.nz)
+    if dt is not None:
+        layer_shift = fd._capacitance.reshape(fd.nz, -1).mean(axis=1) / dt
+    shift = np.repeat(layer_shift, fd.nx * fd.ny)
+    x = np.random.default_rng(0).standard_normal(fd.n_cells)
+    back = fd._separable_inverse(layer_shift)(fd._system @ x + shift * x)
+    np.testing.assert_allclose(back, x, rtol=0, atol=1e-12 * np.abs(x).max())
+
+
+def test_iteration_cap_raises(monkeypatch):
+    fd = _small(DIRECTED, 3)
+    monkeypatch.setattr(reference_fd, "MAX_ITERATIONS", 1)
+    with pytest.raises(SolverError, match="did not reach"):
+        fd.steady_rise(fd.uniform_power(10.0))
+
+
+def test_fig03_tmax_rises_under_refinement():
+    # Fig. 3's die, flow and 10 W central 2x2 mm source at the --full FD
+    # grid and at twice its resolution in every axis.
+    flow = FlowSpec(velocity=VALIDATION_VELOCITY, uniform=True)
+    width = VALIDATION_DIE["width"]
+    lo = (width - 2e-3) / 2
+    tmax = []
+    for grid, layers in [(60, 5), (120, 10)]:
+        fd = ReferenceFDSolver(
+            width, VALIDATION_DIE["height"], VALIDATION_DIE["thickness"],
+            flow, nx=grid, ny=grid, nz=layers,
+        )
+        rise = fd.steady_rise(fd.rect_power(lo, lo + 2e-3, lo, lo + 2e-3, 10.0))
+        tmax.append(float(fd.bottom_rise(rise).max()))
+    assert tmax[0] == pytest.approx(66.5026, rel=1e-6)
+    assert tmax[1] == pytest.approx(67.1957, rel=1e-6)
+    assert tmax[1] > tmax[0]
