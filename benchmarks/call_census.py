@@ -17,8 +17,8 @@ function's lines belong to the nested function), and the script prints
 per module the lines of functions no run entered, largest first,
 followed by the names of those functions.  Code that only tests,
 examples or the CLI reach shows up here.  Code that runs at import
-time (a module-level ``Histogram(...)``) is entered before the hook is
-set, so the list names candidates, not verdicts.
+time (a module-level ``obs.metrics().counter(...)``) is entered before
+the hook is set, so the list names candidates, not verdicts.
 
 Run:  python3 benchmarks/call_census.py   (no flags; ~25 s on a 2-core machine)
 """

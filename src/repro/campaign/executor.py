@@ -26,7 +26,7 @@ Observability: progress is reported through the stdlib
 (:func:`repro.obs.measured_call`) and the parent merges it, so pool
 and serial runs leave the same global counts.
 
-Live progress: ``on_event`` receives the campaign's lifecycle events
+Events: ``on_event`` receives the campaign's lifecycle events
 (:mod:`repro.obs.events`), called synchronously in this process as the
 engine dispatches and collects jobs.  Workers publish nothing, and the
 callback never feeds a result, record or summary metric.
@@ -67,7 +67,6 @@ logger = logging.getLogger("repro.campaign")
 _ATTEMPTS = obs.metrics().counter("campaign.jobs.attempts")
 _FAILURES = obs.metrics().counter("campaign.jobs.failures")
 _BATCHED = obs.metrics().counter("campaign.jobs.batched")
-_JOB_SECONDS = obs.metrics().histogram("campaign.job.wall_seconds")
 
 T = TypeVar("T")
 
@@ -276,9 +275,8 @@ def execute_job(spec: JobSpec) -> JobOutcome:
                           error=f"{type(exc).__name__}: {exc}",
                           wall_s=time.perf_counter() - start,
                           worker=str(os.getpid()))
-    wall = time.perf_counter() - start
-    _JOB_SECONDS.observe(wall)
-    return JobOutcome(spec=spec, status="ok", result=result, wall_s=wall,
+    return JobOutcome(spec=spec, status="ok", result=result,
+                      wall_s=time.perf_counter() - start,
                       worker=str(os.getpid()))
 
 
@@ -325,7 +323,6 @@ def _run_batched(
         wall = (time.perf_counter() - start) / len(group)
         _BATCHED.inc(len(group))
         for spec in group:
-            _JOB_SECONDS.observe(wall)
             outcomes[spec.tag] = JobOutcome(
                 spec=spec, status="ok", result=results[spec.tag],
                 wall_s=wall, worker="batched",

@@ -15,9 +15,7 @@ for this library so the models can be driven without writing Python:
     execute a registered experiment sweep through the campaign engine
     (parallel workers, content-addressed result cache, JSONL
     manifest); ``campaign list`` and ``campaign status`` inspect the
-    registry and the cache; ``--live`` renders progress from the
-    engine's job lifecycle events and appends them to
-    ``<manifest>.events.jsonl``, which ``obs tail`` follows.
+    registry and the cache.
 
 Package selection mirrors the paper: ``--package air`` (default) or
 ``--package oil``, with ``--rconv``, ``--velocity``, ``--direction``
@@ -30,7 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, List, Optional
+from typing import List, Optional
 
 
 from . import obs
@@ -156,13 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       metavar="KEY=VALUE",
                       help="campaign builder parameter, repeatable "
                            "(e.g. -P nx=16 -P instructions=100000)")
-    crun.add_argument("--live", action="store_true",
-                      help="render live progress (done/cached/failed "
-                           "counts, throughput, cache rate, ETA) from the "
-                           "engine's job lifecycle events, and append "
-                           "them to <manifest>.events.jsonl for 'repro "
-                           "obs tail'; a job counts as running from "
-                           "dispatch until its outcome lands")
 
     csub.add_parser("list", help="list registered campaigns")
 
@@ -173,30 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cache directory to inspect")
     cstatus.add_argument("--manifest", default=None,
                          help="summarize one JSONL manifest file")
-
-    obs_cmd = sub.add_parser(
-        "obs",
-        help="live telemetry: tail a running campaign's events",
-    )
-    osub = obs_cmd.add_subparsers(dest="obs_command", required=True)
-
-    otail = osub.add_parser(
-        "tail",
-        help="follow the events of a (running) campaign: pass the "
-             "manifest path given to 'campaign run --live' (or its "
-             ".events.jsonl sidecar directly)",
-    )
-    otail.add_argument("manifest",
-                       help="campaign manifest path or events JSONL file")
-    otail.add_argument("--no-follow", action="store_true",
-                       help="print what's there and exit instead of "
-                            "waiting for more events")
-    otail.add_argument("--raw", action="store_true",
-                       help="print one line per event instead of the "
-                            "progress view")
-    otail.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="stop following after S seconds even if the "
-                            "campaign hasn't finished")
     return parser
 
 
@@ -345,29 +312,7 @@ def _parse_campaign_params(pairs) -> dict:
     return params
 
 
-def _open_sidecar(path: str) -> Optional[IO[str]]:
-    """Open the ``--live`` events sidecar for appending (``None`` on error)."""
-    import os as _os
-
-    try:
-        directory = _os.path.dirname(path)
-        if directory:
-            _os.makedirs(directory, exist_ok=True)
-        return open(path, "a", encoding="utf-8")
-    except OSError as exc:
-        print(f"note: no events sidecar ({exc})", file=sys.stderr)
-        return None
-
-
-def _close_quietly(handle: IO[str]) -> None:
-    try:
-        handle.close()
-    except (OSError, ValueError):
-        pass
-
-
 def _campaign_run(args) -> int:
-    import json as _json
     import time as _time
 
     from .campaign import (
@@ -396,41 +341,10 @@ def _campaign_run(args) -> int:
         spec.name, len(spec), args.jobs,
         "off" if cache is None else cache_root,
     )
-    renderer = None
-    sidecar: Optional[IO[str]] = None
-    if args.live:
-        renderer = obs.LiveRenderer(obs.CampaignProgress(total=len(spec)))
-        if manifest:
-            sidecar = _open_sidecar(manifest + ".events.jsonl")
-
-    def on_event(event: obs.Event) -> None:
-        # One flushed JSON line per event for `repro obs tail`; a
-        # failing sidecar is dropped, the run carries on.
-        nonlocal sidecar
-        assert renderer is not None
-        renderer.on_event(event)
-        if sidecar is None:
-            return
-        try:
-            sidecar.write(_json.dumps(event, sort_keys=True, default=str)
-                          + "\n")
-            sidecar.flush()
-        except (OSError, ValueError):
-            _close_quietly(sidecar)
-            sidecar = None
-
-    try:
-        run = run_campaign(
-            spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
-            force=args.force,
-            batch=not args.no_batch,
-            on_event=on_event if renderer is not None else None,
-        )
-    finally:
-        if sidecar is not None:
-            _close_quietly(sidecar)
-        if renderer is not None:
-            renderer.close()
+    run = run_campaign(
+        spec, jobs=args.jobs, cache=cache, manifest_path=manifest,
+        force=args.force, batch=not args.no_batch,
+    )
     summary = run.summary
     print(f"{summary.n_ok}/{summary.n_jobs} jobs ok, "
           f"{summary.n_cached} cached "
@@ -490,70 +404,6 @@ def cmd_campaign(args) -> int:
     return handlers[args.campaign_command](args)
 
 
-def _events_sidecar_path(path: str) -> str:
-    """Resolve a tail target: a manifest path or its events sidecar."""
-    if path.endswith(".events.jsonl"):
-        return path
-    return path + ".events.jsonl"
-
-
-def _obs_tail(args) -> int:
-    import json as _json
-    import os as _os
-    import time as _time
-
-    path = _events_sidecar_path(args.manifest)
-    progress = obs.CampaignProgress()
-    deadline = (_time.monotonic() + args.timeout
-                if args.timeout is not None else None)
-    # Wait briefly for the sidecar to appear when following a campaign
-    # that is still starting up.
-    while not _os.path.exists(path):
-        if args.no_follow or (deadline is not None
-                              and _time.monotonic() >= deadline):
-            print(f"error: no events file at {path} (run the campaign "
-                  f"with --live)", file=sys.stderr)
-            return 1
-        _time.sleep(0.2)
-
-    def show(event: dict) -> None:
-        progress.observe(event)
-        if args.raw:
-            print(_json.dumps(event, sort_keys=True))
-
-    handle = open(path, "r", encoding="utf-8")
-    try:
-        while True:
-            line = handle.readline()
-            if line:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = _json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(event, dict) and "type" in event:
-                    show(event)
-                continue
-            if progress.finished or args.no_follow:
-                break
-            if deadline is not None and _time.monotonic() >= deadline:
-                break
-            _time.sleep(0.2)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.close()
-    if not args.raw:
-        print(progress.render_table())
-    return 0
-
-
-def cmd_obs(args) -> int:
-    return _obs_tail(args)
-
-
 _COMMANDS = {
     "steady": cmd_steady,
     "transient": cmd_transient,
@@ -561,7 +411,6 @@ _COMMANDS = {
     "info": cmd_info,
     "reproduce": cmd_reproduce,
     "campaign": cmd_campaign,
-    "obs": cmd_obs,
 }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..analysis.thermal_maps import coolest_block, hottest_block
 from ..floorplan import athlon_reference_power
-from ..solver import steady_block_temperatures, steady_state
+from ..solver import steady_state
 from ..units import ZERO_CELSIUS_IN_KELVIN
 from .common import athlon_oil_model
 
@@ -44,8 +44,8 @@ def run_fig04(nx: int = 32, ny: int = 32) -> Fig04Result:
     """Run the Fig. 4 Athlon steady-state experiment."""
     model = athlon_oil_model(nx=nx, ny=ny)
     powers = athlon_reference_power()
-    temps_k = steady_block_temperatures(model, powers)
     rise = steady_state(model.network, model.node_power(powers))
+    temps_k = model.floorplan.power_dict(model.block_temperatures(rise))
     cell_map = (
         model.mapping.as_grid(model.silicon_cell_rise(rise))
         + model.config.ambient - ZERO_CELSIUS_IN_KELVIN

@@ -5,12 +5,11 @@ factorization reuse, millisecond-step transient integration,
 sweep-scale job execution — and this package is how the rest of the
 codebase *sees* that behaviour:
 
-* :mod:`~repro.obs.metrics` — always-on counters and histograms for
-  domain events (factorizations, cache hits, steps, job failures),
+* :mod:`~repro.obs.metrics` — always-on counters for domain events
+  (factorizations, cache hits, steps, job failures),
   snapshot/merge-able across the campaign process pool;
 * :mod:`~repro.obs.events` — the campaign lifecycle events that
-  ``run_campaign(on_event=...)`` hands to a caller, and the
-  :mod:`~repro.obs.progress` view that renders them;
+  ``run_campaign(on_event=...)`` hands to a caller;
 * :mod:`~repro.obs.logsetup` — one-call stdlib-logging wiring for the
   CLI's ``--verbose``/``--quiet`` flags.
 
@@ -32,18 +31,10 @@ Typical use::
 
 from typing import Any, Callable, Tuple
 
-from .events import EVENT_TYPES, Event, make_event, read_events_jsonl
+from .events import EVENT_TYPES, Event, make_event
 from .logsetup import logging_setup, verbosity_level
-from .progress import CampaignProgress, JobProgress, LiveRenderer
 from .taxonomy import METRIC_NAMES, METRIC_PREFIXES, known_metric
-from .metrics import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-    Snapshot,
-    snapshot_diff,
-)
+from .metrics import Counter, MetricsRegistry, Snapshot, snapshot_diff
 
 #: Process-global default metrics registry (always on).
 _METRICS = MetricsRegistry()
@@ -68,14 +59,9 @@ def measured_call(fn: Callable[..., Any], /, *args: Any,
 
 
 __all__ = [
-    "CampaignProgress",
     "Counter",
-    "DEFAULT_TIME_BUCKETS",
     "EVENT_TYPES",
     "Event",
-    "Histogram",
-    "JobProgress",
-    "LiveRenderer",
     "METRIC_NAMES",
     "METRIC_PREFIXES",
     "MetricsRegistry",
@@ -85,7 +71,6 @@ __all__ = [
     "make_event",
     "measured_call",
     "metrics",
-    "read_events_jsonl",
     "snapshot_diff",
     "verbosity_level",
 ]

@@ -8,7 +8,6 @@ docstring of :mod:`repro.rcmodel` and DESIGN.md Section 5.1.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -24,7 +23,6 @@ from .network import NetworkBuilder, ThermalNetwork
 from .peripheral import SIDES, RimRing, RingGeometry
 
 _ASSEMBLIES = obs.metrics().counter("rcmodel.grid.assemblies")
-_ASSEMBLY_SECONDS = obs.metrics().histogram("rcmodel.grid.assembly_seconds")
 
 
 class _LayerNodes:
@@ -73,11 +71,9 @@ class ThermalGridModel:
         self.silicon_sublayers = int(silicon_sublayers)
         self._builder = NetworkBuilder()
         self.layer_nodes: Dict[str, _LayerNodes] = {}
-        t0 = time.perf_counter()
         self._assemble()
         self.network: ThermalNetwork = self._builder.build()
         _ASSEMBLIES.inc()
-        _ASSEMBLY_SECONDS.observe(time.perf_counter() - t0)
         del self._builder
 
     # ------------------------------------------------------------------

@@ -177,32 +177,6 @@ class PiecewiseConstantSchedule:
         index = int(np.searchsorted(self.boundaries, time, side="right")) - 1
         return self.node_power(min(max(index, 0), len(self.powers) - 1))
 
-    def repeated(self, cycles: int) -> "PiecewiseConstantSchedule":
-        """The schedule repeated ``cycles`` times back to back."""
-        if cycles < 1:
-            raise PowerTraceError("cycles must be >= 1")
-        period = self.t_end
-        boundaries = [0.0]
-        for cycle in range(cycles):
-            offset = cycle * period
-            boundaries.extend(offset + b for b in self.boundaries[1:])
-        return PiecewiseConstantSchedule(
-            tuple(boundaries), np.tile(self.powers, (cycles, 1)),
-            self.injection,
-        )
-
-    def time_average(self) -> np.ndarray:
-        """Duration-weighted average node-power vector over the schedule.
-
-        The paper uses exactly this to pick the initial condition for
-        the Fig. 8 oscillation study: solve the steady state under the
-        average power of the periodic trace.
-        """
-        durations = np.diff(self.boundaries)
-        return self._to_nodes(
-            (durations[:, None] * self.powers).sum(axis=0) / durations.sum()
-        )
-
 
 def simulate_schedule(
     network: ThermalNetwork,

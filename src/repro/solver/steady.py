@@ -15,7 +15,6 @@ stale factor.
 from __future__ import annotations
 
 import hashlib
-import time
 from typing import Dict, Union
 
 import numpy as np
@@ -32,7 +31,6 @@ _FACTOR_CACHE_ATTR = "_cached_lu_factor"
 _FACTORIZATIONS = obs.metrics().counter("solver.steady.factorizations")
 _FACTOR_CACHE_HITS = obs.metrics().counter("solver.steady.factor_cache_hits")
 _SOLVES = obs.metrics().counter("solver.steady.solves")
-_SOLVE_SECONDS = obs.metrics().histogram("solver.steady.solve_seconds")
 
 
 def system_fingerprint(matrix: sparse.spmatrix) -> str:
@@ -90,7 +88,6 @@ def steady_state(
             "power vector contains non-finite values (NaN/Inf); "
             "check the block power map before solving"
         )
-    t0 = time.perf_counter()
     factor = _factorize(network)
     rise = factor.solve(node_power)
     if not np.all(np.isfinite(rise)):
@@ -98,7 +95,6 @@ def steady_state(
             "steady-state solve produced non-finite temperatures"
         )
     _SOLVES.inc()
-    _SOLVE_SECONDS.observe(time.perf_counter() - t0)
     return rise
 
 

@@ -86,15 +86,6 @@ class TransientResult:
         """State at the last recorded instant."""
         return self.states[-1]
 
-    def at(self, time: float) -> np.ndarray:
-        """State at the recorded instant closest to ``time``."""
-        index = int(np.argmin(np.abs(self.times - time)))
-        return self.states[index]
-
-    def series(self, column: int) -> np.ndarray:
-        """One column of the recorded states as a time series."""
-        return self.states[:, column]
-
 
 class _ImplicitStepper:
     """Shared stepping core: one cached LU factor, 1-D or 2-D states.

@@ -359,9 +359,10 @@ class ReferenceFDSolver:
         """Flat index of the cell containing (x, y) in a given z layer."""
         if not (0 <= x <= self.die_width and 0 <= y <= self.die_height):
             raise SolverError(f"probe point ({x:g}, {y:g}) is outside the die")
+        if not 0 <= layer < self.nz:
+            raise SolverError(f"probe layer {layer} is outside [0, {self.nz})")
         i = min(int(x / self.dx), self.nx - 1)
         j = min(int(y / self.dy), self.ny - 1)
-        layer = min(max(layer, 0), self.nz - 1)
         return int(self._index(np.array(i), np.array(j), np.array(layer)))
 
     def transient_probe(

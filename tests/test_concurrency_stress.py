@@ -1,5 +1,5 @@
 """Runtime demonstrations of the race class that the ``_lock`` of each
-``repro.obs`` metric and progress structure guards against.
+``repro.obs`` counter guards against.
 
 The torn-update harness first *shows* the corruption mode — a barrier
 forces every thread into the read/write gap of an unguarded

@@ -1,8 +1,5 @@
-"""Tests for repro.obs campaign events, progress and the ``obs tail`` CLI."""
+"""Tests for repro.obs campaign events and registry consistency."""
 
-import io
-import json
-import os
 import threading
 import time
 
@@ -16,8 +13,6 @@ from repro.campaign import (
     ResultCache,
     run_campaign,
 )
-from repro.cli import main
-from repro.obs.events import read_events_jsonl
 from repro.obs.metrics import MetricsRegistry
 
 TWO_BLOCK_POWER = (("IntReg", 3.0), ("Dcache", 2.0))
@@ -150,12 +145,10 @@ def test_cache_counters_concurrent_bumps_lose_nothing(tmp_path):
 
 def test_registry_instruments_share_one_lock():
     registry = MetricsRegistry()
-    counter = registry.counter("solver.steady.solves")
-    hist = registry.histogram("solver.steady.solve_seconds")
-    wall = registry.histogram("campaign.job.wall_seconds")
-    assert counter._lock is registry._lock
-    assert hist._lock is registry._lock
-    assert wall._lock is registry._lock
+    solves = registry.counter("solver.steady.solves")
+    factorizations = registry.counter("solver.steady.factorizations")
+    assert solves._lock is registry._lock
+    assert factorizations._lock is registry._lock
 
 
 def test_registry_snapshot_consistent_under_concurrent_increments():
@@ -189,175 +182,3 @@ def test_registry_snapshot_consistent_under_concurrent_increments():
     for t in threads:
         t.join()
     assert torn == []
-
-
-# ---------------------------------------------------------------------------
-# the progress model and live renderer
-# ---------------------------------------------------------------------------
-
-
-def _synthetic_run_events():
-    return [
-        obs.make_event("campaign_started", campaign="fake", total=3,
-                       tags=["a", "b", "c"]),
-        obs.make_event("job_cached", tag="a", elapsed_s=0.01),
-        obs.make_event("job_started", tag="b", kind="steady_blocks"),
-        obs.make_event("job_finished", tag="b", status="ok", elapsed_s=0.1),
-        obs.make_event("job_started", tag="c", kind="steady_blocks"),
-    ]
-
-
-def test_progress_model_folds_lifecycle():
-    progress = obs.CampaignProgress()
-    for event in _synthetic_run_events():
-        progress.observe(event)
-    counts = progress.counts()
-    assert counts["cached"] == 1
-    assert counts["finished"] == 1
-    assert counts["running"] == 1
-    assert progress.done == 2
-    assert progress.total == 3
-    assert progress.cache_hit_rate() == 0.5
-    assert progress.eta_s() is not None
-    [job_b] = [j for j in progress.jobs() if j.tag == "b"]
-    assert job_b.state == "finished"
-    line = progress.render_line()
-    assert "2/3 done" in line
-    assert "1 running" in line
-    table = progress.render_table()
-    assert "cached" in table and "running" in table
-
-
-def test_progress_finishes_and_eta_drops_to_zero():
-    progress = obs.CampaignProgress()
-    events = _synthetic_run_events() + [
-        obs.make_event("job_finished", tag="c", status="failed",
-                       elapsed_s=0.2, error="boom"),
-        obs.make_event("campaign_finished", campaign="fake", total=3),
-    ]
-    for event in events:
-        progress.observe(event)
-    assert progress.finished
-    assert progress.counts()["failed"] == 1
-    assert progress.eta_s() == 0.0
-    assert progress.throughput() >= 0.0
-
-
-def _two_job_run_events(campaign="smoke"):
-    return [
-        obs.make_event("campaign_started", campaign=campaign, total=2,
-                       tags=["a", "b"]),
-        obs.make_event("job_started", tag="a"),
-        obs.make_event("job_finished", tag="a", status="ok", elapsed_s=0.1),
-        obs.make_event("job_started", tag="b"),
-        obs.make_event("job_finished", tag="b", status="ok", elapsed_s=0.1),
-        obs.make_event("campaign_finished", campaign=campaign, total=2),
-    ]
-
-
-def test_campaign_started_begins_a_fresh_fold():
-    """A sidecar appended across runs: run 2's campaign_started must
-    clear run 1's finished jobs and finish time."""
-    progress = obs.CampaignProgress()
-    for event in _two_job_run_events():
-        progress.observe(event)
-    assert progress.finished
-    progress.observe(obs.make_event("campaign_started", campaign="smoke",
-                                    total=2, tags=["a", "b"]))
-    assert not progress.finished
-    assert progress.done == 0
-    assert progress.counts()["pending"] == 2
-    assert "smoke: 0/2 done" in progress.render_line()
-
-
-def test_live_renderer_prints_one_final_line_on_a_pipe():
-    out = io.StringIO()  # not a TTY: one printed line per paint
-    renderer = obs.LiveRenderer(obs.CampaignProgress(), out=out,
-                                min_interval_s=0.0)
-    for event in _two_job_run_events():
-        renderer.on_event(event)
-    renderer.close()
-    lines = out.getvalue().splitlines()
-    assert [line for line in lines if "2/2 done" in line] == lines[-1:]
-
-
-def test_live_renderer_close_paints_an_unfinished_run_once():
-    out = io.StringIO()
-    renderer = obs.LiveRenderer(obs.CampaignProgress(), out=out,
-                                min_interval_s=60.0)
-    for event in _two_job_run_events()[:-1]:  # no campaign_finished
-        renderer.on_event(event)
-    renderer.close()
-    lines = out.getvalue().splitlines()
-    assert [line for line in lines if "2/2 done" in line] == lines[-1:]
-
-
-def test_live_renderer_paints_to_stream():
-    out = io.StringIO()
-    renderer = obs.LiveRenderer(obs.CampaignProgress(), out=out,
-                                min_interval_s=0.0)
-    for event in _synthetic_run_events():
-        renderer.on_event(event)
-    renderer.close()
-    text = out.getvalue()
-    assert "done" in text
-    assert "eta" in text
-
-
-# ---------------------------------------------------------------------------
-# the CLI: obs tail and campaign --live
-# ---------------------------------------------------------------------------
-
-
-def test_cli_campaign_live_and_obs_tail(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    manifest = str(tmp_path / "run.jsonl")
-    code = main([
-        "-q", "campaign", "run", "smoke", "--no-cache",
-        "--manifest", manifest, "--live",
-    ])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert [line for line in err.splitlines() if "2/2 done" in line] == [
-        err.splitlines()[-1]
-    ]
-    assert os.path.exists(manifest + ".events.jsonl")
-    events = read_events_jsonl(manifest + ".events.jsonl")
-    types = [e["type"] for e in events]
-    assert types[0] == "campaign_started"
-    assert types[-1] == "campaign_finished"
-    assert len(events[0]["tags"]) == 2
-    for tag in events[0]["tags"]:
-        mine = [e["type"] for e in events if e["tag"] == tag]
-        assert mine == ["job_started", "job_finished"], f"{tag}: {mine}"
-
-    assert main(["obs", "tail", manifest, "--no-follow"]) == 0
-    out = capsys.readouterr().out
-    assert "done" in out
-    assert main(["obs", "tail", manifest, "--no-follow", "--raw"]) == 0
-    raw = capsys.readouterr().out
-    assert "campaign_finished" in raw
-
-
-def test_cli_obs_tail_missing_stream_errors(tmp_path, capsys):
-    missing = str(tmp_path / "nope.jsonl")
-    assert main(["obs", "tail", missing, "--no-follow"]) == 1
-    assert "--live" in capsys.readouterr().err
-
-
-def test_cli_obs_tail_follows_the_latest_run_of_a_reused_sidecar(
-    tmp_path, capsys
-):
-    """Run 1 finished, run 2 just started: following must not stop at
-    run 1's campaign_finished (it waits for run 2 until the timeout)."""
-    sidecar = tmp_path / "run.jsonl.events.jsonl"
-    events = _two_job_run_events() + _two_job_run_events()[:1]
-    sidecar.write_text(
-        "".join(json.dumps(event, sort_keys=True) + "\n" for event in events),
-        encoding="utf-8",
-    )
-    t0 = time.monotonic()
-    assert main(["obs", "tail", str(sidecar), "--timeout", "0.3"]) == 0
-    assert time.monotonic() - t0 >= 0.3
-    out = capsys.readouterr().out
-    assert "smoke: 0/2 done" in out

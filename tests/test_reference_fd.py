@@ -177,6 +177,13 @@ def test_probe_index_rejects_point_outside_die(solver):
         solver.probe_index(-1e-3, L / 2)
 
 
+@pytest.mark.parametrize("layer", [2, 7, -1, -3])
+def test_probe_index_rejects_layer_outside_grid(layer):
+    fd = ReferenceFDSolver(L, L, T, FLOW, nx=8, ny=8, nz=2)
+    with pytest.raises(SolverError, match="probe layer"):
+        fd.probe_index(L / 2, L / 2, layer=layer)
+
+
 # --- the preconditioned conjugate-gradient solve -----------------------------
 
 DIRECTED = FlowSpec(velocity=10.0, direction=FlowDirection.LEFT_TO_RIGHT)

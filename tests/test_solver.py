@@ -146,13 +146,6 @@ def test_invalid_arguments():
         TrapezoidalStepper(net, dt=-1.0)
 
 
-def test_result_accessors():
-    net = single_rc()
-    result = transient_simulate(net, np.array([1.0]), t_end=1.0, dt=0.1)
-    np.testing.assert_allclose(result.at(0.5), result.states[5])
-    np.testing.assert_allclose(result.series(0), result.states[:, 0])
-
-
 def test_steady_block_temperatures_helper():
     plan = uniform_grid_floorplan(20e-3, 20e-3, prefix="die")
     config = oil_silicon_package(

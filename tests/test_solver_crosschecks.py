@@ -100,7 +100,9 @@ def test_adaptive_agrees_with_fixed_step_on_air_sink_warmup():
     np.testing.assert_allclose(fixed.final(), steady, rtol=0.05)
     # mid-trajectory agreement, sampled where both recorded
     for t in (10.0, 60.0, 150.0):
-        np.testing.assert_allclose(adaptive.at(t), fixed.at(t), rtol=0.03)
+        np.testing.assert_allclose(
+            adaptive.states[np.argmin(np.abs(adaptive.times - t))],
+            fixed.states[np.argmin(np.abs(fixed.times - t))], rtol=0.03)
     # the adaptive run crosses the horizon in far fewer steps than the
     # 6000 the fixed-dt run integrates
     assert len(adaptive.times) < 300.0 / 0.05 / 10
