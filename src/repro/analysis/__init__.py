@@ -3,22 +3,12 @@ and temperature-to-power reverse engineering."""
 
 from .thermal_maps import (
     MapStatistics,
-    map_statistics,
     hottest_block,
     coolest_block,
     block_ranking,
-    temperature_gradient_magnitude,
 )
-from .time_constants import (
-    fit_single_exponential,
-    rise_time,
-    settle_time,
-    dominant_time_constant,
-)
-from .reverse_power import (
-    reverse_engineer_power,
-    power_inflation_by_position,
-)
+from .time_constants import rise_time
+from .reverse_power import reverse_engineer_power
 from .translation import (
     TranslationResult,
     translate_measurement,
@@ -39,17 +29,11 @@ from .variation import VariationStudy, power_variation_study
 
 __all__ = [
     "MapStatistics",
-    "map_statistics",
     "hottest_block",
     "coolest_block",
     "block_ranking",
-    "temperature_gradient_magnitude",
-    "fit_single_exponential",
     "rise_time",
-    "settle_time",
-    "dominant_time_constant",
     "reverse_engineer_power",
-    "power_inflation_by_position",
     "TranslationResult",
     "translate_measurement",
     "translation_error",

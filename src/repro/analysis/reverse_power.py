@@ -65,18 +65,3 @@ def reverse_engineer_power(
     if not np.all(np.isfinite(power)):
         raise SolverError("power inversion diverged")
     return power
-
-
-def power_inflation_by_position(
-    true_power: np.ndarray, estimated_power: np.ndarray
-) -> np.ndarray:
-    """Relative error of each block's estimate: (est - true) / true.
-
-    Blocks with zero true power get NaN (no meaningful ratio).
-    """
-    true_power = np.asarray(true_power, dtype=float)
-    estimated_power = np.asarray(estimated_power, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = (estimated_power - true_power) / true_power
-    ratio[true_power == 0] = np.nan
-    return ratio

@@ -1,10 +1,9 @@
-"""Thermal-map statistics: hot spots, gradients, per-block rankings.
+"""Thermal-map statistics: hot spots and per-block rankings.
 
 The paper's steady-state comparisons revolve around three numbers per
 map -- the maximum temperature, the minimum temperature and the
 across-die difference (its Fig. 3 plots exactly Tmax/Tmin/dT) -- plus
-the identity of the hottest block (Figs. 10-11) and the steepness of
-spatial gradients (Section 5.3's sensor-error argument).
+the identity of the hottest block (Figs. 10-11).
 """
 
 from __future__ import annotations
@@ -13,8 +12,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
-
-from ..floorplan.grid_map import GridMapping
 
 
 @dataclass(frozen=True)
@@ -36,11 +33,6 @@ class MapStatistics:
             t_mean=float(values.mean()),
             dt=float(values.max() - values.min()),
         )
-
-
-def map_statistics(cell_values: np.ndarray) -> MapStatistics:
-    """Tmax / Tmin / mean / dT of a cell temperature field."""
-    return MapStatistics.of(cell_values)
 
 
 def hottest_block(block_temps: Dict[str, float]) -> Tuple[str, float]:
@@ -72,17 +64,3 @@ def coolest_block(
 def block_ranking(block_temps: Dict[str, float]) -> List[Tuple[str, float]]:
     """Blocks sorted hottest first."""
     return sorted(block_temps.items(), key=lambda kv: kv[1], reverse=True)
-
-
-def temperature_gradient_magnitude(
-    mapping: GridMapping, cell_values: np.ndarray
-) -> np.ndarray:
-    """|grad T| per cell (K/m), central differences on the die grid.
-
-    Used by the sensor-granularity analysis: the expected sensor error
-    for a sensor displaced a distance d from the hot spot scales with
-    the local gradient magnitude (paper Section 5.3).
-    """
-    field = mapping.as_grid(cell_values)
-    gy, gx = np.gradient(field, mapping.dy, mapping.dx)
-    return np.hypot(gx, gy).ravel()

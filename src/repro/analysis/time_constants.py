@@ -1,48 +1,17 @@
 """Extract thermal time constants from transient traces.
 
 The paper's Fig. 7 analysis predicts the packages' time constants
-analytically (Eqns 5-6); these utilities fit the constants back out of
-simulated (or measured) step responses so prediction and model can be
-compared, and quantify rise/settle times for the DTM discussion
-(Section 5.1: AIR-SINK heat-up/cool-down phases are ~3 ms while
-OIL-SILICON's exceed the 15 ms window).
+analytically (Eqns 5-6); :func:`rise_time` reads the 63% time back out
+of simulated (or measured) step responses so prediction and model can
+be compared, and the rate-of-change helpers drive the Section 5.2
+sampling argument.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from ..errors import SolverError
-
-
-def fit_single_exponential(
-    times: np.ndarray, values: np.ndarray
-) -> Tuple[float, float]:
-    """Fit ``v(t) = v_inf (1 - exp(-t/tau))`` to a heating trace.
-
-    Returns ``(tau, v_inf)``.  The fit linearizes ``log(1 - v/v_inf)``
-    with ``v_inf`` taken from the trace tail, which is robust for the
-    smooth step responses produced by the solvers.  Raises SolverError
-    for traces that do not look like rising exponentials.
-    """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.shape != values.shape or times.size < 4:
-        raise SolverError("need matching time/value arrays with >= 4 points")
-    v_inf = float(values[-1])
-    if v_inf <= 0:
-        raise SolverError("trace does not rise; cannot fit a heating response")
-    fraction = values / v_inf
-    usable = (fraction > 0.02) & (fraction < 0.95) & (times > 0)
-    if usable.sum() < 3:
-        raise SolverError("too few points in the exponential region")
-    y = np.log1p(-np.clip(fraction[usable], None, 0.999999))
-    slope = np.polyfit(times[usable], y, 1)[0]
-    if slope >= 0:
-        raise SolverError("trace is not decaying toward its asymptote")
-    return -1.0 / slope, v_inf
 
 
 def rise_time(
@@ -64,30 +33,6 @@ def rise_time(
     if v1 == v0:
         return float(t1)
     return float(t0 + (target - v0) / (v1 - v0) * (t1 - t0))
-
-
-def settle_time(
-    times: np.ndarray, values: np.ndarray, tolerance: float = 0.02
-) -> float:
-    """Earliest time after which the trace stays within ``tolerance``
-    (relative) of its final value."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    final = values[-1]
-    band = abs(final) * tolerance
-    outside = np.nonzero(np.abs(values - final) > band)[0]
-    if outside.size == 0:
-        return float(times[0])
-    last_outside = int(outside[-1])
-    if last_outside + 1 >= times.size:
-        raise SolverError("trace has not settled by the end of the run")
-    return float(times[last_outside + 1])
-
-
-def dominant_time_constant(times: np.ndarray, values: np.ndarray) -> float:
-    """Shortcut for the fitted tau of :func:`fit_single_exponential`."""
-    tau, _ = fit_single_exponential(times, values)
-    return tau
 
 
 def max_rate_of_change(times: np.ndarray, values: np.ndarray) -> float:

@@ -25,11 +25,6 @@ Observability: progress is reported through the stdlib
 :mod:`repro.obs` metrics delta of its call
 (:func:`repro.obs.measured_call`) and the parent merges it, so pool
 and serial runs leave the same global counts.
-
-Events: ``on_event`` receives the campaign's lifecycle events
-(:mod:`repro.obs.events`), called synchronously in this process as the
-engine dispatches and collects jobs.  Workers publish nothing, and the
-callback never feeds a result, record or summary metric.
 """
 
 from __future__ import annotations
@@ -231,33 +226,6 @@ def _report(
         progress(line)
 
 
-EventSink = Optional[Callable[[obs.Event], None]]
-
-
-def _emit(on_event: EventSink, type: str, tag: str = "",
-          **payload: Any) -> None:
-    """Hand one lifecycle event to ``on_event`` (no-op without one)."""
-    if on_event is not None:
-        on_event(obs.make_event(type, tag=tag, **payload))
-
-
-def _emit_outcome(on_event: EventSink, outcome: JobOutcome) -> None:
-    """Emit the completion event for one outcome.
-
-    Built from the parent's outcome, so failures and cache hits report
-    uniformly.
-    """
-    if outcome.status == "cached":
-        _emit(on_event, "job_cached", tag=outcome.spec.tag,
-              kind=outcome.spec.kind, elapsed_s=outcome.wall_s)
-        return
-    _emit(
-        on_event, "job_finished", tag=outcome.spec.tag,
-        kind=outcome.spec.kind, status=outcome.status, elapsed_s=outcome.wall_s,
-        worker=outcome.worker, error=outcome.error,
-    )
-
-
 def execute_job(spec: JobSpec) -> JobOutcome:
     """Run one job in the current process (the worker entry point).
 
@@ -283,7 +251,6 @@ def execute_job(spec: JobSpec) -> JobOutcome:
 def _run_batched(
     pending: List[JobSpec],
     progress: Optional[Callable[[str], None]],
-    on_event: EventSink = None,
 ) -> Tuple[Dict[str, JobOutcome], List[JobSpec]]:
     """Execute same-model job groups in-process through batch runners.
 
@@ -302,8 +269,6 @@ def _run_batched(
         kind = group[0].kind
         start = time.perf_counter()
         _ATTEMPTS.inc(len(group))
-        for spec in group:
-            _emit(on_event, "job_started", tag=spec.tag, kind=spec.kind)
         try:
             results = get_batch_runner(kind)(group)
             missing = [s.tag for s in group if s.tag not in results]
@@ -328,7 +293,6 @@ def _run_batched(
                 wall_s=wall, worker="batched",
             )
             _report(outcomes[spec.tag], progress)
-            _emit_outcome(on_event, outcomes[spec.tag])
     return outcomes, rest
 
 
@@ -358,7 +322,6 @@ def run_campaign(
     force: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     batch: bool = True,
-    on_event: EventSink = None,
 ) -> CampaignRun:
     """Execute a campaign; see the module docstring for semantics.
 
@@ -384,27 +347,11 @@ def run_campaign(
         :mod:`repro.campaign.batching`); results are bitwise identical
         to per-job execution, groups that cannot batch fall back
         automatically.
-    on_event:
-        Optional callback for the lifecycle events of
-        :mod:`repro.obs.events`, called synchronously in this process:
-        ``campaign_started``; ``job_cached`` per cache hit;
-        ``job_started`` when a job is handed to execution (before it
-        runs serially, before its batch group runs, or at pool
-        submission; again if a broken pool hands it back to this
-        process) and ``job_finished`` when its outcome lands;
-        ``campaign_finished``.  A job is therefore "running" from
-        dispatch to outcome.  Events never change results or recorded
-        metrics.
     """
     start = time.perf_counter()
     run = CampaignRun(campaign=campaign, manifest_path=manifest_path)
     logger.debug("campaign %s: %d jobs, %d worker(s)",
                  campaign.name, len(campaign.jobs), jobs)
-    _emit(
-        on_event, "campaign_started", campaign=campaign.name,
-        total=len(campaign.jobs),
-        tags=[spec.tag for spec in campaign.jobs],
-    )
 
     pending: List[JobSpec] = []
     cached: Dict[str, JobOutcome] = {}
@@ -419,25 +366,19 @@ def run_campaign(
                     worker="cache",
                 )
                 _report(cached[spec.tag], progress)
-                _emit_outcome(on_event, cached[spec.tag])
                 continue
         pending.append(spec)
 
     fresh: Dict[str, JobOutcome] = {}
     if pending and batch:
-        fresh, pending = _run_batched(pending, progress, on_event)
-
-    def started(index: int) -> None:
-        _emit(on_event, "job_started", tag=pending[index].tag,
-              kind=pending[index].kind)
+        fresh, pending = _run_batched(pending, progress)
 
     parent = str(os.getpid())
     calls = [functools.partial(execute_job, spec) for spec in pending]
-    for outcome in fan_out(calls, jobs, started, progress):
+    for outcome in fan_out(calls, jobs, note=progress):
         fresh[outcome.spec.tag] = outcome
         run.parallel = run.parallel or outcome.worker != parent
         _report(outcome, progress)
-        _emit_outcome(on_event, outcome)
 
     if cache is not None:
         for outcome in fresh.values():
@@ -460,10 +401,4 @@ def run_campaign(
             writer.job(record)
         writer.summary(run.summary)
         logger.debug("manifest appended: %s", manifest_path)
-    _emit(
-        on_event, "campaign_finished", campaign=campaign.name,
-        total=len(campaign.jobs),
-        duration_s=time.perf_counter() - start,
-        ok=run.ok,
-    )
     return run

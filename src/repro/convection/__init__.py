@@ -15,7 +15,7 @@ from .correlations import (
     convection_capacitance,
     LAMINAR_TRANSITION_REYNOLDS,
 )
-from .flow import FlowDirection, FlowSpec, local_h_field, velocity_for_resistance
+from .flow import FlowDirection, FlowSpec, local_h_field
 
 __all__ = [
     "reynolds",
@@ -28,5 +28,4 @@ __all__ = [
     "FlowDirection",
     "FlowSpec",
     "local_h_field",
-    "velocity_for_resistance",
 ]

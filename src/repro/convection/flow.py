@@ -168,32 +168,6 @@ def local_h_field(
     return h_local
 
 
-def velocity_for_resistance(
-    target_resistance: float,
-    die_width: float,
-    die_height: float,
-    fluid: Fluid = MINERAL_OIL,
-    horizontal: bool = True,
-) -> float:
-    """Velocity at which Eqns 1-2 give the requested overall ``Rconv``.
-
-    Inverts ``Rconv = 1 / (0.664 (k/L) Re^0.5 Pr^(1/3) A)`` for the
-    velocity.  The paper notes that reaching 0.3 K/W with oil over an
-    EV6-sized die "would be an unrealistic 100 m/s" -- this function
-    makes that check reproducible.  No laminar-range validation is
-    applied (the returned speed may well be in the turbulent range;
-    that is precisely the paper's point).
-    """
-    require_positive("target_resistance", target_resistance)
-    length = die_width if horizontal else die_height
-    area = die_width * die_height
-    h_needed = 1.0 / (target_resistance * area)
-    # h = 0.664 k/L sqrt(v L / nu) Pr^(1/3)  =>  solve for v.
-    coeff = 0.664 * fluid.conductivity / length * fluid.prandtl ** (1.0 / 3.0)
-    sqrt_re = h_needed / coeff
-    return sqrt_re ** 2 * fluid.kinematic_viscosity / length
-
-
 # Convenient tuple of the four directions in the order of the paper's
 # Fig. 11 table columns.
 ALL_DIRECTIONS: Tuple[FlowDirection, ...] = (

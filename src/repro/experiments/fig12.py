@@ -19,7 +19,7 @@ Claims:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -56,14 +56,6 @@ class Fig12Result:
         """Sensor sampling interval bounding per-sample change (s)."""
         series = self.block_series(which, block)
         return required_sampling_interval(self.times, series, resolution)
-
-    def hotspot_distinctness(self, which: str) -> float:
-        """Mean gap (C) between the hottest and second-hottest block.
-
-        Larger = a more distinct hot spot (the AIR-SINK signature)."""
-        data = self.oil_blocks_c if which == "oil" else self.air_blocks_c
-        ordered = np.sort(data, axis=1)
-        return float(np.mean(ordered[:, -1] - ordered[:, -2]))
 
 
 def fig12_campaign(
@@ -141,47 +133,6 @@ def fig12_ensemble_campaign(
         for seed in seeds
     )
     return CampaignSpec(name=f"fig12-ensemble-{package}", jobs=jobs)
-
-
-@dataclass
-class Fig12Ensemble:
-    """Per-seed block traces (C) plus across-seed spread statistics."""
-
-    times: np.ndarray
-    seed_blocks_c: np.ndarray  # (n_seeds, n_times, n_blocks)
-    seeds: List[int]
-    block_names: List[str]
-
-    def spread(self, block: str) -> np.ndarray:
-        """Across-seed max-min temperature spread of one block (C)."""
-        series = self.seed_blocks_c[:, :, self.block_names.index(block)]
-        return np.asarray(series.max(axis=0) - series.min(axis=0))
-
-
-def run_fig12_ensemble(
-    seeds: Sequence[int],
-    package: str = "oil",
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    batch: bool = True,
-    **campaign_params: Any,
-) -> Fig12Ensemble:
-    """Run a same-package seed ensemble (batched by default)."""
-    spec = fig12_ensemble_campaign(list(seeds), package=package,
-                                   **campaign_params)
-    run = run_campaign(spec, jobs=jobs, cache=cache, batch=batch)
-    first = run.result_for(spec.jobs[0].tag)
-    ambient_c = first.meta["ambient_k"] - ZERO_CELSIUS_IN_KELVIN
-    stacked = np.stack([
-        run.result_for(job.tag).arrays["block_rise_k"] + ambient_c
-        for job in spec.jobs
-    ])
-    return Fig12Ensemble(
-        times=first.arrays["times"],
-        seed_blocks_c=stacked,
-        seeds=list(seeds),
-        block_names=list(first.meta["block_names"]),
-    )
 
 
 def run_fig12(

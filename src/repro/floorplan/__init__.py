@@ -12,7 +12,6 @@ from .athlon import athlon_floorplan, ATHLON_BLOCK_NAMES, athlon_reference_power
 from .synthetic import (
     single_hot_block_floorplan,
     multicore_floorplan,
-    checkerboard_floorplan,
     uniform_grid_floorplan,
 )
 from .grid_map import GridMapping
@@ -31,7 +30,6 @@ __all__ = [
     "athlon_reference_power",
     "single_hot_block_floorplan",
     "multicore_floorplan",
-    "checkerboard_floorplan",
     "uniform_grid_floorplan",
     "GridMapping",
 ]

@@ -125,27 +125,3 @@ def multicore_floorplan(
         plan.blocks, die_width=plan.die_width, die_height=plan.die_height,
         name="multicore",
     )
-
-
-def checkerboard_floorplan(
-    die_width: float,
-    die_height: float,
-    n: int = 4,
-) -> Floorplan:
-    """An n-by-n checkerboard of alternating ``hot``/``cool`` blocks.
-
-    A stress pattern for gradient and sensor-placement studies: it
-    maximizes the number of distinct local hot spots.
-    """
-    plan = uniform_grid_floorplan(die_width, die_height, nx=n, ny=n, prefix="b")
-    blocks = []
-    for j in range(n):
-        for i in range(n):
-            flavor = "hot" if (i + j) % 2 == 0 else "cool"
-            old = plan[f"b_{i}_{j}"]
-            blocks.append(
-                Block(f"{flavor}_{i}_{j}", old.width, old.height, old.x, old.y)
-            )
-    return Floorplan(
-        blocks, die_width=die_width, die_height=die_height, name="checkerboard"
-    )

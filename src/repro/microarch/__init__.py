@@ -6,8 +6,8 @@ SimpleScalar + Wattch.  Neither tool (nor SPEC traces) is available
 here, so this package provides the substitute described in DESIGN.md:
 
 * :mod:`workload` -- synthetic, phase-structured instruction streams
-  with controllable mix, locality, and branch behavior ("gcc-like",
-  FP-intensive, memory-bound presets);
+  with controllable mix, locality, and branch behavior (the "gcc-like"
+  preset);
 * :mod:`bpred`, :mod:`caches` -- functional branch predictor and cache
   hierarchy models, simulated on the instruction stream;
 * :mod:`core` -- an interval-style out-of-order pipeline model that
@@ -24,28 +24,17 @@ statistics the thermal experiments rely on (hot integer core, cool L2,
 microsecond-scale burstiness, program phases).
 """
 
-from .workload import (
-    SyntheticWorkload,
-    gcc_like_workload,
-    fp_intensive_workload,
-    memory_bound_workload,
-    compression_workload,
-    mixed_workload,
-)
+from .workload import SyntheticWorkload, gcc_like_workload
 from .bpred import BimodalPredictor
 from .caches import SetAssociativeCache, CacheHierarchy
 from .core import PipelineConfig, IntervalCore, ActivityCounts
 from .energy import EnergyModel, default_ev6_energy_model
-from .simulator import MicroarchSimulator, simulate_power_trace
+from .simulator import MicroarchSimulator
 from .synthesis import TraceSynthesizer
 
 __all__ = [
     "SyntheticWorkload",
     "gcc_like_workload",
-    "fp_intensive_workload",
-    "memory_bound_workload",
-    "compression_workload",
-    "mixed_workload",
     "BimodalPredictor",
     "SetAssociativeCache",
     "CacheHierarchy",
@@ -55,6 +44,5 @@ __all__ = [
     "EnergyModel",
     "default_ev6_energy_model",
     "MicroarchSimulator",
-    "simulate_power_trace",
     "TraceSynthesizer",
 ]

@@ -131,16 +131,3 @@ class MicroarchSimulator:
         samples = np.clip(np.vstack(windows), 0.0, None)
         self.last_window_phases = np.asarray(window_phases, dtype=int)
         return PowerTrace(self.floorplan.names, samples, window_time)
-
-
-def simulate_power_trace(
-    floorplan: Floorplan,
-    workload: SyntheticWorkload,
-    window_cycles: int = 10_000,
-    **kwargs,
-) -> PowerTrace:
-    """One-call convenience: simulate ``workload`` on ``floorplan``."""
-    simulator = MicroarchSimulator(
-        floorplan, window_cycles=window_cycles, **kwargs
-    )
-    return simulator.run(workload)

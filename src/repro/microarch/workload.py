@@ -16,7 +16,7 @@ the EV6 hot spot in the paper's figures while the FP row stays cool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -33,16 +33,6 @@ STORE = 5
 BRANCH = 6
 
 N_CLASSES = 7
-
-CLASS_NAMES = {
-    INT_ALU: "int_alu",
-    INT_MUL: "int_mul",
-    FP_ADD: "fp_add",
-    FP_MUL: "fp_mul",
-    LOAD: "load",
-    STORE: "store",
-    BRANCH: "branch",
-}
 
 
 @dataclass(frozen=True)
@@ -150,14 +140,6 @@ class SyntheticWorkload:
                 )
                 yield phase_index, chunk
                 remaining -= n
-
-    def mix_summary(self) -> Dict[str, float]:
-        """Instruction-weighted average mix over all phases."""
-        total = self.total_instructions
-        avg = np.zeros(N_CLASSES)
-        for phase in self.phases:
-            avg += np.asarray(phase.mix) * (phase.instructions / total)
-        return {CLASS_NAMES[c]: float(avg[c]) for c in range(N_CLASSES)}
 
 
 def _generate_chunk(
@@ -291,87 +273,3 @@ def gcc_like_workload(
               code_footprint=1 << 17, cold_fraction=0.01),
     ]
     return SyntheticWorkload(phases, name="gcc_like", seed=seed)
-
-
-def fp_intensive_workload(
-    instructions: int = 2_000_000, seed: int = 1
-) -> SyntheticWorkload:
-    """FP-dominated stream (the FP row of the EV6 lights up instead)."""
-    half = instructions // 2
-    phases = [
-        Phase((0.15, 0.01, 0.28, 0.22, 0.22, 0.08, 0.04),
-              half, working_set=1 << 22, stride_fraction=0.9,
-              branch_bias=0.97, code_footprint=1 << 15,
-              stride_region=1 << 20, cold_fraction=0.02),
-        Phase((0.18, 0.01, 0.24, 0.26, 0.20, 0.08, 0.03),
-              instructions - half, working_set=1 << 23,
-              stride_fraction=0.85, branch_bias=0.97,
-              code_footprint=1 << 15, stride_region=1 << 20,
-              cold_fraction=0.02),
-    ]
-    return SyntheticWorkload(phases, name="fp_intensive", seed=seed)
-
-
-def compression_workload(
-    instructions: int = 2_000_000, seed: int = 3
-) -> SyntheticWorkload:
-    """bzip2-flavored stream: integer-heavy, data-dependent branches,
-    table-driven memory accesses over a mid-sized working set."""
-    half = instructions // 2
-    phases = [
-        # modelling/encoding: branchy, hard-to-predict
-        Phase((0.44, 0.02, 0.0, 0.0, 0.26, 0.10, 0.18),
-              half, working_set=1 << 20, stride_fraction=0.35,
-              branch_bias=0.80, code_footprint=1 << 15,
-              hot_set=1 << 17, cold_fraction=0.02,
-              stride_region=1 << 18),
-        # block sorting: strided sweeps with good branches
-        Phase((0.50, 0.02, 0.0, 0.0, 0.26, 0.08, 0.14),
-              instructions - half, working_set=1 << 21,
-              stride_fraction=0.8, branch_bias=0.95,
-              code_footprint=1 << 14, cold_fraction=0.01,
-              stride_region=1 << 19),
-    ]
-    return SyntheticWorkload(phases, name="compression", seed=seed)
-
-
-def mixed_workload(
-    instructions: int = 2_000_000, seed: int = 4
-) -> SyntheticWorkload:
-    """Alternating integer and FP program regions -- exercises the
-    Fig. 9 scenario (hot spot migrating between IntReg and the FP row)
-    under a realistic instruction stream."""
-    quarter = instructions // 4
-    int_mix = (0.50, 0.02, 0.005, 0.005, 0.24, 0.09, 0.14)
-    fp_mix = (0.16, 0.01, 0.26, 0.24, 0.21, 0.08, 0.04)
-    phases = [
-        Phase(int_mix, quarter, working_set=1 << 19,
-              stride_fraction=0.65, branch_bias=0.93,
-              code_footprint=1 << 16, cold_fraction=0.01),
-        Phase(fp_mix, quarter, working_set=1 << 21,
-              stride_fraction=0.9, branch_bias=0.97,
-              code_footprint=1 << 14, stride_region=1 << 19,
-              cold_fraction=0.01),
-        Phase(int_mix, quarter, working_set=1 << 19,
-              stride_fraction=0.65, branch_bias=0.93,
-              code_footprint=1 << 16, cold_fraction=0.01),
-        Phase(fp_mix, instructions - 3 * quarter, working_set=1 << 21,
-              stride_fraction=0.9, branch_bias=0.97,
-              code_footprint=1 << 14, stride_region=1 << 19,
-              cold_fraction=0.01),
-    ]
-    return SyntheticWorkload(phases, name="mixed", seed=seed)
-
-
-def memory_bound_workload(
-    instructions: int = 2_000_000, seed: int = 2
-) -> SyntheticWorkload:
-    """Pointer-chasing stream: large working set, little stride locality."""
-    phases = [
-        Phase((0.30, 0.01, 0.00, 0.00, 0.40, 0.14, 0.15),
-              instructions, working_set=1 << 25, stride_fraction=0.1,
-              branch_bias=0.80, code_footprint=1 << 17,
-              stride_region=1 << 25, cold_fraction=0.5,
-              hot_set=1 << 16),
-    ]
-    return SyntheticWorkload(phases, name="memory_bound", seed=seed)

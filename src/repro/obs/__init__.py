@@ -1,4 +1,4 @@
-"""``repro.obs`` — zero-dependency observability: metrics, events, logs.
+"""``repro.obs`` — zero-dependency observability: metrics and logs.
 
 The paper's experiments live or die on solver behaviour — LU
 factorization reuse, millisecond-step transient integration,
@@ -8,8 +8,6 @@ codebase *sees* that behaviour:
 * :mod:`~repro.obs.metrics` — always-on counters for domain events
   (factorizations, cache hits, steps, job failures),
   snapshot/merge-able across the campaign process pool;
-* :mod:`~repro.obs.events` — the campaign lifecycle events that
-  ``run_campaign(on_event=...)`` hands to a caller;
 * :mod:`~repro.obs.logsetup` — one-call stdlib-logging wiring for the
   CLI's ``--verbose``/``--quiet`` flags.
 
@@ -31,7 +29,6 @@ Typical use::
 
 from typing import Any, Callable, Tuple
 
-from .events import EVENT_TYPES, Event, make_event
 from .logsetup import logging_setup, verbosity_level
 from .taxonomy import METRIC_NAMES, METRIC_PREFIXES, known_metric
 from .metrics import Counter, MetricsRegistry, Snapshot, snapshot_diff
@@ -60,15 +57,12 @@ def measured_call(fn: Callable[..., Any], /, *args: Any,
 
 __all__ = [
     "Counter",
-    "EVENT_TYPES",
-    "Event",
     "METRIC_NAMES",
     "METRIC_PREFIXES",
     "MetricsRegistry",
     "Snapshot",
     "known_metric",
     "logging_setup",
-    "make_event",
     "measured_call",
     "metrics",
     "snapshot_diff",

@@ -48,8 +48,8 @@ class PowerTrace:
             )
         if samples.shape[0] < 1:
             raise PowerTraceError("trace needs at least one sample")
-        if dt <= 0:
-            raise PowerTraceError("dt must be positive")
+        if not (np.isfinite(dt) and dt > 0):
+            raise PowerTraceError("dt must be finite and positive")
         if np.any(samples < 0) or not np.all(np.isfinite(samples)):
             raise PowerTraceError("powers must be finite and non-negative")
         self.block_names = list(block_names)
@@ -86,27 +86,9 @@ class PowerTrace:
             raise PowerTraceError(f"no block named {block!r}") from None
         return self.samples[:, index]
 
-    def total_power(self) -> np.ndarray:
-        """Chip-total power per sample."""
-        return self.samples.sum(axis=1)
-
     def average(self) -> np.ndarray:
         """Time-averaged per-block power vector."""
         return self.samples.mean(axis=0)
-
-    def window(self, start: int, stop: int) -> "PowerTrace":
-        """A sub-trace over sample indices [start, stop)."""
-        if not 0 <= start < stop <= self.n_samples:
-            raise PowerTraceError(f"bad window [{start}, {stop})")
-        return PowerTrace(self.block_names, self.samples[start:stop], self.dt)
-
-    def repeated(self, cycles: int) -> "PowerTrace":
-        """The trace tiled ``cycles`` times."""
-        if cycles < 1:
-            raise PowerTraceError("cycles must be >= 1")
-        return PowerTrace(
-            self.block_names, np.tile(self.samples, (cycles, 1)), self.dt
-        )
 
     def resampled(self, factor: int) -> "PowerTrace":
         """Average groups of ``factor`` samples (coarser dt).

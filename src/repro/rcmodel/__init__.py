@@ -15,7 +15,6 @@ from .circuits import (
     air_sink_short_term_time_constant,
     air_sink_long_term_time_constant,
     oil_silicon_time_constant,
-    LumpedRC,
 )
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "air_sink_short_term_time_constant",
     "air_sink_long_term_time_constant",
     "oil_silicon_time_constant",
-    "LumpedRC",
 ]

@@ -1,104 +1,22 @@
-"""IR-guided thermal sensor calibration.
+"""The blur-bias pitfall of IR-guided thermal sensor calibration.
 
 Section 2.3 of the paper discusses using IR measurements "to guide the
-thermal sensor placement and calibration" (Kursun & Cher).  The
-workflow: run the chip under the IR bench, read the on-die sensors and
-the camera simultaneously, and take the per-sensor discrepancy as the
-sensor's systematic offset.
-
-This module implements that workflow and exposes its pitfall, which
-follows directly from the paper's Section 5.3 observation: the camera's
-optical blur averages the neighborhood of the sensor's location, so on
-the steep thermal maps the oil bench produces, the IR "reference"
-under-reads near hot spots and the calibration inherits a bias that
-grows with the local gradient.
+thermal sensor placement and calibration" (Kursun & Cher): read the
+on-die sensors and the camera simultaneously and take the per-sensor
+discrepancy as the sensor's systematic offset.  Following the paper's
+Section 5.3 observation, the camera's optical blur averages the
+neighborhood of the sensor's location, so on the steep thermal maps the
+oil bench produces, the IR "reference" under-reads near hot spots and
+the calibration inherits a bias that grows with the local gradient.
+This module bounds that bias.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Sequence
-
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..floorplan.grid_map import GridMapping
 from .sensor import ThermalSensor
-
-
-@dataclass
-class CalibrationResult:
-    """Estimated offsets and the corrected sensors."""
-
-    estimated_offsets: np.ndarray
-    calibrated_sensors: List[ThermalSensor]
-    residual_std: np.ndarray  # per-sensor frame-to-frame spread
-
-    def offset_error(self, true_offsets: Sequence[float]) -> np.ndarray:
-        """Estimated minus true offsets, per sensor (K)."""
-        return self.estimated_offsets - np.asarray(true_offsets, float)
-
-
-def calibrate_sensors(
-    sensors: Sequence[ThermalSensor],
-    sensor_readings: np.ndarray,
-    ir_frames: np.ndarray,
-    mapping: GridMapping,
-) -> CalibrationResult:
-    """Estimate sensor offsets against simultaneous IR frames.
-
-    Parameters
-    ----------
-    sensors:
-        The sensors as placed (their ``offset`` fields are treated as
-        unknown and re-estimated).
-    sensor_readings:
-        Array (n_frames, n_sensors) of raw sensor readings taken at
-        the same instants as the IR frames.
-    ir_frames:
-        Array (n_frames, n_cells) of camera-reported temperature maps.
-    mapping:
-        Grid geometry relating sensor positions to camera pixels.
-
-    Returns
-    -------
-    CalibrationResult with per-sensor offset estimates (mean
-    discrepancy over frames -- averaging beats the camera's NETD
-    noise) and sensors whose ``offset`` is corrected so their readings
-    match the IR reference.
-    """
-    sensor_readings = np.asarray(sensor_readings, dtype=float)
-    ir_frames = np.asarray(ir_frames, dtype=float)
-    if sensor_readings.ndim != 2 or ir_frames.ndim != 2:
-        raise ConfigurationError("readings and frames must be 2-D")
-    if sensor_readings.shape[0] != ir_frames.shape[0]:
-        raise ConfigurationError("frame counts disagree")
-    if sensor_readings.shape[1] != len(sensors):
-        raise ConfigurationError("one reading column per sensor required")
-    if ir_frames.shape[1] != mapping.n_cells:
-        raise ConfigurationError("frames do not match the grid")
-
-    cells = [s.cell_index(mapping) for s in sensors]
-    reference = ir_frames[:, cells]              # (n_frames, n_sensors)
-    discrepancy = sensor_readings - reference
-    offsets = discrepancy.mean(axis=0)
-    spread = discrepancy.std(axis=0)
-
-    calibrated = [
-        ThermalSensor(
-            x=s.x, y=s.y,
-            offset=s.offset - float(offsets[i]),
-            noise_sigma=s.noise_sigma,
-            time_constant=s.time_constant,
-            name=s.name,
-        )
-        for i, s in enumerate(sensors)
-    ]
-    return CalibrationResult(
-        estimated_offsets=offsets,
-        calibrated_sensors=calibrated,
-        residual_std=spread,
-    )
 
 
 def calibration_bias_bound(

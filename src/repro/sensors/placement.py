@@ -1,17 +1,14 @@
-"""Sensor placement strategies and placement-error analysis.
+"""Sensor placement at a block and placement-error analysis.
 
 Section 5.3 of the paper argues that the steep gradients of OIL-SILICON
 amplify the penalty of a misplaced sensor, so a die characterized under
 oil appears to need more sensors (or larger guard margins) than the
-same die under AIR-SINK; Section 5.4 adds that placements derived from
-an oil-cooled measurement can sit at the *wrong block* entirely once
-the chip runs under its real package.  These utilities quantify both
-effects.
+same die under AIR-SINK.  These utilities quantify that effect.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -25,28 +22,6 @@ def place_at_block(floorplan: Floorplan, block: str) -> ThermalSensor:
     """A sensor at the named block's center."""
     x, y = floorplan[block].center
     return ThermalSensor(x=x, y=y, name=block)
-
-
-def place_at_hotspot(
-    mapping: GridMapping, cell_field: np.ndarray, name: str = "hotspot"
-) -> ThermalSensor:
-    """A sensor at the hottest cell of a reference temperature map.
-
-    This is the "place the sensor where the IR measurement says the hot
-    spot is" strategy whose failure mode Section 5.4 describes.
-    """
-    cell_field = np.asarray(cell_field, dtype=float)
-    hottest = int(np.argmax(cell_field))
-    xs, ys = mapping.cell_centers()
-    return ThermalSensor(x=float(xs[hottest]), y=float(ys[hottest]), name=name)
-
-
-def placement_error(
-    mapping: GridMapping, cell_field: np.ndarray, sensor: ThermalSensor
-) -> float:
-    """True map maximum minus the sensor's reading, K (>= 0 is a miss)."""
-    cell_field = np.asarray(cell_field, dtype=float)
-    return float(cell_field.max() - cell_field[sensor.cell_index(mapping)])
 
 
 def error_vs_offset(
@@ -76,49 +51,6 @@ def error_vs_offset(
             continue
         errors[i] = float(t_max - cell_field[ring].mean())
     return errors
-
-
-def greedy_coverage_placement(
-    mapping: GridMapping,
-    cell_field: np.ndarray,
-    n_sensors: int,
-) -> List[ThermalSensor]:
-    """Greedy max-coverage placement against one reference map.
-
-    Repeatedly places a sensor at the cell whose temperature is least
-    covered: the cell maximizing (its own temperature minus the best
-    reading any existing sensor would attribute to it, taking the
-    sensor's own cell temperature as its estimate).  The first sensor
-    always lands on the hot spot.
-    """
-    if n_sensors < 1:
-        raise ConfigurationError("need n_sensors >= 1")
-    cell_field = np.asarray(cell_field, dtype=float)
-    xs, ys = mapping.cell_centers()
-    chosen: List[int] = []
-    sensors: List[ThermalSensor] = []
-    for s in range(n_sensors):
-        if not chosen:
-            candidate = int(np.argmax(cell_field))
-        else:
-            best_estimate = np.max(cell_field[chosen])
-            deficit = cell_field - best_estimate
-            candidate = int(np.argmax(deficit))
-            if deficit[candidate] <= 0:
-                # Everything already covered; place at the next-hottest
-                # uncovered cell for redundancy.
-                remaining = np.setdiff1d(
-                    np.argsort(cell_field)[::-1], chosen, assume_unique=False
-                )
-                candidate = int(remaining[0])
-        chosen.append(candidate)
-        sensors.append(
-            ThermalSensor(
-                x=float(xs[candidate]), y=float(ys[candidate]),
-                name=f"sensor{s}",
-            )
-        )
-    return sensors
 
 
 def sensors_needed_for_error_bound(
@@ -171,89 +103,3 @@ def sensors_needed_for_error_bound(
     raise ConfigurationError(
         f"no tried sensor grid meets the {error_bound} K bound"
     )
-
-
-def evaluate_placement(
-    mapping: GridMapping,
-    cell_fields: np.ndarray,
-    sensors: List[ThermalSensor],
-) -> float:
-    """Worst-case hot-spot underestimate of a placement over many maps.
-
-    ``cell_fields`` is (n_maps, n_cells): e.g. the steady maps of
-    several workloads, or of several oil flow directions (the
-    Section 5.4 hazard).  Returns max over maps of (map max - best
-    sensor reading), in the maps' units.
-    """
-    cell_fields = np.atleast_2d(np.asarray(cell_fields, dtype=float))
-    cells = [s.cell_index(mapping) for s in sensors]
-    if not cells:
-        raise ConfigurationError("placement needs at least one sensor")
-    readings = cell_fields[:, cells].max(axis=1)
-    return float(np.max(cell_fields.max(axis=1) - readings))
-
-
-def multi_map_greedy_placement(
-    mapping: GridMapping,
-    cell_fields: np.ndarray,
-    n_sensors: int,
-) -> List[ThermalSensor]:
-    """Greedy sensor placement robust across multiple thermal maps.
-
-    The paper's Section 5.4 lesson is that a placement tuned on one
-    measurement condition (one package, one flow direction) misses hot
-    spots under another.  This placer greedily adds the sensor that
-    most reduces the *worst-case* hot-spot error over all supplied
-    maps -- the systematic-allocation approach of the sensor-placement
-    literature the paper cites (Lee et al., Mukherjee & Memik).
-    """
-    if n_sensors < 1:
-        raise ConfigurationError("need n_sensors >= 1")
-    cell_fields = np.atleast_2d(np.asarray(cell_fields, dtype=float))
-    n_maps, n_cells = cell_fields.shape
-    if n_cells != mapping.n_cells:
-        raise ConfigurationError("cell_fields do not match the grid")
-    xs, ys = mapping.cell_centers()
-    map_maxima = cell_fields.max(axis=1)
-    chosen: List[int] = []
-    best_readings = np.full(n_maps, -np.inf)
-    sensors: List[ThermalSensor] = []
-    for s in range(n_sensors):
-        # Error per candidate cell if added: per map, the reading
-        # becomes max(best_so_far, field[map, cell]).  Selection
-        # minimizes the *total* error across maps: unlike minimizing
-        # the worst map directly (which stalls on compromise cells --
-        # one sensor can't fix every map, so every candidate leaves the
-        # same worst case), the total decomposes per map and steers
-        # each new sensor onto the hottest still-uncovered spot.
-        candidate_readings = np.maximum(
-            best_readings[:, None], cell_fields
-        )  # (n_maps, n_cells)
-        total_error = (map_maxima[:, None] - candidate_readings).sum(axis=0)
-        total_error[chosen] = np.inf  # no duplicate placements
-        candidate = int(np.argmin(total_error))
-        chosen.append(candidate)
-        best_readings = np.maximum(best_readings, cell_fields[:, candidate])
-        sensors.append(
-            ThermalSensor(
-                x=float(xs[candidate]), y=float(ys[candidate]),
-                name=f"sensor{s}",
-            )
-        )
-    return sensors
-
-
-def hotspot_displacement(
-    mapping: GridMapping,
-    field_a: np.ndarray,
-    field_b: np.ndarray,
-) -> float:
-    """Distance (m) between the hot spots of two maps.
-
-    Quantifies the Section 5.4 hazard: how far the OIL-SILICON hot spot
-    sits from the AIR-SINK hot spot for the same workload.
-    """
-    xs, ys = mapping.cell_centers()
-    a = int(np.argmax(np.asarray(field_a)))
-    b = int(np.argmax(np.asarray(field_b)))
-    return float(np.hypot(xs[a] - xs[b], ys[a] - ys[b]))

@@ -1,10 +1,7 @@
 """On-die thermal sensor model.
 
 A sensor reads the die's active-layer temperature at a fixed point,
-with optional calibration offset, Gaussian noise, and a first-order
-response lag (real diode/BJT sensors are not instantaneous; the paper's
-Section 5.4 lists "the speed of the sensor might limit the sampling
-rate" among the practical difficulties).
+with optional calibration offset and Gaussian noise.
 """
 
 from __future__ import annotations
@@ -31,8 +28,6 @@ class ThermalSensor:
         Systematic calibration offset added to every reading, K.
     noise_sigma:
         Standard deviation of per-reading Gaussian noise, K.
-    time_constant:
-        First-order response lag, seconds (0 = instantaneous).
     name:
         Optional label (e.g. the block the sensor was placed for).
     """
@@ -41,12 +36,10 @@ class ThermalSensor:
     y: float
     offset: float = 0.0
     noise_sigma: float = 0.0
-    time_constant: float = 0.0
     name: str = ""
 
     def __post_init__(self) -> None:
         require_non_negative("noise_sigma", self.noise_sigma)
-        require_non_negative("time_constant", self.time_constant)
 
     def cell_index(self, mapping: GridMapping) -> int:
         """Grid cell the sensor sits in."""
@@ -62,30 +55,6 @@ class ThermalSensor:
             rng = rng or np.random.default_rng()
             value += float(rng.normal(0.0, self.noise_sigma))
         return value
-
-    def read_series(
-        self,
-        times: np.ndarray,
-        fields: np.ndarray,
-        mapping: GridMapping,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Read a full time series, applying the first-order lag."""
-        times = np.asarray(times, dtype=float)
-        cell = self.cell_index(mapping)
-        raw = np.asarray(fields, dtype=float)[:, cell] + self.offset
-        if self.time_constant > 0 and times.size > 1:
-            filtered = np.empty_like(raw)
-            filtered[0] = raw[0]
-            for i in range(1, raw.size):
-                dt = times[i] - times[i - 1]
-                alpha = 1.0 - np.exp(-dt / self.time_constant)
-                filtered[i] = filtered[i - 1] + alpha * (raw[i] - filtered[i - 1])
-            raw = filtered
-        if self.noise_sigma > 0:
-            rng = rng or np.random.default_rng()
-            raw = raw + rng.normal(0.0, self.noise_sigma, size=raw.shape)
-        return raw
 
 
 class SensorArray:
@@ -119,7 +88,3 @@ class SensorArray:
         """
         return float(np.asarray(field).max() - self.max_reading(field, mapping))
 
-
-def series_error(readings: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Pointwise reading error along a time series."""
-    return np.asarray(readings, dtype=float) - np.asarray(truth, dtype=float)

@@ -4,38 +4,25 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    MapStatistics,
     block_ranking,
     coolest_block,
-    dominant_time_constant,
-    fit_single_exponential,
     hottest_block,
-    map_statistics,
     reverse_engineer_power,
     rise_time,
-    settle_time,
-    temperature_gradient_magnitude,
 )
-from repro.analysis.reverse_power import (
-    block_response_matrix,
-    power_inflation_by_position,
-)
+from repro.analysis.reverse_power import block_response_matrix
 from repro.analysis.time_constants import (
     max_rate_of_change,
     required_sampling_interval,
 )
 from repro.errors import SolverError
-from repro.floorplan import GridMapping, multicore_floorplan, uniform_grid_floorplan
+from repro.floorplan import multicore_floorplan
 from repro.package import oil_silicon_package
 from repro.rcmodel import ThermalGridModel
 from repro.solver import steady_state
 
 
 class TestMaps:
-    def test_statistics(self):
-        stats = map_statistics(np.array([1.0, 5.0, 3.0]))
-        assert stats == MapStatistics(t_max=5.0, t_min=1.0, t_mean=3.0, dt=4.0)
-
     def test_hottest_and_coolest(self):
         temps = {"a": 50.0, "b": 80.0, "blank1": 30.0}
         assert hottest_block(temps) == ("b", 80.0)
@@ -50,44 +37,14 @@ class TestMaps:
         temps = {"a": 1.0, "b": 3.0, "c": 2.0}
         assert [n for n, _ in block_ranking(temps)] == ["b", "c", "a"]
 
-    def test_gradient_magnitude(self):
-        plan = uniform_grid_floorplan(10e-3, 10e-3)
-        mapping = GridMapping(plan, nx=10, ny=10)
-        xs, _ = mapping.cell_centers()
-        field = 1000.0 * xs  # 1000 K/m gradient along x
-        grad = temperature_gradient_magnitude(mapping, field)
-        np.testing.assert_allclose(grad, 1000.0, rtol=1e-9)
-
 
 class TestTimeConstants:
-    def test_fit_recovers_tau(self):
-        tau, v_inf = 0.42, 100.0
-        times = np.linspace(0, 3, 400)
-        values = v_inf * (1 - np.exp(-times / tau))
-        fit_tau, fit_vinf = fit_single_exponential(times, values)
-        assert fit_tau == pytest.approx(tau, rel=0.02)
-        assert fit_vinf == pytest.approx(v_inf, rel=0.01)
-        assert dominant_time_constant(times, values) == pytest.approx(
-            tau, rel=0.02
-        )
-
-    def test_fit_rejects_flat_trace(self):
-        times = np.linspace(0, 1, 10)
-        with pytest.raises(SolverError):
-            fit_single_exponential(times, np.zeros(10))
-
     def test_rise_time_interpolates(self):
         times = np.linspace(0, 5, 500)
         values = 10.0 * (1 - np.exp(-times))
         assert rise_time(times, values, fraction=0.632) == pytest.approx(
             1.0, rel=0.02
         )
-
-    def test_settle_time(self):
-        times = np.linspace(0, 10, 1000)
-        values = 1 - np.exp(-times)
-        t_settle = settle_time(times, values, tolerance=0.02)
-        assert t_settle == pytest.approx(-np.log(0.02), rel=0.05)
 
     def test_max_rate_and_sampling_interval(self):
         times = np.linspace(0, 1, 101)
@@ -129,13 +86,6 @@ class TestReversePower:
         measured = multicore_model.block_rise(rise)
         estimated = reverse_engineer_power(measured, multicore_model)
         np.testing.assert_allclose(estimated, true_power, rtol=1e-6)
-
-    def test_inflation_metric(self):
-        inflation = power_inflation_by_position(
-            np.array([2.0, 0.0]), np.array([3.0, 1.0])
-        )
-        assert inflation[0] == pytest.approx(0.5)
-        assert np.isnan(inflation[1])
 
     def test_shape_validation(self, multicore_model):
         with pytest.raises(SolverError):

@@ -248,15 +248,16 @@ def test_dead_worker_runs_every_job_once(monkeypatch):
                         _runner_that_dies_in_a_worker("probe-1"))
     jobs = tuple(JobSpec.make("diagnostic", tag=f"probe-{i}", value=float(i))
                  for i in range(4))
-    events = []
     lines = []
     before = obs.metrics().snapshot()
     run = run_campaign(CampaignSpec(name="dead-worker", jobs=jobs), jobs=2,
-                       progress=lines.append, on_event=events.append)
+                       progress=lines.append)
     counters = obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
     assert [o.status for o in run.outcomes] == ["ok"] * 4
-    finished = sorted(e["tag"] for e in events if e["type"] == "job_finished")
-    assert finished == [spec.tag for spec in jobs]
+    for spec in jobs:
+        finished = [line for line in lines
+                    if line.startswith(f"[     OK] {spec.tag}: ")]
+        assert len(finished) == 1, (spec.tag, lines)
     assert counters["campaign.jobs.attempts"] == 4
     assert sum("BrokenProcessPool" in line for line in lines) == 1
     for i in range(4):

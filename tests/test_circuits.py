@@ -1,10 +1,8 @@
-"""Tests for the Fig. 7 lumped circuits and Eqns 5-6."""
+"""Tests for the Fig. 7 circuit constants and Eqns 5-6."""
 
-import numpy as np
 import pytest
 
 from repro.rcmodel.circuits import (
-    LumpedRC,
     air_sink_long_term_time_constant,
     air_sink_short_term_time_constant,
     oil_silicon_time_constant,
@@ -45,35 +43,3 @@ def test_long_term_air_constant_is_much_longer():
     tau_long = air_sink_long_term_time_constant(1.0, 250 * 0.35)
     tau_oil = oil_silicon_time_constant(1.0, 0.35, 0.1)
     assert tau_long > 100 * tau_oil
-
-
-class TestLumpedRC:
-    def test_time_constants_order(self):
-        circuit = LumpedRC(r1=0.0125, c1=0.35, r2=1.0, c2=87.5)
-        fast, slow = circuit.time_constants()
-        assert fast < slow
-        # widely separated poles: fast ~ r1*c1, slow ~ r2*(c1+c2)
-        assert fast == pytest.approx(0.0125 * 0.35, rel=0.1)
-        assert slow == pytest.approx(1.0 * (87.5 + 0.35), rel=0.1)
-
-    def test_step_response_monotone_and_converges(self):
-        circuit = LumpedRC(r1=0.1, c1=1.0, r2=1.0, c2=5.0)
-        times = np.linspace(0, 60, 500)
-        response = circuit.step_response(10.0, times)
-        assert response[0] == pytest.approx(0.0, abs=1e-9)
-        assert np.all(np.diff(response) >= -1e-9)
-        # steady state: P * (r1 + r2)
-        assert response[-1] == pytest.approx(10.0 * 1.1, rel=1e-3)
-
-    def test_step_response_matches_single_rc_limit(self):
-        # with a negligible outer capacitance the inner node behaves as
-        # one RC with tau = (r1 + r2) * c1
-        circuit = LumpedRC(r1=0.5, c1=2.0, r2=0.5, c2=1e-9)
-        tau = 1.0 * 2.0
-        times = np.array([tau])
-        response = circuit.step_response(1.0, times)
-        assert response[0] == pytest.approx(1.0 * (1 - np.exp(-1)), rel=0.01)
-
-    def test_rejects_nonpositive_parameters(self):
-        with pytest.raises(ValueError):
-            LumpedRC(r1=0.0, c1=1.0, r2=1.0, c2=1.0)

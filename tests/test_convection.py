@@ -17,7 +17,6 @@ from repro.convection.flow import (
     FlowDirection,
     FlowSpec,
     local_h_field,
-    velocity_for_resistance,
 )
 from repro.errors import ConvectionError
 from repro.materials import MINERAL_OIL, WATER
@@ -140,17 +139,3 @@ class TestFlowSpec:
     def test_all_four_directions_enumerated(self):
         assert len(ALL_DIRECTIONS) == 4
         assert len({d for d in ALL_DIRECTIONS}) == 4
-
-
-def test_velocity_for_resistance_inverts_correlation():
-    target = 1.0
-    v = velocity_for_resistance(target, L, L, MINERAL_OIL)
-    achieved = convection_resistance(v, L, AREA, MINERAL_OIL)
-    assert achieved == pytest.approx(target, rel=1e-9)
-
-
-def test_unrealistic_velocity_for_low_rconv():
-    # Section 5.1.1: reaching 0.3 K/W with oil "would be an unrealistic
-    # 100 m/s".  Order of magnitude check on a 16 mm EV6-sized die.
-    v = velocity_for_resistance(0.3, 16e-3, 16e-3, MINERAL_OIL)
-    assert v > 50.0

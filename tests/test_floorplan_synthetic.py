@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.floorplan import (
-    checkerboard_floorplan,
     multicore_floorplan,
     single_hot_block_floorplan,
     uniform_grid_floorplan,
@@ -65,13 +64,3 @@ def test_multicore_layout():
     assert plan.die_width == pytest.approx(12e-3)
     assert plan.die_height == pytest.approx(6e-3)
     assert "core_3_1" in plan
-
-
-def test_checkerboard_alternates():
-    plan = checkerboard_floorplan(8e-3, 8e-3, n=4)
-    assert len(plan) == 16
-    hot = [n for n in plan.names if n.startswith("hot")]
-    cool = [n for n in plan.names if n.startswith("cool")]
-    assert len(hot) == len(cool) == 8
-    # adjacent cells alternate flavor
-    assert "hot_0_0" in plan and "cool_1_0" in plan

@@ -1,4 +1,5 @@
-"""Import guard: the package loads no numpy/scipy module it does not run.
+"""Import guards: the package loads no numpy/scipy module it does not
+run, and every name a module exports in ``__all__`` exists.
 
 Every ``benchmarks/e2e`` worker and every reproduce run starts by
 importing ``repro``, ``repro.experiments`` and ``repro.campaign``.  The
@@ -10,10 +11,14 @@ against that floor in fresh interpreters, so it holds whatever modules
 a given numpy/scipy release splits itself into.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
+
+import repro
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -49,3 +54,23 @@ def test_package_import_loads_no_numpy_or_scipy_beyond_sparse_linalg():
         f"function needs (e.g. scipy.optimize) inside that function: "
         f"{extra[:20]}"
     )
+
+
+def test_every_public_name_resolves():
+    """A stale ``__all__`` entry (a deleted function still re-exported)
+    breaks ``from repro.x import *``; ruff and mypy catch it only in CI."""
+    checked = 0
+    missing = []
+    names = ["repro"] + [
+        info.name for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        # importing __main__ runs the command line
+        if info.name != "repro.__main__"
+    ]
+    for module_name in names:
+        module = importlib.import_module(module_name)
+        for name in getattr(module, "__all__", ()):
+            checked += 1
+            if not hasattr(module, name):
+                missing.append(f"{module_name}.{name}")
+    assert checked > 0
+    assert missing == []

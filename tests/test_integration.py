@@ -14,6 +14,7 @@ from repro.dtm import ClockGating, DTMController
 from repro.floorplan import ev6_floorplan, uniform_grid_floorplan
 from repro.microarch import MicroarchSimulator, gcc_like_workload
 from repro.package import air_sink_package, oil_silicon_package
+from repro.power import PowerTrace
 from repro.rcmodel import ThermalGridModel
 from repro.sensors import SensorArray, place_at_block
 from repro.solver import (
@@ -132,9 +133,10 @@ class TestClosedLoopDTM:
     def test_dtm_on_simulated_workload(self):
         plan = ev6_floorplan()
         simulator = MicroarchSimulator(plan)
-        trace = simulator.run(
-            gcc_like_workload(instructions=100_000)
-        ).repeated(3)
+        once = simulator.run(gcc_like_workload(instructions=100_000))
+        trace = PowerTrace(
+            once.block_names, np.tile(once.samples, (3, 1)), once.dt
+        )
         model = ThermalGridModel(
             plan,
             oil_silicon_package(

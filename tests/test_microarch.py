@@ -13,12 +13,17 @@ from repro.microarch import (
     PipelineConfig,
     SetAssociativeCache,
     TraceSynthesizer,
-    fp_intensive_workload,
     gcc_like_workload,
-    memory_bound_workload,
 )
 from repro.microarch.core import STRUCTURES, ActivityCounts
 from repro.microarch.workload import BRANCH, LOAD, N_CLASSES, Phase, STORE
+from tests.microarch_reference import (
+    compression_workload,
+    fp_intensive_workload,
+    memory_bound_workload,
+    mix_summary,
+    mixed_workload,
+)
 
 
 class TestWorkload:
@@ -48,13 +53,13 @@ class TestWorkload:
             np.testing.assert_array_equal(ca.addresses, cb.addresses)
 
     def test_mix_summary_sums_to_one(self):
-        mix = gcc_like_workload().mix_summary()
+        mix = mix_summary(gcc_like_workload())
         assert sum(mix.values()) == pytest.approx(1.0)
         # gcc-like = integer-dominated
         assert mix["fp_add"] + mix["fp_mul"] < 0.05
 
     def test_fp_workload_is_fp_heavy(self):
-        mix = fp_intensive_workload().mix_summary()
+        mix = mix_summary(fp_intensive_workload())
         assert mix["fp_add"] + mix["fp_mul"] > 0.4
 
     def test_phase_validation(self):
@@ -256,14 +261,11 @@ class TestSynthesis:
 
 class TestWorkloadPresets:
     def test_compression_is_branchy_integer(self):
-        from repro.microarch import compression_workload
-        workload = compression_workload(instructions=10_000)
-        mix = workload.mix_summary()
+        mix = mix_summary(compression_workload(instructions=10_000))
         assert mix["fp_add"] + mix["fp_mul"] == pytest.approx(0.0, abs=1e-9)
         assert mix["branch"] > 0.12
 
     def test_compression_harder_to_predict_than_gcc(self):
-        from repro.microarch import MicroarchSimulator, compression_workload
         plan = ev6_floorplan()
         sim_c = MicroarchSimulator(plan)
         sim_c.run(compression_workload(instructions=100_000))
@@ -273,7 +275,6 @@ class TestWorkloadPresets:
             sim_g.last_summary.branch_misprediction_rate
 
     def test_mixed_workload_alternates_fp_and_int_power(self):
-        from repro.microarch import MicroarchSimulator, mixed_workload
         plan = ev6_floorplan()
         simulator = MicroarchSimulator(plan)
         trace = simulator.run(mixed_workload(instructions=200_000))

@@ -19,11 +19,7 @@ from repro.microarch import (
     CacheHierarchy,
     MicroarchSimulator,
     SetAssociativeCache,
-    compression_workload,
-    fp_intensive_workload,
     gcc_like_workload,
-    memory_bound_workload,
-    mixed_workload,
 )
 from repro.microarch.scan import compose_prefix
 from repro.microarch.workload import BRANCH, LOAD, STORE
@@ -31,6 +27,10 @@ from tests.microarch_reference import (
     ReferenceCache,
     ReferenceHierarchy,
     ReferencePredictor,
+    compression_workload,
+    fp_intensive_workload,
+    memory_bound_workload,
+    mixed_workload,
     reference_generate_chunk,
 )
 

@@ -33,21 +33,12 @@ class TestPowerTrace:
     def test_column_and_totals(self):
         trace = simple_trace()
         np.testing.assert_allclose(trace.column("b"), [2.0, 4.0, 6.0])
-        np.testing.assert_allclose(trace.total_power(), [3.0, 7.0, 11.0])
+        np.testing.assert_allclose(trace.samples.sum(axis=1), [3.0, 7.0, 11.0])
         np.testing.assert_allclose(trace.average(), [3.0, 4.0])
 
     def test_unknown_column_raises(self):
         with pytest.raises(PowerTraceError):
             simple_trace().column("zzz")
-
-    def test_window_and_repeat(self):
-        trace = simple_trace()
-        window = trace.window(1, 3)
-        assert window.n_samples == 2
-        assert window.samples[0, 0] == 3.0
-        tiled = trace.repeated(2)
-        assert tiled.n_samples == 6
-        np.testing.assert_allclose(tiled.samples[3], trace.samples[0])
 
     def test_resampled_averages_bins(self):
         trace = simple_trace()
@@ -63,6 +54,9 @@ class TestPowerTrace:
             PowerTrace(["a"], np.array([[-1.0]]), dt=1.0)
         with pytest.raises(PowerTraceError):
             PowerTrace(["a"], np.array([[1.0]]), dt=0.0)
+        for dt in (float("nan"), float("inf")):
+            with pytest.raises(PowerTraceError):
+                PowerTrace(["a"], np.ones((3, 1)), dt)
 
     def test_ptrace_round_trip(self):
         trace = simple_trace()
@@ -122,7 +116,7 @@ class TestGenerators:
         assert trace.column("IntReg")[12] == 0.0
         assert trace.column("FPMap")[12] == 2.0
         # never both on: total is constant
-        np.testing.assert_allclose(trace.total_power(), 2.0)
+        np.testing.assert_allclose(trace.samples.sum(axis=1), 2.0)
 
     def test_power_handoff_validation(self):
         plan = ev6_floorplan()

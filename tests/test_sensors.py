@@ -9,13 +9,9 @@ from repro.sensors import (
     SensorArray,
     ThermalSensor,
     error_vs_offset,
-    greedy_coverage_placement,
     place_at_block,
-    place_at_hotspot,
-    placement_error,
     sensors_needed_for_error_bound,
 )
-from repro.sensors.placement import hotspot_displacement
 
 
 @pytest.fixture()
@@ -49,15 +45,6 @@ class TestSensor:
         b = sensor.read_field(field, mapping, rng=np.random.default_rng(7))
         assert a == b and a != 50.0
 
-    def test_series_lag_filters_fast_changes(self, mapping):
-        times = np.linspace(0, 1, 200)
-        fields = np.outer(np.sin(20 * times), np.ones(mapping.n_cells))
-        fast = ThermalSensor(x=5e-3, y=5e-3, time_constant=0.0)
-        slow = ThermalSensor(x=5e-3, y=5e-3, time_constant=0.5)
-        raw = fast.read_series(times, fields, mapping)
-        filtered = slow.read_series(times, fields, mapping)
-        assert filtered.std() < 0.5 * raw.std()
-
 
 class TestArray:
     def test_max_reading_and_error(self, mapping):
@@ -79,11 +66,6 @@ class TestPlacement:
         assert sensor.name == "IntReg"
         assert plan["IntReg"].contains(sensor.x, sensor.y)
 
-    def test_place_at_hotspot(self, mapping):
-        field = gaussian_field(mapping, 7e-3, 3e-3)
-        sensor = place_at_hotspot(mapping, field)
-        assert placement_error(mapping, field, sensor) == pytest.approx(0.0)
-
     def test_error_vs_offset_monotone_for_gaussian(self, mapping):
         field = gaussian_field(mapping, 5e-3, 5e-3)
         offsets = np.array([0.5e-3, 1.5e-3, 3e-3])
@@ -99,12 +81,6 @@ class TestPlacement:
         assert error_vs_offset(mapping, steep, offsets)[0] > \
             error_vs_offset(mapping, shallow, offsets)[0]
 
-    def test_greedy_first_sensor_on_hotspot(self, mapping):
-        field = gaussian_field(mapping, 2e-3, 8e-3)
-        sensors = greedy_coverage_placement(mapping, field, n_sensors=3)
-        assert len(sensors) == 3
-        assert placement_error(mapping, field, sensors[0]) == pytest.approx(0.0)
-
     def test_sensors_needed_grows_with_steepness(self, mapping):
         steep = gaussian_field(mapping, 5e-3, 5e-3, sigma=1.5e-3)
         shallow = gaussian_field(mapping, 5e-3, 5e-3, sigma=6e-3)
@@ -119,81 +95,3 @@ class TestPlacement:
             sensors_needed_for_error_bound(
                 mapping, spike, 0.001, spacing_grid=(1, 2)
             )
-
-    def test_hotspot_displacement(self, mapping):
-        a = gaussian_field(mapping, 2e-3, 2e-3)
-        b = gaussian_field(mapping, 8e-3, 2e-3)
-        assert hotspot_displacement(mapping, a, b) == pytest.approx(
-            6e-3, abs=1e-3
-        )
-
-
-class TestMultiMapPlacement:
-    def test_single_map_first_sensor_is_hotspot(self, mapping):
-        from repro.sensors import evaluate_placement, multi_map_greedy_placement
-        field = gaussian_field(mapping, 3e-3, 7e-3)
-        sensors = multi_map_greedy_placement(mapping, field, 1)
-        assert evaluate_placement(mapping, field, sensors) == pytest.approx(
-            0.0, abs=1e-9
-        )
-
-    def test_covers_hotspots_of_all_maps(self, mapping):
-        from repro.sensors import evaluate_placement, multi_map_greedy_placement
-        maps = np.vstack([
-            gaussian_field(mapping, 2e-3, 2e-3),
-            gaussian_field(mapping, 8e-3, 8e-3),
-            gaussian_field(mapping, 8e-3, 2e-3),
-        ])
-        sensors = multi_map_greedy_placement(mapping, maps, 3)
-        assert evaluate_placement(mapping, maps, sensors) < 5.0
-        # a single-map placement misses the other hotspots badly
-        single = multi_map_greedy_placement(mapping, maps[0], 3)
-        assert evaluate_placement(mapping, maps, single) > 50.0
-
-    def test_error_decreases_with_sensor_count(self, mapping):
-        from repro.sensors import evaluate_placement, multi_map_greedy_placement
-        maps = np.vstack([
-            gaussian_field(mapping, 2e-3, 2e-3),
-            gaussian_field(mapping, 8e-3, 8e-3),
-        ])
-        errors = [
-            evaluate_placement(
-                mapping, maps, multi_map_greedy_placement(mapping, maps, k)
-            )
-            for k in (1, 2, 4)
-        ]
-        assert errors[0] >= errors[1] >= errors[2]
-
-    def test_no_duplicate_positions(self, mapping):
-        from repro.sensors import multi_map_greedy_placement
-        field = gaussian_field(mapping, 5e-3, 5e-3)
-        sensors = multi_map_greedy_placement(mapping, field, 5)
-        positions = {(s.x, s.y) for s in sensors}
-        assert len(positions) == 5
-
-    def test_validation(self, mapping):
-        from repro.errors import ConfigurationError
-        from repro.sensors import multi_map_greedy_placement
-        with pytest.raises(ConfigurationError):
-            multi_map_greedy_placement(mapping, np.zeros(7), 1)
-        with pytest.raises(ConfigurationError):
-            multi_map_greedy_placement(
-                mapping, np.zeros(mapping.n_cells), 0
-            )
-
-    def test_cross_package_placement_scenario(self):
-        # the Section 5.4 fix: place sensors against BOTH the oil and
-        # air maps so neither condition's hot spot is missed
-        from repro.experiments import run_fig10
-        from repro.floorplan import GridMapping, ev6_floorplan
-        from repro.sensors import evaluate_placement, multi_map_greedy_placement
-        fig10 = run_fig10(nx=16, ny=16)
-        plan = ev6_floorplan()
-        mapping = GridMapping(plan, nx=16, ny=16)
-        maps = np.vstack([
-            fig10.oil_map_c.ravel(), fig10.air_map_c.ravel()
-        ])
-        robust = multi_map_greedy_placement(mapping, maps, 2)
-        oil_only = multi_map_greedy_placement(mapping, maps[0], 2)
-        assert evaluate_placement(mapping, maps, robust) <= \
-            evaluate_placement(mapping, maps, oil_only) + 1e-9
