@@ -11,24 +11,21 @@ The same store also holds named :class:`~repro.power.PowerTrace`
 objects — the functional-simulation traces of
 :mod:`repro.experiments.common` — so the microarchitectural simulation
 runs once per machine, not once per process.
+
+Each lookup and store is counted once, by the :mod:`repro.obs`
+counters ``campaign.cache.{hits,misses,stores}`` and
+``campaign.cache.trace_{hits,misses,stores}``; the store root holds
+only ``results/`` and ``traces/``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Any, Dict, Iterator, Optional, Union,
-)
-
-try:
-    import fcntl
-except ImportError:  # non-POSIX: counter updates fall back to lock-free
-    fcntl = None  # type: ignore[assignment]
+from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 
 if TYPE_CHECKING:
     from ..power.trace import PowerTrace
@@ -85,23 +82,12 @@ class JobResult:
 class ResultCache:
     """A content-addressed store of :class:`JobResult` and traces."""
 
-    #: Counter names tracked per instance and persisted per store.
-    COUNTER_NAMES = (
-        "hits", "misses", "stores", "evictions",
-        "trace_hits", "trace_misses", "trace_stores",
-    )
-
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
         self._results = self.root / "results"
         self._traces = self.root / "traces"
         self._results.mkdir(parents=True, exist_ok=True)
         self._traces.mkdir(parents=True, exist_ok=True)
-        #: Session-local op counts (this instance only); the lifetime
-        #: totals live in ``counters.json`` under the store root.
-        self.counters: Dict[str, int] = {name: 0 for name in self.COUNTER_NAMES}
-
-    # -- atomic file helpers ------------------------------------------------
 
     @staticmethod
     def _atomic_write(path: Path, payload: bytes) -> None:
@@ -109,59 +95,9 @@ class ResultCache:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
 
-    # -- hit/miss accounting ------------------------------------------------
-
-    def _counters_path(self) -> Path:
-        return self.root / "counters.json"
-
-    def persisted_counters(self) -> Dict[str, int]:
-        """Lifetime op counts of this store (best effort, cross-process)."""
-        try:
-            data = json.loads(self._counters_path().read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return {}
-        return {str(k): int(v) for k, v in data.items()
-                if isinstance(v, (int, float))}
-
-    @contextlib.contextmanager
-    def _counters_lock(self) -> Iterator[None]:
-        """Advisory cross-process lock for the counters read-modify-write.
-
-        ``flock`` on a sidecar lockfile serializes concurrent campaigns'
-        increments; where ``fcntl`` is unavailable the update degrades
-        to the old lock-free best effort.
-        """
-        if fcntl is None:
-            yield
-            return
-        lock_path = self.root / "counters.json.lock"
-        with open(lock_path, "a", encoding="utf-8") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _bump(self, name: str, n: int = 1) -> None:
-        """Count one cache event: session, global metrics, and on disk.
-
-        The on-disk update is a read-modify-write under an advisory
-        file lock (:meth:`_counters_lock`) plus an atomic temp-file
-        replace, so two concurrent campaigns bumping the same store
-        can interleave without either losing an increment.
-        """
-        self.counters[name] = self.counters.get(name, 0) + n
-        obs.metrics().counter(f"campaign.cache.{name}").inc(n)
-        try:
-            with self._counters_lock():
-                totals = self.persisted_counters()
-                totals[name] = totals.get(name, 0) + n
-                self._atomic_write(
-                    self._counters_path(),
-                    json.dumps(totals, sort_keys=True).encode("utf-8"),
-                )
-        except OSError:  # read-only store: session counters still work
-            pass
+    @staticmethod
+    def _bump(op: str) -> None:
+        obs.metrics().counter(f"campaign.cache.{op}").inc()
 
     # -- job results --------------------------------------------------------
 
@@ -170,10 +106,6 @@ class ResultCache:
 
     def _npz_path(self, key: str) -> Path:
         return self._results / f"{key}.npz"
-
-    def contains(self, key: str) -> bool:
-        """Whether a result for ``key`` is stored (JSON sidecar present)."""
-        return self._json_path(key).exists()
 
     def put(self, key: str, result: JobResult) -> None:
         """Store one result under its content hash (atomic)."""
@@ -260,8 +192,6 @@ class ResultCache:
         self._bump("trace_hits")
         return loaded
 
-    # -- maintenance --------------------------------------------------------
-
     def stats(self) -> Dict[str, Any]:
         """Entry counts and on-disk footprint, for ``campaign status``."""
         results = list(self._results.glob("*.json"))
@@ -277,21 +207,7 @@ class ResultCache:
             "n_results": len(results),
             "n_traces": len(traces),
             "bytes": size,
-            "counters": dict(self.counters),
-            "lifetime_counters": self.persisted_counters(),
         }
-
-    def clear(self) -> int:
-        """Delete every stored entry; returns how many files went away."""
-        removed = 0
-        for directory in (self._results, self._traces):
-            for path in directory.iterdir():
-                if path.is_file():
-                    path.unlink()
-                    removed += 1
-        if removed:
-            self._bump("evictions", removed)
-        return removed
 
 
 def machine_cache() -> Optional[ResultCache]:

@@ -14,7 +14,10 @@ Execution of one campaign proceeds in three steps:
    run serially in this process, each once.
 3. **Record** — fresh results are stored back to the cache and every
    job appends a manifest record; the run closes with a summary
-   (hit rate, p50/p95 job latency, aggregated metrics).
+   (hit rate, p50/p95 job latency).  The engine's counts live in
+   :mod:`repro.obs` alone (``campaign.cache.*``, ``campaign.jobs.*``);
+   a job record's ``worker`` says where it ran (a pid, ``"batched"``
+   or ``"cache"``).
 
 :func:`fan_out` is also the figure fan-out of ``repro reproduce``
 (:func:`repro.experiments.report.run_all_experiments`).
@@ -302,18 +305,6 @@ def _progress_line(outcome: JobOutcome) -> str:
     return f"[{status:>7}] {outcome.spec.tag}: {detail}"
 
 
-def _aggregate_metrics(
-    run: CampaignRun, n_cached: int, n_fresh: int
-) -> Dict[str, float]:
-    """The engine counts of one run for the summary, sorted by name."""
-    totals = {"campaign.cache.hits": float(n_cached),
-              "campaign.cache.misses": float(n_fresh)}
-    batched = sum(1 for o in run.outcomes if o.worker == "batched")
-    if batched:
-        totals["campaign.jobs.batched"] = float(batched)
-    return totals
-
-
 def run_campaign(
     campaign: CampaignSpec,
     jobs: int = 1,
@@ -389,12 +380,8 @@ def run_campaign(
         cached.get(spec.tag) or fresh[spec.tag] for spec in campaign.jobs
     ]
     records = [outcome.record(campaign.name) for outcome in run.outcomes]
-    run.summary = summarize(
-        campaign.name, records, time.perf_counter() - start,
-        metrics=_aggregate_metrics(
-            run, len(cached), len(campaign.jobs) - len(cached)
-        ),
-    )
+    run.summary = summarize(campaign.name, records,
+                            time.perf_counter() - start)
     if manifest_path:
         writer = ManifestWriter(manifest_path)
         for record in records:

@@ -3,23 +3,27 @@
 Every campaign run appends one ``{"type": "job", ...}`` line per job —
 wall time, cache hit/miss, worker id, outcome — and closes
 with a ``{"type": "summary", ...}`` line carrying the aggregate the
-operator actually watches: hit rate and p50/p95 job latency.  JSONL
-keeps the file appendable from a crashing run and greppable without
-tooling.  Older manifests still read: a job's ``"retries"`` key
-(from before retries and timeouts were removed) and its ``"obs"`` key
-(from before per-job capture was removed) are ignored, and a
-``"timeout"`` status counts as failed.
+operator actually watches: hit rate and p50/p95 job latency.  The
+engine's counts are :mod:`repro.obs` counters, not summary fields.
+JSONL keeps the file appendable from a crashing run and greppable
+without tooling.  Older manifests still read: a job's ``"retries"``
+key (from before retries and timeouts were removed), its ``"obs"`` key
+(from before per-job capture was removed) and a summary's
+``"metrics"`` key (from before the summary stopped copying the
+counts) are ignored, and a ``"timeout"`` status counts as failed.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
+
+from ..errors import CampaignError
 
 
 @dataclass
@@ -35,10 +39,6 @@ class CampaignSummary:
     p50_wall_s: float
     p95_wall_s: float
     total_wall_s: float
-    #: The run's engine counts: ``campaign.cache.hits`` / ``.misses``,
-    #: and ``campaign.jobs.batched`` when any job ran in a batch.
-    #: Defaulted so pre-metrics manifests still round-trip.
-    metrics: Dict[str, float] = field(default_factory=dict)
 
     @property
     def all_ok(self) -> bool:
@@ -50,7 +50,6 @@ def summarize(
     campaign: str,
     records: List[Dict[str, Any]],
     total_wall_s: float,
-    metrics: Optional[Dict[str, float]] = None,
 ) -> CampaignSummary:
     """Fold per-job manifest records into a :class:`CampaignSummary`."""
     jobs = [r for r in records if r.get("type", "job") == "job"]
@@ -67,7 +66,6 @@ def summarize(
         p50_wall_s=float(np.percentile(walls, 50)) if walls else 0.0,
         p95_wall_s=float(np.percentile(walls, 95)) if walls else 0.0,
         total_wall_s=total_wall_s,
-        metrics=dict(metrics) if metrics else {},
     )
 
 
@@ -100,23 +98,40 @@ def read_manifest(path: Union[str, "os.PathLike[str]"]) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except ValueError:
                 continue
+            if isinstance(record, dict):
+                records.append(record)
     return records
 
 
 def manifest_summary(
     path: Union[str, "os.PathLike[str]"]
 ) -> Optional[CampaignSummary]:
-    """The summary of a manifest: its summary line, else recomputed."""
+    """The summary of a manifest: its summary line, else recomputed.
+
+    Keys a summary line carries beyond the :class:`CampaignSummary`
+    fields (an older run's ``"metrics"``) are ignored; a summary line
+    or job record that lacks a field the summary needs, or holds
+    ``null`` there, raises :class:`~repro.errors.CampaignError`.
+    """
     records = read_manifest(path)
     for record in reversed(records):
         if record.get("type") == "summary":
-            fields = {k: v for k, v in record.items() if k != "type"}
-            return CampaignSummary(**fields)
+            names = [f.name for f in fields(CampaignSummary)]
+            _require(record, names, f"manifest {path}: summary line")
+            return CampaignSummary(**{name: record[name] for name in names})
     jobs = [r for r in records if r.get("type") == "job"]
     if not jobs:
         return None
+    for job in jobs:
+        _require(job, ["wall_s"], f"manifest {path}: job {job.get('tag')!r}")
     campaign = str(jobs[0].get("campaign", "?"))
     return summarize(campaign, jobs, sum(float(r["wall_s"]) for r in jobs))
+
+
+def _require(record: Dict[str, Any], names: List[str], what: str) -> None:
+    missing = [name for name in names if record.get(name) is None]
+    if missing:
+        raise CampaignError(f"{what} lacks {', '.join(missing)}")

@@ -373,15 +373,6 @@ def _campaign_status(args) -> int:
     print(f"cache: {stats['root']}")
     print(f"  results: {stats['n_results']}  traces: {stats['n_traces']}  "
           f"size: {stats['bytes'] / 1e6:.1f} MB")
-    lifetime = stats.get("lifetime_counters", {})
-    if lifetime:
-        hits = lifetime.get("hits", 0)
-        misses = lifetime.get("misses", 0)
-        probes = hits + misses
-        rate = f", hit rate {100 * hits / probes:.0f}%" if probes else ""
-        print(f"  lifetime: hits={hits} misses={misses} "
-              f"stores={lifetime.get('stores', 0)} "
-              f"evictions={lifetime.get('evictions', 0)}{rate}")
     if args.manifest:
         summary = manifest_summary(args.manifest)
         if summary is None:

@@ -211,8 +211,3 @@ def athlon_air_model(
         ambient=ambient,
     )
     return ThermalGridModel(plan, config, nx=nx, ny=ny)
-
-
-def kelvin_dict_to_celsius(temps: Dict[str, float]) -> Dict[str, float]:
-    """Convert a block-temperature dict from Kelvin to Celsius."""
-    return {k: v - ZERO_CELSIUS_IN_KELVIN for k, v in temps.items()}

@@ -31,7 +31,6 @@ class Fig05Result:
     oil_without_secondary: Dict[str, float]
     air_with_secondary: Dict[str, float]
     air_without_secondary: Dict[str, float]
-    ambient_c: float = 37.0
 
     @property
     def oil_max_error_c(self) -> float:
@@ -41,20 +40,6 @@ class Fig05Result:
             self.oil_without_secondary[name] - self.oil_with_secondary[name]
             for name in self.oil_with_secondary
         )
-
-    @property
-    def air_max_relative_change(self) -> float:
-        """Largest relative change in temperature *rise* from adding the
-        secondary path under AIR-SINK (paper: < 1%)."""
-        worst = 0.0
-        for name in self.air_with_secondary:
-            rise_without = self.air_without_secondary[name] - self.ambient_c
-            rise_with = self.air_with_secondary[name] - self.ambient_c
-            if rise_without > 1e-9:
-                worst = max(
-                    worst, abs(rise_without - rise_with) / rise_without
-                )
-        return worst
 
 
 def run_fig05(nx: int = 32, ny: int = 32) -> Fig05Result:

@@ -172,13 +172,6 @@ class Floorplan:
         """Vector of block areas in floorplan order."""
         return np.array([b.area for b in self._blocks])
 
-    def block_at(self, x: float, y: float) -> Optional[Block]:
-        """The block containing point (x, y), or None for a gap."""
-        for block in self._blocks:
-            if block.contains(x, y):
-                return block
-        return None
-
     def coverage_fraction(self) -> float:
         """Fraction of die area covered by blocks (pairwise overlaps
         double-count, so validate with :meth:`check_non_overlapping`)."""

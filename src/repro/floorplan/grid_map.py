@@ -142,10 +142,6 @@ class GridMapping:
         areas = self._areas if block_power.ndim == 1 else self._areas[:, None]
         return _spmv(self._overlap_t, block_power / areas)
 
-    def cell_power_density(self, block_power: np.ndarray) -> np.ndarray:
-        """Power density per cell in W/m^2 (cells as a flat vector)."""
-        return self.block_power_to_cells(block_power) / self.cell_area
-
     # --- temperature aggregation ------------------------------------------
 
     def cell_to_block_average(self, cell_values: np.ndarray) -> np.ndarray:

@@ -10,8 +10,10 @@ splitting a counter in two.  The same file fails on a
 registered name that no module emits.
 
 Dynamic names (f-strings) are allowed when they fall under a
-registered *prefix*: ``campaign.cache.`` (suffixes are the
-:attr:`~repro.campaign.cache.ResultCache.COUNTER_NAMES` op names).
+registered *prefix*: ``campaign.cache.`` (the suffixes are the result
+store's op names ``hits``, ``misses``, ``stores``, ``trace_hits``,
+``trace_misses`` and ``trace_stores``; see
+:mod:`repro.campaign.cache`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,6 @@ METRIC_NAMES = frozenset(
         "solver.steady.solves",
         "solver.transient.matrix_builds",
         "solver.transient.steps",
-        "solver.batched.runs",
-        "solver.batched.scenarios",
-        "solver.batched.steps",
         "campaign.jobs.batched",
         "rcmodel.grid.assemblies",
         "campaign.jobs.attempts",

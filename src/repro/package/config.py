@@ -87,17 +87,6 @@ class CoolingConfig:
         """All primary-path layers, die first."""
         return (self.die,) + tuple(self.layers_above)
 
-    def with_ambient(self, ambient: float) -> "CoolingConfig":
-        """A copy of this configuration at a different ambient (K)."""
-        return CoolingConfig(
-            name=self.name,
-            die=self.die,
-            layers_above=self.layers_above,
-            top_boundary=self.top_boundary,
-            secondary=self.secondary,
-            ambient=ambient,
-        )
-
     def without_secondary(self) -> "CoolingConfig":
         """A copy with the secondary heat path removed (Fig. 5 ablation)."""
         return CoolingConfig(

@@ -21,7 +21,7 @@ which sum to the full annulus area.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ModelBuildError
 
@@ -86,30 +86,3 @@ class RimRing:
     def node(self, side: str) -> int:
         """Network node index of one side."""
         return self.nodes[side]
-
-
-def ring_boundaries(
-    die_w: float,
-    die_h: float,
-    footprints: Sequence[Tuple[float, float]],
-) -> List["RingGeometry"]:
-    """Given increasing layer footprints, produce RingGeometry list.
-
-    ``footprints`` is a sequence of (width, height) pairs, each at least
-    as large as the previous; the first ring spans die -> footprints[0],
-    the next footprints[0] -> footprints[1], and so on.  Degenerate rings
-    (zero overhang) are skipped by the caller via ``total_area``.
-    """
-    rings = []
-    inner = (die_w, die_h)
-    for outer in footprints:
-        rings.append(
-            RingGeometry(
-                inner_width=inner[0],
-                inner_height=inner[1],
-                outer_width=outer[0],
-                outer_height=outer[1],
-            )
-        )
-        inner = outer
-    return rings

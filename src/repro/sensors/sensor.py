@@ -78,13 +78,3 @@ class SensorArray:
     def max_reading(self, field: np.ndarray, mapping: GridMapping) -> float:
         """The hottest reported temperature (what DTM triggers on)."""
         return float(self.read_field(field, mapping).max())
-
-    def hotspot_error(self, field: np.ndarray, mapping: GridMapping) -> float:
-        """True field maximum minus the hottest sensor reading, K.
-
-        Positive values mean the array *underestimates* the real hot
-        spot -- the dangerous direction (missed thermal emergencies,
-        paper Section 5.3-5.4).
-        """
-        return float(np.asarray(field).max() - self.max_reading(field, mapping))
-

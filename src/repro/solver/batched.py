@@ -26,7 +26,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .. import obs
 from ..errors import SolverError
 from ..rcmodel.network import ThermalNetwork
 from .events import PiecewiseConstantSchedule
@@ -46,11 +45,6 @@ from .transient import (
 BatchPowerInput = Union[
     np.ndarray, Callable[[float], np.ndarray], PiecewiseConstantSchedule
 ]
-
-_BATCH_RUNS = obs.metrics().counter("solver.batched.runs")
-_BATCH_SCENARIOS = obs.metrics().counter("solver.batched.scenarios")
-_BATCH_STEPS = obs.metrics().counter("solver.batched.steps")
-
 
 @dataclass
 class BatchScenario:
@@ -130,9 +124,6 @@ def _recorded(session: TransientSession, walk: Walk, record_every: int,
               projector: Optional[Projector],
               tags: Tuple[str, ...]) -> BatchedTransientResult:
     times, records = session.record(walk, record_every, projector)
-    _BATCH_RUNS.inc()
-    _BATCH_SCENARIOS.inc(len(tags))
-    _BATCH_STEPS.inc(session.n_steps)
     return BatchedTransientResult(
         times=np.asarray(times), states=np.stack(records, axis=0), tags=tags
     )

@@ -276,7 +276,6 @@ class TransientSession:
         self.stepper: _ImplicitStepper = stepper(network, dt)
         self.dt = self.stepper.dt
         self.x = x0
-        self.n_steps = 0
         self._stepper_cls = stepper
         self._short: Dict[float, _ImplicitStepper] = {}
 
@@ -285,7 +284,6 @@ class TransientSession:
         """One step (of ``dt``, or of ``stepper``'s) under the power term
         ``p_eff`` of :meth:`~_ImplicitStepper.effective_power`."""
         self.x = (stepper or self.stepper).step_effective(self.x, p_eff)
-        self.n_steps += 1
         return self.x
 
     def column(self, k: int) -> np.ndarray:

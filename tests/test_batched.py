@@ -255,18 +255,21 @@ def test_campaign_batches_same_model_trace_jobs():
         assert np.array_equal(a.arrays["times"], b.arrays["times"])
         assert np.array_equal(a.arrays["block_rise_k"],
                               b.arrays["block_rise_k"])
-    assert batched.summary.metrics["campaign.jobs.batched"] == 3.0
-    assert "campaign.jobs.batched" not in serial.summary.metrics
+    assert batched.summary.n_jobs == serial.summary.n_jobs == 3
 
 
 def test_batched_cold_jobs_count_as_cache_misses(tmp_path):
+    from repro import obs
     from repro.campaign import ResultCache, run_campaign
 
+    before = obs.metrics().snapshot()
     run = run_campaign(_trace_ensemble_campaign(),
                        cache=ResultCache(tmp_path))
+    counters = obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
     assert all(outcome.worker == "batched" for outcome in run.outcomes)
-    assert run.summary.metrics["campaign.cache.hits"] == 0.0
-    assert run.summary.metrics["campaign.cache.misses"] == 3.0
+    assert run.summary.n_cached == 0 and run.summary.n_jobs == 3
+    assert counters["campaign.cache.misses"] == 3
+    assert "campaign.cache.hits" not in counters
 
 
 def test_campaign_batches_dtm_policy_groups():

@@ -135,7 +135,6 @@ def test_cache_round_trip_steady_and_transient_shapes(tmp_path):
     assert cache.get("k-steady").same_values(steady)
     assert cache.get("k-transient").same_values(transient)
     assert cache.get("missing-key") is None
-    assert cache.contains("k-steady")
     stats = cache.stats()
     assert stats["n_results"] == 2 and stats["bytes"] > 0
 
@@ -445,6 +444,68 @@ def test_cli_campaign_status_reads_a_manifest_with_retries_keys(tmp_path,
     assert main(["campaign", "status", "--cache-dir", str(tmp_path / "cache"),
                  "--manifest", str(manifest)]) == 0
     assert "campaign old: 2/3 ok" in capsys.readouterr().out
+
+
+PARENT_SUMMARY = {
+    "type": "summary", "campaign": "old", "n_jobs": 2, "n_ok": 2,
+    "n_failed": 0, "n_cached": 1, "hit_rate": 0.5, "p50_wall_s": 0.25,
+    "p95_wall_s": 0.5, "total_wall_s": 0.75,
+    "metrics": {"campaign.cache.hits": 1.0, "campaign.cache.misses": 1.0},
+}
+
+
+def _status_of(tmp_path, *records):
+    from repro.cli import main
+
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                for r in records))
+    return main(["campaign", "status", "--cache-dir", str(tmp_path / "cache"),
+                 "--manifest", str(manifest)])
+
+
+def test_cli_campaign_status_reads_a_summary_line_with_metrics(tmp_path,
+                                                              capsys):
+    """Summary lines written while the summary copied the engine counts
+    still summarize; the extra key, and a line that is not a JSON
+    object, are ignored."""
+    assert _status_of(tmp_path, [1, 2], PARENT_SUMMARY) == 0
+    assert "campaign old: 2/2 ok, hit rate 50%" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("record, missing", [
+    ({"type": "summary", "campaign": "x", "n_jobs": 1}, "n_ok"),
+    ({"type": "job", "campaign": "x", "tag": "a", "status": "ok",
+      "cached": False}, "wall_s"),
+    ({"type": "job", "campaign": "x", "tag": "a", "status": "ok",
+      "cached": False, "wall_s": None}, "wall_s"),
+], ids=["summary-line", "job-line", "job-line-null"])
+def test_cli_campaign_status_rejects_a_record_missing_a_field(
+        tmp_path, capsys, record, missing):
+    assert _status_of(tmp_path, record) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+    assert "Traceback" not in err
+
+
+def test_cli_campaign_status_after_two_runs(tmp_path, capsys):
+    """Two runs against one store leave only entries there; status
+    reports them and the manifest's last (all-cached) summary."""
+    from repro.cli import main
+
+    cache_dir = tmp_path / "cache"
+    manifest = tmp_path / "smoke.jsonl"
+    for _ in range(2):
+        assert main(["-q", "campaign", "run", "smoke", "--cache-dir",
+                     str(cache_dir), "--manifest", str(manifest)]) == 0
+    assert sorted(p.name for p in cache_dir.iterdir()) == [
+        "results", "traces"]
+    capsys.readouterr()
+    assert main(["campaign", "status", "--cache-dir", str(cache_dir),
+                 "--manifest", str(manifest)]) == 0
+    out = capsys.readouterr().out
+    assert "results: 2  traces: 0  size:" in out
+    assert "campaign smoke: 2/2 ok, hit rate 100%" in out
 
 
 def test_cli_campaign_run_rejects_jobs_below_one(capsys):

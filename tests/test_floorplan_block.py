@@ -100,14 +100,6 @@ def test_power_dict_rejects_bad_shapes():
         plan.power_dict([1.0, 2.0, 3.0])
 
 
-def test_block_at_returns_owner_or_none():
-    a, b = make_pair()
-    plan = Floorplan([a, b], die_width=3e-3, die_height=2e-3)
-    assert plan.block_at(0.5e-3, 0.5e-3) is a
-    assert plan.block_at(1.5e-3, 0.5e-3) is b
-    assert plan.block_at(2.5e-3, 0.5e-3) is None  # gap
-
-
 def test_check_non_overlapping():
     a = Block("a", 2e-3, 2e-3, 0.0, 0.0)
     b = Block("b", 2e-3, 2e-3, 1e-3, 0.0)

@@ -10,7 +10,6 @@ from repro.campaign import (
     ResultCache,
     run_campaign,
 )
-from repro.cli import main
 from repro.obs.metrics import MetricsRegistry
 
 TWO_BLOCK_POWER = (("IntReg", 3.0), ("Dcache", 2.0))
@@ -85,20 +84,15 @@ def test_solver_metrics_count_factorizations_and_steps():
 def test_cache_counters_and_stats(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     campaign = CampaignSpec(name="obs-cache", jobs=(steady_job("a"),))
+    before = obs.metrics().snapshot()
     run_campaign(campaign, jobs=1, cache=cache)
     run_campaign(campaign, jobs=1, cache=cache)
-    assert cache.counters["misses"] == 1
-    assert cache.counters["stores"] == 1
-    assert cache.counters["hits"] == 1
+    counters = obs.snapshot_diff(obs.metrics().snapshot(), before)["counters"]
+    assert counters["campaign.cache.misses"] == 1
+    assert counters["campaign.cache.stores"] == 1
+    assert counters["campaign.cache.hits"] == 1
     stats = cache.stats()
-    assert stats["counters"]["hits"] == 1
-    # lifetime counters persist across instances of the same store
-    fresh = ResultCache(tmp_path / "cache")
-    lifetime = fresh.persisted_counters()
-    assert lifetime["hits"] == 1 and lifetime["misses"] == 1
-    removed = fresh.clear()
-    assert removed > 0
-    assert fresh.persisted_counters()["evictions"] == removed
+    assert stats["n_results"] == 1 and stats["bytes"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +130,3 @@ def test_executor_logs_progress_lines(caplog):
         parent.propagate = was_propagating
     lines = [r.message for r in caplog.records]
     assert any("tagged" in line and "OK" in line for line in lines)
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
-
-def test_cli_campaign_status_shows_lifetime_counters(tmp_path, capsys):
-    cache_dir = str(tmp_path / "cache")
-    assert main(["campaign", "run", "smoke", "--cache-dir", cache_dir]) == 0
-    assert main(["campaign", "run", "smoke", "--cache-dir", cache_dir]) == 0
-    capsys.readouterr()
-    assert main(["campaign", "status", "--cache-dir", cache_dir]) == 0
-    out = capsys.readouterr().out
-    assert "lifetime:" in out
-    assert "hits=2" in out and "stores=2" in out

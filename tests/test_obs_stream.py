@@ -1,42 +1,9 @@
-"""Tests for result-store counter and registry consistency."""
+"""Tests for metrics-registry consistency under concurrency."""
 
 import threading
 import time
 
-from repro.campaign import ResultCache
 from repro.obs.metrics import MetricsRegistry
-
-
-# ---------------------------------------------------------------------------
-# satellite: cache counters survive concurrent read-modify-write
-# ---------------------------------------------------------------------------
-
-
-def test_cache_counters_concurrent_bumps_lose_nothing(tmp_path):
-    """Two campaigns bumping one store must not interleave-and-lose.
-
-    Each thread opens its own ResultCache (its own lockfile fd, like a
-    separate process would); the flock around the read-modify-write
-    makes the persisted total exact.
-    """
-    root = tmp_path / "store"
-    ResultCache(root)  # create the store layout once
-    n_threads, n_bumps = 8, 30
-    barrier = threading.Barrier(n_threads)
-
-    def hammer():
-        cache = ResultCache(root)
-        barrier.wait()
-        for _ in range(n_bumps):
-            cache._bump("hits")
-
-    threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    persisted = ResultCache(root).persisted_counters()
-    assert persisted["hits"] == n_threads * n_bumps
 
 
 # ---------------------------------------------------------------------------

@@ -115,13 +115,6 @@ class TestOilSilicon:
         assert flow.direction is FlowDirection.TOP_TO_BOTTOM
         assert flow.target_resistance == 0.3
 
-    def test_with_ambient_copy(self):
-        config = oil_silicon_package(DIE_W, DIE_H, ambient=300.0)
-        warmer = config.with_ambient(320.0)
-        assert warmer.ambient == 320.0
-        assert config.ambient == 300.0
-        assert warmer.die is config.die
-
     def test_without_secondary_copy(self):
         config = oil_silicon_package(DIE_W, DIE_H)
         bare = config.without_secondary()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelBuildError
-from repro.rcmodel.peripheral import SIDES, RingGeometry, ring_boundaries
+from repro.rcmodel.peripheral import SIDES, RingGeometry
 
 
 def test_side_areas_sum_to_annulus():
@@ -50,17 +50,3 @@ def test_shrinking_ring_rejected():
 def test_degenerate_ring_has_zero_area():
     ring = RingGeometry(16e-3, 16e-3, 16e-3, 16e-3)
     assert ring.total_area == pytest.approx(0.0, abs=1e-18)
-
-
-def test_ring_boundaries_chain():
-    rings = ring_boundaries(
-        16e-3, 16e-3, [(30e-3, 30e-3), (60e-3, 60e-3)]
-    )
-    assert len(rings) == 2
-    assert rings[0].inner_width == pytest.approx(16e-3)
-    assert rings[0].outer_width == pytest.approx(30e-3)
-    assert rings[1].inner_width == pytest.approx(30e-3)
-    assert rings[1].outer_width == pytest.approx(60e-3)
-    # combined area equals the full sink annulus
-    total = sum(r.total_area for r in rings)
-    assert total == pytest.approx(60e-3**2 - 16e-3**2)

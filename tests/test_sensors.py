@@ -51,8 +51,8 @@ class TestArray:
         field = gaussian_field(mapping, 5e-3, 5e-3)
         on_spot = SensorArray([ThermalSensor(5e-3, 5e-3)])
         off_spot = SensorArray([ThermalSensor(1e-3, 1e-3)])
-        assert on_spot.hotspot_error(field, mapping) < 1.0
-        assert off_spot.hotspot_error(field, mapping) > 50.0
+        assert field.max() - on_spot.max_reading(field, mapping) < 1.0
+        assert field.max() - off_spot.max_reading(field, mapping) > 50.0
 
     def test_empty_array_rejected(self):
         with pytest.raises(ConfigurationError):
