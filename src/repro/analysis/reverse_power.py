@@ -26,18 +26,14 @@ from ..solver.steady import steady_state
 def block_response_matrix(model: ThermalGridModel) -> np.ndarray:
     """R[i, j] = steady rise of block i per Watt in block j (K/W).
 
-    One sparse solve per block; the factorization is cached on the
-    network so the whole matrix costs one factorization plus n_blocks
+    The n_blocks unit powers are the columns of one steady solve, so
+    the whole matrix costs one factorization plus n_blocks
     back-substitutions.
     """
     n = len(model.floorplan)
-    response = np.empty((n, n))
-    for j in range(n):
-        unit = np.zeros(n)
-        unit[j] = 1.0
-        rise = steady_state(model.network, model.node_power(unit))
-        response[:, j] = model.block_rise(rise)
-    return response
+    unit_powers = np.column_stack([model.node_power(u) for u in np.eye(n)])
+    rises = steady_state(model.network, unit_powers)
+    return np.column_stack([model.block_rise(rise) for rise in rises.T])
 
 
 def reverse_engineer_power(

@@ -4,8 +4,8 @@ The paper's related work (Section 2.3) discusses Kursun & Cher's
 variation-aware thermal characterization: die-to-die and within-die
 process variation perturbs each block's power, so the thermal picture
 is a distribution, not a single map.  Because the steady-state problem
-is linear with a cached factorization, sampling is cheap -- one
-back-substitution per sample -- and the interesting question the paper
+is linear, every sample shares one factorization and costs one
+back-substitution -- and the interesting question the paper
 raises can be answered quantitatively: the poorly-spreading
 OIL-SILICON configuration converts a given power variation into a much
 wider temperature spread than AIR-SINK, affecting the guard-bands a
@@ -78,8 +78,8 @@ def power_variation_study(
     Parameters
     ----------
     model:
-        A thermal model (grid or block flavor; factorization is cached
-        so the marginal cost per sample is one back-substitution).
+        A thermal model (grid or block flavor; the samples are the
+        columns of one steady solve, so each costs one back-substitution).
     nominal_power:
         Per-block nominal power, vector or name->W dict.
     sigma_fraction:
@@ -103,19 +103,19 @@ def power_variation_study(
     sigma_d2d = sigma_log * np.sqrt(correlation)
     sigma_wid = sigma_log * np.sqrt(1.0 - correlation)
 
-    temps = np.empty((n_samples, n_blocks))
     powers = np.empty((n_samples, n_blocks))
-    ambient = model.config.ambient
     for i in range(n_samples):
         d2d = rng.normal(0.0, sigma_d2d)
         wid = rng.normal(0.0, sigma_wid, size=n_blocks)
         factor = np.exp(d2d + wid - 0.5 * sigma_log**2)
-        power = nominal_power * factor
-        rise = steady_state(model.network, model.node_power(power))
-        temps[i] = model.block_rise(rise) + ambient
-        powers[i] = power
+        powers[i] = nominal_power * factor
+    rises = steady_state(
+        model.network,
+        np.column_stack([model.node_power(power) for power in powers]),
+    )
+    block_rises = np.array([model.block_rise(rise) for rise in rises.T])
     return VariationStudy(
         block_names=model.floorplan.names,
-        samples=temps,
+        samples=block_rises + model.config.ambient,
         power_samples=powers,
     )

@@ -26,7 +26,9 @@ This module is the campaign-side half of that bargain:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import CampaignError
 from .cache import JobResult
@@ -90,48 +92,40 @@ def batch_groups(
 def batch_trace_transient(specs: Sequence[JobSpec]) -> Dict[str, JobResult]:
     """All trace runs of one model as a single lockstep integration.
 
-    Builds the model once, synthesizes each job's trace exactly as
-    :func:`~repro.campaign.runners.run_trace_transient` does, and
-    integrates the schedules through
+    Builds the model once, takes each job's trace from
+    :func:`~repro.campaign.runners.job_trace` as the serial runner
+    does, solves the steady starts as the columns of one steady solve,
+    and integrates the schedules through
     :func:`~repro.solver.batched.batched_simulate_schedules`.  Jobs
     whose traces land on different boundary grids (different
     ``duration``/``thermal_stride``) make the solver raise, which the
     executor answers by re-running the group per job.
     """
-    from ..experiments.common import gcc_synthesized_trace
     from ..solver import batched_simulate_schedules, steady_state
+    from .runners import job_trace
 
     assert specs and specs[0].model is not None
     model = specs[0].model.build()
-    schedules = []
-    x0s = []
-    dts: List[float] = []
-    for spec in specs:
-        trace = gcc_synthesized_trace(
-            float(spec.param("duration", 0.040)),
-            int(spec.param("instructions", 500_000)),
-            int(spec.param("seed", 0)),
-            float(spec.param("mean_dwell", 0.005)),
-        )
-        stride = int(spec.param("thermal_stride", 1))
-        if stride > 1:
-            trace = trace.resampled(stride)
-        schedules.append(trace.to_schedule(model))
-        dts.append(trace.dt)
-        x0 = None
-        if spec.param("init", "steady") == "steady":
-            x0 = steady_state(
-                model.network, model.node_power(trace.average())
-            )
-        x0s.append(x0)
+    traces = [job_trace(spec) for spec in specs]
+    dt = traces[0].dt
     # exact step identity required for lockstep; near-equal is a mismatch
-    if any(dt != dts[0] for dt in dts):
+    if any(trace.dt != dt for trace in traces):
         raise CampaignError(
             "trace_transient group mixes thermal step sizes; cannot batch"
         )
+    # the steady starts are the columns of one solve: one factorization
+    steady = [k for k, spec in enumerate(specs)
+              if spec.param("init", "steady") == "steady"]
+    x0s: List[Optional[np.ndarray]] = [None] * len(specs)
+    if steady:
+        rises = steady_state(model.network, np.column_stack(
+            [model.node_power(traces[k].average()) for k in steady]))
+        for column, k in enumerate(steady):
+            x0s[k] = rises[:, column]
     result = batched_simulate_schedules(
-        model.network, schedules, dt=dts[0], x0s=x0s,
-        projector=model.block_rise, tags=[spec.tag for spec in specs],
+        model.network, [trace.to_schedule(model) for trace in traces],
+        dt=dt, x0s=x0s, projector=model.block_rise,
+        tags=[spec.tag for spec in specs],
     )
     meta = {"block_names": list(model.floorplan.names),
             "ambient_k": model.config.ambient}

@@ -39,6 +39,13 @@ from .. import obs
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DISK_CACHE_ENV = "REPRO_DISK_CACHE"
 
+_HITS = obs.metrics().counter("campaign.cache.hits")
+_MISSES = obs.metrics().counter("campaign.cache.misses")
+_STORES = obs.metrics().counter("campaign.cache.stores")
+_TRACE_HITS = obs.metrics().counter("campaign.cache.trace_hits")
+_TRACE_MISSES = obs.metrics().counter("campaign.cache.trace_misses")
+_TRACE_STORES = obs.metrics().counter("campaign.cache.trace_stores")
+
 
 def default_cache_dir() -> str:
     """The store location: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-campaign``."""
@@ -95,10 +102,6 @@ class ResultCache:
         tmp.write_bytes(payload)
         os.replace(tmp, path)
 
-    @staticmethod
-    def _bump(op: str) -> None:
-        obs.metrics().counter(f"campaign.cache.{op}").inc()
-
     # -- job results --------------------------------------------------------
 
     def _json_path(self, key: str) -> Path:
@@ -124,7 +127,7 @@ class ResultCache:
             self._json_path(key),
             json.dumps(sidecar, sort_keys=True).encode("utf-8"),
         )
-        self._bump("stores")
+        _STORES.inc()
 
     def get(self, key: str) -> Optional[JobResult]:
         """Load one result, or ``None`` on a miss or corrupt entry."""
@@ -132,7 +135,7 @@ class ResultCache:
         try:
             sidecar = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            self._bump("misses")
+            _MISSES.inc()
             return None
         arrays: Dict[str, np.ndarray] = {}
         names = sidecar.get("array_names", [])
@@ -141,9 +144,9 @@ class ResultCache:
                 with np.load(self._npz_path(key), allow_pickle=False) as data:
                     arrays = {name: data[name] for name in names}
             except (OSError, ValueError, KeyError):
-                self._bump("misses")
+                _MISSES.inc()
                 return None  # sidecar without its arrays: treat as miss
-        self._bump("hits")
+        _HITS.inc()
         return JobResult(
             scalars=dict(sidecar.get("scalars", {})),
             arrays=arrays,
@@ -169,7 +172,7 @@ class ResultCache:
             block_names=np.array(trace.block_names),
         )
         self._atomic_write(self._trace_path(name), buffer.getvalue())
-        self._bump("trace_stores")
+        _TRACE_STORES.inc()
 
     def get_trace(self, name: str) -> Optional["PowerTrace"]:
         """Load a stored trace, or ``None`` on a miss/corrupt entry."""
@@ -179,7 +182,7 @@ class ResultCache:
         try:
             with np.load(path, allow_pickle=False) as data:
                 if str(data["key"]) != name:  # hash collision guard
-                    self._bump("trace_misses")
+                    _TRACE_MISSES.inc()
                     return None
                 loaded = PowerTrace(
                     [str(n) for n in data["block_names"]],
@@ -187,9 +190,9 @@ class ResultCache:
                     float(data["dt"]),
                 )
         except (OSError, ValueError, KeyError):
-            self._bump("trace_misses")
+            _TRACE_MISSES.inc()
             return None
-        self._bump("trace_hits")
+        _TRACE_HITS.inc()
         return loaded
 
     def stats(self) -> Dict[str, Any]:

@@ -12,13 +12,16 @@ to the old inline loops.
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Tuple
 
 import numpy as np
 
 from ..errors import CampaignError
 from .cache import JobResult
 from .spec import JobSpec
+
+if TYPE_CHECKING:
+    from ..power.trace import PowerTrace
 
 RUNNERS: Dict[str, Callable[[JobSpec], JobResult]] = {}
 
@@ -83,6 +86,20 @@ def run_steady_blocks(spec: JobSpec) -> JobResult:
     )
 
 
+def job_trace(spec: JobSpec) -> "PowerTrace":
+    """The binned gcc trace a ``trace_transient`` job integrates (the
+    serial runner below and :mod:`repro.campaign.batching` share it)."""
+    from ..experiments.common import gcc_synthesized_trace
+
+    return gcc_synthesized_trace(
+        float(spec.param("duration", 0.040)),
+        int(spec.param("instructions", 500_000)),
+        int(spec.param("seed", 0)),
+        float(spec.param("mean_dwell", 0.005)),
+        int(spec.param("thermal_stride", 1)),
+    )
+
+
 @runner("trace_transient")
 def run_trace_transient(spec: JobSpec) -> JobResult:
     """Integrate the synthesized gcc trace; per-block rise series.
@@ -92,19 +109,10 @@ def run_trace_transient(spec: JobSpec) -> JobResult:
     binning), ``init`` (``"steady"`` starts from the average-power
     steady state, anything else from ambient).
     """
-    from ..experiments.common import gcc_synthesized_trace
     from ..solver import simulate_schedule, steady_state
 
     model = spec.model.build()
-    trace = gcc_synthesized_trace(
-        float(spec.param("duration", 0.040)),
-        int(spec.param("instructions", 500_000)),
-        int(spec.param("seed", 0)),
-        float(spec.param("mean_dwell", 0.005)),
-    )
-    stride = int(spec.param("thermal_stride", 1))
-    if stride > 1:
-        trace = trace.resampled(stride)
+    trace = job_trace(spec)
     schedule = trace.to_schedule(model)
     x0 = None
     if spec.param("init", "steady") == "steady":

@@ -150,6 +150,7 @@ def gcc_synthesized_trace(
     instructions: int = 500_000,
     seed: int = 0,
     mean_dwell: float = 0.005,
+    stride: int = 1,
 ) -> PowerTrace:
     """A long gcc-like power trace for the Fig. 12 experiments.
 
@@ -159,22 +160,24 @@ def gcc_synthesized_trace(
     this is the right tool for 100 ms-scale thermal runs).  Like
     :func:`gcc_power_trace`, the synthesized trace is stored in the
     machine-wide disk cache keyed on every generation parameter.
+
+    ``stride`` bins the samples (:meth:`PowerTrace.resampled`).  The
+    disk cache keeps the full-resolution trace; ``lru_cache`` keeps only
+    the binned one, so its full-resolution samples are freed on return.
     """
     key = (
         f"gcc_synthesized_trace/v1/duration={duration!r}/"
         f"instructions={instructions}/seed={seed}/mean_dwell={mean_dwell!r}"
     )
     store = _trace_store()
-    if store is not None:
-        cached = store.get_trace(key)
-        if cached is not None:
-            return cached
-    base, phases = _gcc_simulation(instructions, seed)
-    synthesizer = TraceSynthesizer(base, phases, seed=seed)
-    trace = synthesizer.synthesize(duration, mean_dwell=mean_dwell)
-    if store is not None:
-        store.put_trace(key, trace)
-    return trace
+    trace = store.get_trace(key) if store is not None else None
+    if trace is None:
+        base, phases = _gcc_simulation(instructions, seed)
+        synthesizer = TraceSynthesizer(base, phases, seed=seed)
+        trace = synthesizer.synthesize(duration, mean_dwell=mean_dwell)
+        if store is not None:
+            store.put_trace(key, trace)
+    return trace.resampled(stride) if stride > 1 else trace
 
 
 def athlon_oil_model(

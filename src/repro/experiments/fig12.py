@@ -154,9 +154,10 @@ def run_fig12(
     covering many program phases).  ``thermal_stride`` bins the 3.3 us
     power samples into coarser thermal steps -- 33 us by default, far
     below the millisecond thermal dynamics of interest and below the
-    ~60 us sensor-sampling bound the experiment derives.  Both package
-    jobs synthesize the same deterministic trace (shared through the
-    machine-wide trace cache when enabled).
+    ~60 us sensor-sampling bound the experiment derives.  Both jobs
+    integrate the same binned trace: in one process (``jobs=1``) the
+    air job reuses the oil job's from the in-process cache; pool
+    workers each bin the trace from the machine-wide trace cache.
     """
     run = run_campaign(
         fig12_campaign(

@@ -30,6 +30,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import GeometryError
+from ..units import is_count
 from .block import Floorplan
 
 try:
@@ -85,8 +86,11 @@ class GridMapping:
     """Precomputed block <-> cell overlap structure for one floorplan/grid."""
 
     def __init__(self, floorplan: Floorplan, nx: int, ny: int) -> None:
-        if nx < 1 or ny < 1:
-            raise GeometryError("grid must have at least one cell per axis")
+        for name, count in (("nx", nx), ("ny", ny)):
+            if not is_count(count):
+                raise GeometryError(
+                    f"{name} must be a positive integer, got {count!r}"
+                )
         self.floorplan = floorplan
         self.nx = int(nx)
         self.ny = int(ny)

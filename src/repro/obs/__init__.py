@@ -30,7 +30,7 @@ Typical use::
 from typing import Any, Callable, Tuple
 
 from .logsetup import logging_setup, verbosity_level
-from .taxonomy import METRIC_NAMES, METRIC_PREFIXES, known_metric
+from .taxonomy import METRIC_NAMES
 from .metrics import Counter, MetricsRegistry, Snapshot, snapshot_diff
 
 #: Process-global default metrics registry (always on).
@@ -58,10 +58,8 @@ def measured_call(fn: Callable[..., Any], /, *args: Any,
 __all__ = [
     "Counter",
     "METRIC_NAMES",
-    "METRIC_PREFIXES",
     "MetricsRegistry",
     "Snapshot",
-    "known_metric",
     "logging_setup",
     "measured_call",
     "metrics",

@@ -75,12 +75,12 @@ class ThermalNetwork:
     def system_matrix(self) -> sparse.csc_matrix:
         """``A = L + diag(g_amb)``, cached in CSC form for factorization.
 
-        The returned matrix is the cached instance itself, and the
-        steady solver keys its LU factor cache on this matrix's
-        content: an in-place edit of its buffers would silently
-        invalidate that keying.  The CSC buffers are therefore frozen —
-        mutate the network through its public fields and call
-        :meth:`invalidate` instead, or ``.copy()`` the matrix first.
+        The returned matrix is the cached instance itself, shared by
+        every solve of this network: an in-place edit of its buffers
+        would leave it out of step with the network's fields.  The CSC
+        buffers are therefore frozen — mutate the network through its
+        public fields and call :meth:`invalidate` instead, or
+        ``.copy()`` the matrix first.
         """
         if self._system is None:
             system = (
@@ -96,9 +96,8 @@ class ThermalNetwork:
         """Drop the cached system matrix after an in-place mutation.
 
         Call after editing ``ambient_conductance`` (or the Laplacian)
-        directly; the next solve then reassembles ``A`` and, because
-        the steady solver keys its factor cache on the matrix content,
-        refactorizes instead of reusing the stale factorization.
+        directly; the next solve then reassembles ``A`` from the edited
+        fields.
         """
         self._system = None
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Sequence, Union
 import numpy as np
 
 from ..errors import SolverError
-from .steady import steady_state
+from .steady import steady_factor, steady_state
 
 if TYPE_CHECKING:
     from ..rcmodel.blockmodel import ThermalBlockModel
@@ -87,12 +87,13 @@ def steady_state_with_leakage(
     block_temps = np.full(len(model.floorplan), ambient)
     rise = np.zeros(model.n_nodes)
     leak = np.zeros_like(dynamic_power)
+    factor = steady_factor(model.network)  # one factor for every iteration
     for iteration in range(1, max_iterations + 1):
         leak = np.asarray(leakage(block_temps), dtype=float)
         if leak.shape != dynamic_power.shape or np.any(leak < 0):
             raise SolverError("leakage() must return non-negative W per block")
         rise = steady_state(
-            model.network, model.node_power(dynamic_power + leak)
+            model.network, model.node_power(dynamic_power + leak), factor
         )
         new_temps = model.block_rise(rise) + ambient
         if np.any(new_temps > runaway_temperature):

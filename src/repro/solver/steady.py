@@ -2,20 +2,17 @@
 
 Steady state solves ``A x = P`` for the vector of temperature rises
 ``x = T - T_ambient``, where ``A`` is the symmetric positive definite
-system matrix of the network.  The factorization goes through
-:data:`~repro.solver.backends.LINEAR_BACKEND` and is cached on the
-network, so repeated solves (e.g. the four flow directions of the
-paper's Fig. 11, or DTM sweeps) refactor only when the network
-changes.  The cache is keyed on a fingerprint of the system matrix
-itself, so mutating the network (or rebuilding its system matrix)
-after a solve triggers refactorization instead of silently reusing a
-stale factor.
+system matrix of the network.  :func:`steady_state` factors through
+:data:`~repro.solver.backends.LINEAR_BACKEND`, solves and drops the
+factor: nothing is cached on the network.  Many powers for one network
+go in as the columns of one call; a loop whose next power depends on
+the last solve factors once with :func:`steady_factor` and passes it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 from scipy import sparse
@@ -26,10 +23,7 @@ from ..rcmodel.grid import ThermalGridModel
 from ..rcmodel.network import ThermalNetwork
 from .backends import LINEAR_BACKEND, Factor
 
-_FACTOR_CACHE_ATTR = "_cached_lu_factor"
-
 _FACTORIZATIONS = obs.metrics().counter("solver.steady.factorizations")
-_FACTOR_CACHE_HITS = obs.metrics().counter("solver.steady.factor_cache_hits")
 _SOLVES = obs.metrics().counter("solver.steady.solves")
 
 
@@ -43,7 +37,7 @@ def system_fingerprint(matrix: sparse.spmatrix) -> str:
     CSC vs CSR (or with int32 vs int64 indices) factorizes through
     different code paths, so the raw buffer bytes alone are not a safe
     identity.  Cost is linear in nnz (a memory pass), negligible next
-    to a factorization but enough to catch in-place mutation.
+    to a factorization.
     """
     digest = hashlib.sha256()
     digest.update(matrix.format.encode())
@@ -57,44 +51,45 @@ def system_fingerprint(matrix: sparse.spmatrix) -> str:
     return digest.hexdigest()
 
 
-def _factorize(network: ThermalNetwork) -> Factor:
-    matrix = network.system_matrix
-    key = system_fingerprint(matrix)
-    cached = getattr(network, _FACTOR_CACHE_ATTR, None)
-    if cached is not None and cached[0] == key:
-        _FACTOR_CACHE_HITS.inc()
-        factor: Factor = cached[1]
-        return factor
+def steady_factor(network: ThermalNetwork) -> Factor:
+    """Factor the network's steady system for repeated solves."""
     # factorize normalizes SuperLU's failure modes to SolverError
-    factor = LINEAR_BACKEND.factorize(matrix)
+    factor = LINEAR_BACKEND.factorize(network.system_matrix)
     _FACTORIZATIONS.inc()
-    setattr(network, _FACTOR_CACHE_ATTR, (key, factor))
     return factor
 
 
 def steady_state(
     network: ThermalNetwork,
     node_power: np.ndarray,
+    factor: Optional[Factor] = None,
 ) -> np.ndarray:
-    """Solve for node temperature rises given a node power vector (W)."""
+    """Node temperature rises for a ``(n_nodes,)`` or ``(n_nodes, K)``
+    node power (W); column ``k`` is bitwise the solve of that column
+    alone.  ``factor`` (:func:`steady_factor` of this network) skips
+    the factorization."""
     node_power = np.asarray(node_power, dtype=float)
-    if node_power.shape != (network.n_nodes,):
+    if node_power.ndim not in (1, 2) or len(node_power) != network.n_nodes:
         raise SolverError(
             f"power vector has shape {node_power.shape}, "
-            f"expected ({network.n_nodes},)"
+            f"expected ({network.n_nodes},) or ({network.n_nodes}, K)"
         )
     if not np.all(np.isfinite(node_power)):
         raise SolverError(
             "power vector contains non-finite values (NaN/Inf); "
             "check the block power map before solving"
         )
-    factor = _factorize(network)
-    rise = factor.solve(node_power)
+    if factor is None:
+        factor = steady_factor(network)
+    if node_power.ndim == 1:
+        rise = factor.solve(node_power)
+    else:
+        rise = factor.solve_columns(node_power)
     if not np.all(np.isfinite(rise)):
         raise SolverError(
             "steady-state solve produced non-finite temperatures"
         )
-    _SOLVES.inc()
+    _SOLVES.inc(1 if node_power.ndim == 1 else node_power.shape[1])
     return rise
 
 

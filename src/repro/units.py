@@ -9,6 +9,7 @@ boundary only.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Union
 
 import numpy as np
@@ -45,6 +46,12 @@ def mm(value: float) -> float:
 def um(value: float) -> float:
     """Express a length given in micrometers in meters."""
     return value * 1e-6
+
+
+def is_count(value: object) -> bool:
+    """Whether ``value`` is a positive integer (a float or bool is not)."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool) and value >= 1)
 
 
 def require_positive(name: str, value: float) -> float:

@@ -46,7 +46,7 @@ from scipy import sparse
 from ..convection.flow import FlowSpec, local_h_field
 from ..errors import SolverError
 from ..materials import SILICON, Material
-from ..units import require_positive
+from ..units import is_count, require_positive
 
 #: Conjugate-gradient stopping point: residual norm over right-hand-side norm.
 RTOL = 1e-12
@@ -60,7 +60,7 @@ Operator = Callable[[np.ndarray], np.ndarray]
 def _grid_count(name: str, value: object) -> int:
     """``value`` as a cell count, or :class:`SolverError` if it is not a
     positive integer."""
-    if not isinstance(value, numbers.Integral) or value < 1:
+    if not is_count(value):
         raise SolverError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 

@@ -4,8 +4,8 @@ Pins what every solver relies on: SuperLU factors with a symmetric
 minimum-degree ordering (the fill of the fig12 OIL system is pinned,
 so a silent return to COLAMD fails), a multi-column solve is bitwise
 the per-column one, factorization failures surface as
-:class:`SolverError`, the steady factor cache is keyed on the system
-matrix's content, and a cached steady solve is bitwise a fresh
+:class:`SolverError`, the system-matrix fingerprint tells storage
+formats apart, and a steady solve is bitwise a fresh
 factor-and-solve.
 """
 
@@ -21,7 +21,7 @@ from repro.package import oil_silicon_package
 from repro.rcmodel import NetworkBuilder, ThermalGridModel
 from repro.solver import steady_state
 from repro.solver.backends import LINEAR_BACKEND
-from repro.solver.steady import _FACTOR_CACHE_ATTR, system_fingerprint
+from repro.solver.steady import system_fingerprint
 
 # Tests that factor through the engine take it as a parameter whose id
 # names it: SuperLU with a serial per-column back-solve.
@@ -105,7 +105,7 @@ def test_solve_columns_bitwise_per_column_property(seed, k):
         assert np.array_equal(blocked[:, j], factor.solve(rhs[:, j]))
 
 
-# -- the cached steady solve is a fresh factor-and-solve --------------------
+# -- the steady solve is a fresh factor-and-solve ---------------------------
 
 
 @on_engine
@@ -150,7 +150,7 @@ def test_singular_matrix_factorize_raises_solver_error(engine):
         engine.factorize(singular)
 
 
-# -- fingerprint and factor-cache identity -----------------------------------
+# -- fingerprint identity ----------------------------------------------------
 
 
 def test_fingerprint_distinguishes_storage_format():
@@ -172,13 +172,3 @@ def test_fingerprint_stable_for_identical_content():
     matrix = sparse.random(12, 12, density=0.3, random_state=0,
                            format="csc")
     assert system_fingerprint(matrix) == system_fingerprint(matrix.copy())
-
-
-def test_same_backend_reuses_cached_factor(random_network):
-    power = np.ones(random_network.n_nodes)
-    steady_state(random_network, power)
-    key_before, factor_before = getattr(random_network, _FACTOR_CACHE_ATTR)
-    assert key_before == system_fingerprint(random_network.system_matrix)
-    steady_state(random_network, 2.0 * power)
-    _, factor_after = getattr(random_network, _FACTOR_CACHE_ATTR)
-    assert factor_after is factor_before

@@ -5,6 +5,7 @@ paper's qualitative claim for that figure.  The full-resolution runs
 live in benchmarks/.
 """
 
+import numpy as np
 import pytest
 
 from repro.convection.flow import FlowDirection
@@ -184,6 +185,15 @@ def test_gcc_simulation_runs_once(fresh_gcc_caches, monkeypatch):
     common.gcc_power_trace(20_000, seed=3)
     common.gcc_synthesized_trace(0.002, 20_000, seed=3)
     assert len(runs) == 1
+
+
+def test_binned_trace_is_the_resampled_full_trace(fresh_gcc_caches):
+    common = fresh_gcc_caches
+    binned = common.gcc_synthesized_trace(0.002, 20_000, 3, 0.005, 10)
+    full = common.gcc_synthesized_trace(0.002, 20_000, seed=3)
+    expected = full.resampled(10)
+    assert binned.dt == expected.dt
+    assert np.array_equal(binned.samples, expected.samples)
 
 
 def test_shared_gcc_simulation_is_read_only(fresh_gcc_caches):

@@ -101,3 +101,23 @@ def test_partial_coverage_reported():
     plan = Floorplan([half], die_width=10e-3, die_height=10e-3)
     mapping = GridMapping(plan, nx=4, ny=4)
     assert mapping.cell_coverage.mean() == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("nx, ny", [(2.5, 4), (4, 2.0), (True, 4), (0, 4),
+                                    (4, -1)])
+def test_grid_counts_must_be_positive_integers(nx, ny):
+    plan = uniform_grid_floorplan(16e-3, 8e-3)
+    with pytest.raises(GeometryError, match="positive integer"):
+        GridMapping(plan, nx, ny)
+
+
+def test_grid_model_rejects_a_fractional_grid_count():
+    from repro.package import air_sink_package
+    from repro.rcmodel import ThermalGridModel
+
+    plan = uniform_grid_floorplan(16e-3, 8e-3)
+    config = air_sink_package(16e-3, 8e-3)
+    with pytest.raises(GeometryError, match="nx must be a positive integer"):
+        ThermalGridModel(plan, config, nx=2.5, ny=4)
+    model = ThermalGridModel(plan, config, nx=np.int64(4), ny=2)
+    assert (model.mapping.nx, model.mapping.ny) == (4, 2)

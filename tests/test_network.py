@@ -41,9 +41,9 @@ def test_system_matrix_is_symmetric_positive_definite():
 
 
 def test_system_matrix_buffers_are_frozen():
-    """The cached CSC aliases the steady solver's factor-cache keying:
-    a would-be in-place edit of its buffers raises instead of silently
-    desynchronizing matrix content and cached factorization."""
+    """Every solve shares the cached CSC: a would-be in-place edit of
+    its buffers raises instead of silently desynchronizing the matrix
+    from the network's fields."""
     net, _, _ = build_two_node()
     system = net.system_matrix
     assert not system.data.flags.writeable

@@ -134,6 +134,11 @@ def test_non_integer_grid_count_rejected():
         ReferenceFDSolver(L, L, T, FLOW, nx=2.5, ny=4, nz=2)
 
 
+def test_bool_grid_count_rejected():
+    with pytest.raises(SolverError, match="positive integer"):
+        ReferenceFDSolver(L, L, T, FLOW, nx=True, ny=4, nz=2)
+
+
 def test_steady_rise_rejects_nan_power_before_solving(solver):
     power = solver.uniform_power(1.0)
     power[0] = np.nan

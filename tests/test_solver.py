@@ -191,14 +191,6 @@ def test_factor_cache_invalidated_when_network_mutated():
     assert not np.allclose(mutated, first)
 
 
-def test_factor_cache_reused_for_unchanged_network():
-    net = single_rc(r=2.0)
-    steady_state(net, np.array([5.0]))
-    factor_before = net._cached_lu_factor[1]
-    steady_state(net, np.array([7.0]))
-    assert net._cached_lu_factor[1] is factor_before
-
-
 # --- horizon alignment (regression) -----------------------------------------
 
 

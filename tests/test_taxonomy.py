@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.taxonomy import METRIC_NAMES, METRIC_PREFIXES, known_metric
+from repro.obs.taxonomy import METRIC_NAMES
 from repro.experiments.common import celsius
 from repro.floorplan import ev6_floorplan
 from repro.package import (
@@ -161,7 +161,9 @@ def test_every_registered_name_is_emitted():
 
 def test_every_emitted_name_is_registered():
     """A metric name that the registry does not know is a
-    misspelling: it silently splits one time series in two."""
+    misspelling: it silently splits one time series in two.  An
+    f-string name cannot be checked against the registry, so it fails
+    too."""
     unknown = []
     for path, tree in _src_trees():
         for node in ast.walk(tree):
@@ -173,11 +175,8 @@ def test_every_emitted_name_is_registered():
             name = node.args[0]
             where = f"{path.relative_to(SRC)}:{node.lineno}"
             if isinstance(name, ast.Constant) and isinstance(name.value, str):
-                if not known_metric(name.value):
+                if name.value not in METRIC_NAMES:
                     unknown.append(f"{where} counter({name.value!r})")
             elif isinstance(name, ast.JoinedStr):
-                head = name.values[0] if name.values else None
-                prefix = head.value if isinstance(head, ast.Constant) else ""
-                if not prefix.startswith(METRIC_PREFIXES):
-                    unknown.append(f"{where} counter(f{prefix!r}...)")
+                unknown.append(f"{where} counter(f-string)")
     assert unknown == []

@@ -6,6 +6,7 @@ must never hold an ``(n_samples, n_nodes)`` array.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -106,8 +107,11 @@ def test_trace_job_never_materializes_node_powers(monkeypatch):
 
     (job,) = _jobs("oil", 10, "steady", seeds=[0], duration=0.13)
     raw = gcc_synthesized_trace(0.13, INSTRUCTIONS, 0)
-    monkeypatch.setattr("repro.experiments.common.gcc_synthesized_trace",
-                        lambda *args: raw)
+    monkeypatch.setattr(
+        "repro.experiments.common.gcc_synthesized_trace",
+        lambda duration, instructions, seed, mean_dwell, stride:
+            raw.resampled(stride),
+    )
     n_samples = raw.n_samples // 10
     n_nodes = job.model.build().n_nodes
     assert (n_samples, n_nodes) == (3900, 880)
@@ -120,6 +124,28 @@ def test_trace_job_never_materializes_node_powers(monkeypatch):
         tracemalloc.stop()
     assert result.arrays["block_rise_k"].shape == (n_samples + 1, 18)
     assert peak < 0.25 * n_samples * n_nodes * 8
+
+
+def test_trace_job_holds_one_factor_at_a_time(monkeypatch):
+    """The 12x12 OIL fig12 job drops its steady factor before it
+    factors the trapezoidal system, so its peak holds one LU."""
+    from repro.campaign.runners import run_trace_transient
+    from repro.solver.backends import LINEAR_BACKEND
+
+    live = weakref.WeakSet()
+    live_counts = []
+    factorize = LINEAR_BACKEND.factorize
+
+    def tracked(matrix):
+        factor = factorize(matrix)
+        live.add(factor)
+        live_counts.append(len(live))
+        return factor
+
+    monkeypatch.setattr(LINEAR_BACKEND, "factorize", tracked)
+    (job,) = _jobs("oil", 10, "steady", seeds=[0])
+    run_trace_transient(job)
+    assert live_counts == [1, 1]  # the steady LU, then the trapezoidal one
 
 
 @pytest.fixture(scope="module")
