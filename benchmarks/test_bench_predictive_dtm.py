@@ -15,7 +15,7 @@ from repro.dtm import (
     PredictiveDTMController,
     time_above_threshold,
 )
-from repro.experiments.common import celsius, ev6_air_model, ev6_oil_model
+from repro.experiments.common import uniform_package_specs
 from repro.floorplan import ev6_floorplan
 from repro.power import pulse_train
 from repro.sensors import SensorArray, place_at_block
@@ -23,7 +23,6 @@ from repro.sensors import SensorArray, place_at_block
 
 def run_comparison():
     plan = ev6_floorplan()
-    ambient = celsius(45.0)
     trace = pulse_train(
         plan, "Dcache", on_power=14.0, on_time=0.02, off_time=0.04,
         cycles=6, dt=1e-3, base_power={"Dcache": 4.0},
@@ -31,13 +30,8 @@ def run_comparison():
     sensors = SensorArray([place_at_block(plan, "Dcache")])
     policy = ClockGating(0.2, targets=["Dcache", "IntReg", "IntExec"])
     rows = {}
-    for package, model in (
-        ("oil", ev6_oil_model(nx=16, ny=16, uniform_h=True,
-                              target_resistance=1.0,
-                              include_secondary=False, ambient=ambient)),
-        ("air", ev6_air_model(nx=16, ny=16, convection_resistance=1.0,
-                              ambient=ambient)),
-    ):
+    for package, spec in uniform_package_specs(16, 16, ambient_c=45.0).items():
+        model = spec.build()
         threshold = model.config.ambient + 20.0
         common = dict(threshold=threshold, engagement_duration=10e-3)
         reactive = DTMController(

@@ -11,7 +11,7 @@ engagements.
 import numpy as np
 
 from repro.dtm import ClockGating, DTMController
-from repro.experiments.common import celsius, ev6_air_model, ev6_oil_model
+from repro.experiments.common import uniform_package_specs
 from repro.power import constant_power
 from repro.sensors import SensorArray, place_at_block
 from repro.solver import simulate_schedule, steady_state
@@ -53,11 +53,8 @@ def _cooldown(model, hot_block="Dcache", base=8.0, burst=16.0, dt=0.5e-3):
 
 
 def run_experiment():
-    ambient = celsius(45.0)
-    oil = ev6_oil_model(nx=20, ny=20, uniform_h=True, target_resistance=1.0,
-                        include_secondary=False, ambient=ambient)
-    air = ev6_air_model(nx=20, ny=20, convection_resistance=1.0,
-                        ambient=ambient)
+    specs = uniform_package_specs(20, 20, ambient_c=45.0)
+    oil, air = specs["oil"].build(), specs["air"].build()
     oil_cooldown = _cooldown(oil)
     air_cooldown = _cooldown(air)
 

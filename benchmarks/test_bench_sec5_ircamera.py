@@ -18,8 +18,8 @@ figures use:
 
 import numpy as np
 
+from repro.campaign import ModelSpec
 from repro.experiments import run_fig10
-from repro.experiments.common import celsius, ev6_air_model
 from repro.floorplan import GridMapping, ev6_floorplan
 from repro.ircamera import IRCamera, missed_peak_fraction
 from repro.power import pulse_train
@@ -30,8 +30,10 @@ from repro.solver import simulate_schedule, steady_state
 def seen_violation_time():
     """Fraction of the true violation time each camera rate reports."""
     plan = ev6_floorplan()
-    model = ev6_air_model(nx=20, ny=20, convection_resistance=0.3,
-                          ambient=celsius(45.0))
+    model = ModelSpec(
+        chip="ev6", package="air", nx=20, ny=20, convection_resistance=0.3,
+        include_secondary=False, ambient_c=45.0,
+    ).build()
     trace = pulse_train(
         plan, "IntReg", on_power=12.0, on_time=0.003, off_time=0.027,
         cycles=10, dt=0.5e-3,

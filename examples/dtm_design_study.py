@@ -12,7 +12,7 @@ Run:  python examples/dtm_design_study.py
 """
 
 from repro.dtm import ClockGating, DTMController
-from repro.experiments.common import celsius, ev6_air_model, ev6_oil_model
+from repro.experiments.common import uniform_package_specs
 from repro.floorplan import ev6_floorplan
 from repro.power import pulse_train
 from repro.sensors import SensorArray, place_at_block
@@ -21,7 +21,6 @@ from repro.units import ZERO_CELSIUS_IN_KELVIN as ZC
 
 def main() -> None:
     plan = ev6_floorplan()
-    ambient = celsius(45.0)
 
     # A bursty workload on the D-cache: 15 ms bursts at high power over
     # a warm background, the Fig. 8 pattern that stresses DTM.
@@ -30,14 +29,10 @@ def main() -> None:
         cycles=8, dt=1e-3, base_power={"Dcache": 4.0, "IntReg": 1.0},
     )
 
+    specs = uniform_package_specs(20, 20, ambient_c=45.0)
     models = {
-        "OIL-SILICON": ev6_oil_model(
-            nx=20, ny=20, uniform_h=True, target_resistance=1.0,
-            include_secondary=False, ambient=ambient,
-        ),
-        "AIR-SINK": ev6_air_model(
-            nx=20, ny=20, convection_resistance=1.0, ambient=ambient
-        ),
+        "OIL-SILICON": specs["oil"].build(),
+        "AIR-SINK": specs["air"].build(),
     }
     sensors = SensorArray([place_at_block(plan, "Dcache")])
     policy = ClockGating(0.2, targets=["Dcache", "IntReg", "IntExec"])

@@ -19,8 +19,9 @@ Run:  python examples/ir_measurement_pitfalls.py
 import numpy as np
 
 from repro.analysis import reverse_engineer_power
+from repro.campaign import ModelSpec
 from repro.convection.flow import FlowDirection
-from repro.experiments.common import celsius, ev6_air_model
+from repro.experiments.common import celsius
 from repro.floorplan import GridMapping, ev6_floorplan, multicore_floorplan
 from repro.ircamera import IRCamera, missed_peak_fraction
 from repro.package import oil_silicon_package
@@ -33,8 +34,10 @@ from repro.units import ZERO_CELSIUS_IN_KELVIN as ZC
 def missed_transients() -> None:
     print("=== pitfall 1: the camera misses millisecond events ===")
     plan = ev6_floorplan()
-    model = ev6_air_model(nx=20, ny=20, convection_resistance=0.3,
-                          ambient=celsius(45.0))
+    model = ModelSpec(
+        chip="ev6", package="air", nx=20, ny=20, convection_resistance=0.3,
+        include_secondary=False, ambient_c=45.0,
+    ).build()
     trace = pulse_train(
         plan, "IntReg", on_power=12.0, on_time=0.003, off_time=0.027,
         cycles=10, dt=0.5e-3,

@@ -46,13 +46,6 @@ class TranslationResult:
     corrected_temps: Optional[np.ndarray]  # leakage-aware target temps
     measurement_temps: np.ndarray      # what was measured (K)
 
-    @property
-    def correction_magnitude(self) -> float:
-        """Largest |corrected - naive| block temperature, K."""
-        if self.corrected_temps is None:
-            return 0.0
-        return float(np.max(np.abs(self.corrected_temps - self.naive_temps)))
-
 
 def translate_measurement(
     measured_block_temps: np.ndarray,

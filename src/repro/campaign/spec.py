@@ -87,6 +87,8 @@ class ModelSpec:
     velocity: float = 10.0
     uniform_h: bool = False
     target_resistance: Optional[float] = None
+    #: secondary (pins/board) path of "oil" and "air" (ignored by menu
+    #: packages); the default is oil's, so an AIR-SINK spec passes False
     include_secondary: bool = True
     #: air knob (ignored by "oil" and menu packages)
     convection_resistance: float = 1.0
@@ -106,6 +108,12 @@ class ModelSpec:
         if self.chip not in chips:
             raise ConfigurationError(
                 f"unknown chip {self.chip!r}; expected one of {sorted(chips)}"
+            )
+        directions = [d.value for d in FlowDirection]
+        if self.direction not in directions:
+            raise ConfigurationError(
+                f"unknown direction {self.direction!r}; expected one of "
+                f"{directions}"
             )
         plan = chips[self.chip]()
         ambient = self.ambient_c + ZERO_CELSIUS_IN_KELVIN

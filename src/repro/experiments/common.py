@@ -1,21 +1,25 @@
 """Shared setup for the paper experiments.
 
-Centralizes the standard geometries, packages and workload powers so
-every figure reproduces from the same baseline, exactly as the paper's
-experiments all share one modified-HotSpot configuration.
+Holds the constants every figure shares (the validation die, the oil
+velocities, the Celsius shorthand) and the cached gcc-like EV6 power
+traces.  Models are not built here: each figure states its model as a
+:class:`~repro.campaign.ModelSpec` and calls ``build()``, so a figure,
+a campaign job and a bench describe a package the same way.  The one
+shared spec pair is :func:`uniform_package_specs`.  Figs. 2, 3 and 7
+build their validation slab directly (a synthetic floorplan, a set die
+thickness and, in Fig. 7, a custom sink).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..convection.flow import FlowDirection
-from ..floorplan import athlon_floorplan, ev6_floorplan
+from ..campaign.spec import ModelSpec
+from ..floorplan import ev6_floorplan
 from ..microarch import MicroarchSimulator, TraceSynthesizer, gcc_like_workload
-from ..package import air_sink_package, oil_silicon_package
 from ..power.trace import PowerTrace
 from ..rcmodel import ThermalGridModel
 from ..units import ZERO_CELSIUS_IN_KELVIN, mm
@@ -33,51 +37,40 @@ VALIDATION_VELOCITY = 10.0
 #: the paper's Fig. 5(a) reports.
 ATHLON_OIL_VELOCITY = 3.0
 
-#: Default grid resolution for experiment runs (benches may lower it).
-DEFAULT_GRID = 32
-
 
 def celsius(value: float) -> float:
     """Celsius -> Kelvin shorthand for experiment configs."""
     return value + ZERO_CELSIUS_IN_KELVIN
 
 
-def ev6_oil_model(
-    nx: int = DEFAULT_GRID,
-    ny: int = DEFAULT_GRID,
-    direction: FlowDirection = FlowDirection.LEFT_TO_RIGHT,
-    velocity: float = VALIDATION_VELOCITY,
-    uniform_h: bool = False,
-    target_resistance: Optional[float] = None,
-    include_secondary: bool = True,
-    ambient: float = celsius(45.0),
-) -> ThermalGridModel:
-    """EV6 die in the OIL-SILICON package."""
-    plan = ev6_floorplan()
-    config = oil_silicon_package(
-        plan.die_width, plan.die_height,
-        velocity=velocity, direction=direction, uniform_h=uniform_h,
-        target_resistance=target_resistance,
-        include_secondary=include_secondary, ambient=ambient,
-    )
-    return ThermalGridModel(plan, config, nx=nx, ny=ny)
+def uniform_package_specs(
+    nx: int, ny: int, ambient_c: float
+) -> Dict[str, ModelSpec]:
+    """The like-for-like EV6 pair of Figs. 6, 8 and 9 and the DTM study.
+
+    OIL-SILICON with a uniform film and AIR-SINK, each with a 1 K/W
+    convection resistance and no secondary path, keyed ``"oil"`` and
+    ``"air"`` in that order.
+    """
+    return {
+        "oil": ModelSpec(
+            chip="ev6", package="oil", nx=nx, ny=ny, uniform_h=True,
+            target_resistance=1.0, include_secondary=False,
+            ambient_c=ambient_c,
+        ),
+        "air": ModelSpec(
+            chip="ev6", package="air", nx=nx, ny=ny,
+            convection_resistance=1.0, include_secondary=False,
+            ambient_c=ambient_c,
+        ),
+    }
 
 
-def ev6_air_model(
-    nx: int = DEFAULT_GRID,
-    ny: int = DEFAULT_GRID,
-    convection_resistance: float = 1.0,
-    include_secondary: bool = False,
-    ambient: float = celsius(45.0),
-) -> ThermalGridModel:
-    """EV6 die in the AIR-SINK package."""
-    plan = ev6_floorplan()
-    config = air_sink_package(
-        plan.die_width, plan.die_height,
-        convection_resistance=convection_resistance,
-        include_secondary=include_secondary, ambient=ambient,
-    )
-    return ThermalGridModel(plan, config, nx=nx, ny=ny)
+def ev6_air_model(nx: int, ny: int) -> ThermalGridModel:
+    """EV6 die in the AIR-SINK package (kept for ``benchmarks/e2e``)."""
+    return ModelSpec(
+        chip="ev6", package="air", nx=nx, ny=ny, include_secondary=False
+    ).build()
 
 
 def _trace_store():
@@ -178,39 +171,3 @@ def gcc_synthesized_trace(
         if store is not None:
             store.put_trace(key, trace)
     return trace.resampled(stride) if stride > 1 else trace
-
-
-def athlon_oil_model(
-    nx: int = DEFAULT_GRID,
-    ny: int = DEFAULT_GRID,
-    include_secondary: bool = True,
-    ambient: float = celsius(37.0),
-) -> ThermalGridModel:
-    """Athlon die under oil (the Fig. 4-5 configuration)."""
-    plan = athlon_floorplan()
-    config = oil_silicon_package(
-        plan.die_width, plan.die_height,
-        velocity=ATHLON_OIL_VELOCITY,
-        direction=FlowDirection.LEFT_TO_RIGHT,
-        include_secondary=include_secondary,
-        ambient=ambient,
-    )
-    return ThermalGridModel(plan, config, nx=nx, ny=ny)
-
-
-def athlon_air_model(
-    nx: int = DEFAULT_GRID,
-    ny: int = DEFAULT_GRID,
-    convection_resistance: float = 1.0,
-    include_secondary: bool = False,
-    ambient: float = celsius(37.0),
-) -> ThermalGridModel:
-    """Athlon die under the AIR-SINK package."""
-    plan = athlon_floorplan()
-    config = air_sink_package(
-        plan.die_width, plan.die_height,
-        convection_resistance=convection_resistance,
-        include_secondary=include_secondary,
-        ambient=ambient,
-    )
-    return ThermalGridModel(plan, config, nx=nx, ny=ny)

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..campaign import CampaignSpec, JobSpec, ModelSpec, ResultCache, run_campaign
+from ..campaign import CampaignSpec, JobSpec, ResultCache, run_campaign
+from .common import uniform_package_specs
 
 #: Blocks a core-local policy (throttling, gating) acts on.
 CORE_BLOCKS = (
@@ -41,20 +42,6 @@ class DTMPolicyOutcome:
     n_engagements: int
 
 
-def _package_models(nx: int, ny: int) -> Dict[str, ModelSpec]:
-    return {
-        "oil": ModelSpec(
-            chip="ev6", package="oil", nx=nx, ny=ny, uniform_h=True,
-            target_resistance=1.0, include_secondary=False, ambient_c=45.0,
-        ),
-        "air": ModelSpec(
-            chip="ev6", package="air", nx=nx, ny=ny,
-            convection_resistance=1.0, include_secondary=False,
-            ambient_c=45.0,
-        ),
-    }
-
-
 def dtm_campaign(
     nx: int = 16,
     ny: int = 16,
@@ -65,7 +52,7 @@ def dtm_campaign(
 ) -> CampaignSpec:
     """The (package x policy) sweep of the DTM comparison bench."""
     jobs = []
-    for package, model in _package_models(nx, ny).items():
+    for package, model in uniform_package_specs(nx, ny, ambient_c=45.0).items():
         for policy, (strength, targets) in BASELINE_POLICIES.items():
             jobs.append(JobSpec.make(
                 "dtm_policy",

@@ -16,10 +16,11 @@ from typing import Dict
 import numpy as np
 
 from ..analysis.thermal_maps import coolest_block, hottest_block
+from ..campaign import ModelSpec
 from ..floorplan import athlon_reference_power
 from ..solver import steady_state
 from ..units import ZERO_CELSIUS_IN_KELVIN
-from .common import athlon_oil_model
+from .common import ATHLON_OIL_VELOCITY
 
 
 @dataclass
@@ -42,7 +43,10 @@ class Fig04Result:
 
 def run_fig04(nx: int = 32, ny: int = 32) -> Fig04Result:
     """Run the Fig. 4 Athlon steady-state experiment."""
-    model = athlon_oil_model(nx=nx, ny=ny)
+    model = ModelSpec(
+        chip="athlon", package="oil", nx=nx, ny=ny,
+        velocity=ATHLON_OIL_VELOCITY, ambient_c=37.0,
+    ).build()
     powers = athlon_reference_power()
     rise = steady_state(model.network, model.node_power(powers))
     temps_k = model.floorplan.power_dict(model.block_temperatures(rise))

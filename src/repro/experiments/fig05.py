@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-
+from ..campaign import ModelSpec
 from ..floorplan import athlon_reference_power
 from ..solver import steady_block_temperatures
 from ..units import ZERO_CELSIUS_IN_KELVIN
-from .common import athlon_air_model, athlon_oil_model
+from .common import ATHLON_OIL_VELOCITY
 
 
 @dataclass
@@ -46,21 +46,18 @@ def run_fig05(nx: int = 32, ny: int = 32) -> Fig05Result:
     """Run the Fig. 5 secondary-path ablation on the Athlon."""
     powers = athlon_reference_power()
 
-    def temps(model) -> Dict[str, float]:
+    def temps(package: str, include_secondary: bool) -> Dict[str, float]:
+        model = ModelSpec(
+            chip="athlon", package=package, nx=nx, ny=ny,
+            velocity=ATHLON_OIL_VELOCITY, ambient_c=37.0,
+            include_secondary=include_secondary,
+        ).build()
         kelvin = steady_block_temperatures(model, powers)
         return {k: v - ZERO_CELSIUS_IN_KELVIN for k, v in kelvin.items()}
 
     return Fig05Result(
-        oil_with_secondary=temps(
-            athlon_oil_model(nx=nx, ny=ny, include_secondary=True)
-        ),
-        oil_without_secondary=temps(
-            athlon_oil_model(nx=nx, ny=ny, include_secondary=False)
-        ),
-        air_with_secondary=temps(
-            athlon_air_model(nx=nx, ny=ny, include_secondary=True)
-        ),
-        air_without_secondary=temps(
-            athlon_air_model(nx=nx, ny=ny, include_secondary=False)
-        ),
+        oil_with_secondary=temps("oil", True),
+        oil_without_secondary=temps("oil", False),
+        air_with_secondary=temps("air", True),
+        air_without_secondary=temps("air", False),
     )

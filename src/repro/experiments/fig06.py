@@ -25,7 +25,7 @@ import numpy as np
 from ..power.synthetic import step_power
 from ..solver import steady_state, transient_simulate
 from ..units import ZERO_CELSIUS_IN_KELVIN
-from .common import celsius, ev6_air_model, ev6_oil_model
+from .common import uniform_package_specs
 
 
 @dataclass
@@ -85,14 +85,8 @@ def run_fig06(
     ny: int = 24,
 ) -> Fig06Result:
     """Run the Fig. 6 warm-up experiment."""
-    ambient = celsius(40.0)
-    oil = ev6_oil_model(
-        nx=nx, ny=ny, uniform_h=True, target_resistance=1.0,
-        include_secondary=False, ambient=ambient,
-    )
-    air = ev6_air_model(
-        nx=nx, ny=ny, convection_resistance=1.0, ambient=ambient
-    )
+    specs = uniform_package_specs(nx, ny, ambient_c=40.0)
+    oil, air = specs["oil"].build(), specs["air"].build()
     plan = oil.floorplan
     trace = step_power(plan, hot_block, power_density, duration=t_end, dt=dt)
     power_vector = trace.samples[0]
@@ -107,7 +101,7 @@ def run_fig06(
     oil_result = run(oil)
     air_result = run(air)
     hot_index = plan.index_of(hot_block)
-    ambient_c = ambient - ZERO_CELSIUS_IN_KELVIN
+    ambient_c = oil.config.ambient - ZERO_CELSIUS_IN_KELVIN
 
     def to_c(states: np.ndarray) -> np.ndarray:
         return states + ambient_c

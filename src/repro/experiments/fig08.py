@@ -21,7 +21,7 @@ import numpy as np
 
 from ..power.synthetic import pulse_train
 from ..solver import simulate_schedule, steady_state
-from .common import celsius, ev6_air_model, ev6_oil_model
+from .common import uniform_package_specs
 
 
 @dataclass
@@ -98,14 +98,8 @@ def run_fig08(
     periods: int = 1,
 ) -> Fig08Result:
     """Run the Fig. 8 pulse-train experiment."""
-    ambient = celsius(40.0)
-    oil = ev6_oil_model(
-        nx=nx, ny=ny, uniform_h=True, target_resistance=1.0,
-        include_secondary=False, ambient=ambient,
-    )
-    air = ev6_air_model(
-        nx=nx, ny=ny, convection_resistance=1.0, ambient=ambient
-    )
+    specs = uniform_package_specs(nx, ny, ambient_c=40.0)
+    oil, air = specs["oil"].build(), specs["air"].build()
     plan = oil.floorplan
     on_power = power_density * plan[hot_block].area
     trace = pulse_train(

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..power.synthetic import power_handoff
 from ..solver import simulate_schedule
-from .common import celsius, ev6_air_model, ev6_oil_model
+from .common import uniform_package_specs
 
 
 @dataclass
@@ -60,14 +60,8 @@ def run_fig09(
     ny: int = 24,
 ) -> Fig09Result:
     """Run the Fig. 9 hot-spot migration experiment."""
-    ambient = celsius(45.0)
-    oil = ev6_oil_model(
-        nx=nx, ny=ny, uniform_h=True, target_resistance=1.0,
-        include_secondary=False, ambient=ambient,
-    )
-    air = ev6_air_model(
-        nx=nx, ny=ny, convection_resistance=1.0, ambient=ambient
-    )
+    specs = uniform_package_specs(nx, ny, ambient_c=45.0)
+    oil, air = specs["oil"].build(), specs["air"].build()
     plan = oil.floorplan
     trace = power_handoff(
         plan, "IntReg", "FPMap", power, switch_time, total_time, dt

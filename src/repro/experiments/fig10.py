@@ -19,9 +19,10 @@ from typing import Dict
 import numpy as np
 
 from ..analysis.thermal_maps import MapStatistics
+from ..campaign import ModelSpec
 from ..solver import steady_state
 from ..units import ZERO_CELSIUS_IN_KELVIN
-from .common import celsius, ev6_air_model, ev6_oil_model, gcc_average_power
+from .common import gcc_average_power
 
 
 @dataclass
@@ -53,15 +54,15 @@ def run_fig10(
     instructions: int = 500_000,
 ) -> Fig10Result:
     """Run the Fig. 10 steady-map comparison."""
-    ambient = celsius(45.0)
     powers = gcc_average_power(instructions)
-    oil = ev6_oil_model(
-        nx=nx, ny=ny, target_resistance=rconv, include_secondary=True,
-        ambient=ambient,
-    )
-    air = ev6_air_model(
-        nx=nx, ny=ny, convection_resistance=rconv, ambient=ambient
-    )
+    oil = ModelSpec(
+        chip="ev6", package="oil", nx=nx, ny=ny, target_resistance=rconv,
+        include_secondary=True, ambient_c=45.0,
+    ).build()
+    air = ModelSpec(
+        chip="ev6", package="air", nx=nx, ny=ny, convection_resistance=rconv,
+        include_secondary=False, ambient_c=45.0,
+    ).build()
 
     def solve(model):
         rise = steady_state(model.network, model.node_power(powers))

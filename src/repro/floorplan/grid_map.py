@@ -170,16 +170,6 @@ class GridMapping:
         weights[row.indices] = row.data / self._areas[block_index]
         return weights
 
-    def cell_to_block_max(self, cell_values: np.ndarray) -> np.ndarray:
-        """Maximum of a cell field over the cells each block touches."""
-        cell_values = np.asarray(cell_values, dtype=float)
-        result = np.empty(self.n_blocks)
-        indptr, indices = self._overlap.indptr, self._overlap.indices
-        for b in range(self.n_blocks):
-            cells = indices[indptr[b]:indptr[b + 1]]
-            result[b] = cell_values[cells].max()
-        return result
-
     # --- geometry helpers --------------------------------------------------
 
     def cell_centers(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -40,14 +40,6 @@ class Material:
         """Volumetric heat capacity in J/(m^3 K)."""
         return self.density * self.specific_heat
 
-    def with_conductivity(self, conductivity: float) -> "Material":
-        """Return a copy with a different conductivity.
-
-        Useful for modelling effective-medium layers (e.g. interconnect
-        stacks whose conductivity depends on metal density).
-        """
-        return Material(self.name, conductivity, self.density, self.specific_heat)
-
 
 # --- Solids -----------------------------------------------------------------
 

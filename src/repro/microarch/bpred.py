@@ -88,8 +88,3 @@ class BimodalPredictor:
         if self.predictions == 0:
             return 0.0
         return self.mispredictions / self.predictions
-
-    def reset_statistics(self) -> None:
-        """Zero the counters' statistics (state is kept)."""
-        self.predictions = 0
-        self.mispredictions = 0

@@ -133,11 +133,6 @@ class SetAssociativeCache:
             return 0.0
         return self.misses / self.accesses
 
-    def reset_statistics(self) -> None:
-        """Zero the counters (contents are kept warm)."""
-        self.accesses = 0
-        self.misses = 0
-
 
 @dataclass
 class HierarchyStats:

@@ -33,7 +33,11 @@ _NO_VALUES = np.zeros(0)
 
 
 class ThermalNetwork:
-    """An assembled thermal RC network (see module docstring)."""
+    """An assembled thermal RC network (see module docstring).
+
+    The network is immutable: its vectors are made read-only here, so
+    the cached system matrix can never fall out of step with them.
+    """
 
     def __init__(
         self,
@@ -56,6 +60,8 @@ class ThermalNetwork:
                 "no path to ambient: the steady-state problem is singular"
             )
         self._laplacian = conductance.tocsr()
+        ambient_conductance.setflags(write=False)
+        capacitance.setflags(write=False)
         self.ambient_conductance = ambient_conductance
         self.capacitance = capacitance
         self.node_labels = dict(node_labels or {})
@@ -76,11 +82,8 @@ class ThermalNetwork:
         """``A = L + diag(g_amb)``, cached in CSC form for factorization.
 
         The returned matrix is the cached instance itself, shared by
-        every solve of this network: an in-place edit of its buffers
-        would leave it out of step with the network's fields.  The CSC
-        buffers are therefore frozen — mutate the network through its
-        public fields and call :meth:`invalidate` instead, or
-        ``.copy()`` the matrix first.
+        every solve of this network, so its CSC buffers are frozen:
+        ``.copy()`` the matrix before editing it.
         """
         if self._system is None:
             system = (
@@ -91,15 +94,6 @@ class ThermalNetwork:
             system.indptr.setflags(write=False)
             self._system = system
         return self._system
-
-    def invalidate(self) -> None:
-        """Drop the cached system matrix after an in-place mutation.
-
-        Call after editing ``ambient_conductance`` (or the Laplacian)
-        directly; the next solve then reassembles ``A`` from the edited
-        fields.
-        """
-        self._system = None
 
     def total_ambient_conductance(self) -> float:
         """Sum of all conductances to ambient, W/K."""

@@ -2,19 +2,14 @@
 
 All internal computation is in SI units: meters, kilograms, seconds,
 Watts, and Kelvin.  The paper reports most temperatures in degrees
-Celsius, so conversion helpers are provided and used at the reporting
-boundary only.
+Celsius; results convert with :data:`ZERO_CELSIUS_IN_KELVIN` at the
+reporting boundary only.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Union
-
-import numpy as np
-
-ArrayLike = Union[float, np.ndarray]
 
 #: Offset between the Kelvin and Celsius scales.
 ZERO_CELSIUS_IN_KELVIN = 273.15
@@ -22,20 +17,6 @@ ZERO_CELSIUS_IN_KELVIN = 273.15
 #: Ambient temperature HotSpot uses by default (45 C), also the ambient
 #: the paper uses for the Fig. 12 experiments.
 DEFAULT_AMBIENT_KELVIN = 45.0 + ZERO_CELSIUS_IN_KELVIN
-
-
-def celsius_to_kelvin(temp_c: ArrayLike) -> ArrayLike:
-    """Convert a temperature (scalar or array) from Celsius to Kelvin."""
-    if isinstance(temp_c, np.ndarray):
-        return np.asarray(temp_c, dtype=float) + ZERO_CELSIUS_IN_KELVIN
-    return float(temp_c) + ZERO_CELSIUS_IN_KELVIN
-
-
-def kelvin_to_celsius(temp_k: ArrayLike) -> ArrayLike:
-    """Convert a temperature (scalar or array) from Kelvin to Celsius."""
-    if isinstance(temp_k, np.ndarray):
-        return np.asarray(temp_k, dtype=float) - ZERO_CELSIUS_IN_KELVIN
-    return float(temp_k) - ZERO_CELSIUS_IN_KELVIN
 
 
 def mm(value: float) -> float:

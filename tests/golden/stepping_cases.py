@@ -37,7 +37,7 @@ def _dtm(out: Dict[str, np.ndarray], name: str, run) -> None:
 
 
 def _solver_cases(out: Dict[str, np.ndarray]) -> None:
-    from repro.experiments.common import ev6_air_model, ev6_oil_model
+    from repro.campaign import ModelSpec
     from repro.solver import (
         BatchScenario,
         PiecewiseConstantSchedule,
@@ -48,7 +48,7 @@ def _solver_cases(out: Dict[str, np.ndarray]) -> None:
     )
 
     rng = np.random.default_rng(2009)
-    air = ev6_air_model(nx=4, ny=4)
+    air = ModelSpec(package="air", nx=4, ny=4, include_secondary=False).build()
     net = air.network
     p = [air.node_power(rng.uniform(0.5, 4.0, air.n_blocks))
          for _ in range(3)]
@@ -79,7 +79,7 @@ def _solver_cases(out: Dict[str, np.ndarray]) -> None:
     _result(out, "ss_node_short_steps",
             simulate_schedule(net, node_schedule, dt=2e-3))
 
-    oil = ev6_oil_model(nx=6, ny=6, uniform_h=True)
+    oil = ModelSpec(nx=6, ny=6, uniform_h=True).build()
     samples = [rng.uniform(0.0, 3.0, (20, oil.n_blocks)) for _ in range(3)]
     traces = [PiecewiseConstantSchedule.uniform(s, 1e-3, oil)
               for s in samples]
@@ -122,12 +122,11 @@ def _dtm_cases(out: Dict[str, np.ndarray]) -> None:
     from repro.dtm import (ClockGating, DTMController, DVFS, FetchThrottle,
                            PredictiveDTMController)
     from repro.dtm.batch import run_dtm_batch
-    from repro.experiments.common import ev6_oil_model
+    from repro.experiments.common import uniform_package_specs
     from repro.power import pulse_train
     from repro.sensors import SensorArray, place_at_block
 
-    model = ev6_oil_model(nx=8, ny=8, uniform_h=True, target_resistance=1.0,
-                          include_secondary=False)
+    model = uniform_package_specs(8, 8, ambient_c=45.0)["oil"].build()
     plan = model.floorplan
     sensors = SensorArray([place_at_block(plan, "Dcache"),
                            place_at_block(plan, "IntReg")])

@@ -93,6 +93,36 @@ def test_params_must_be_primitives():
         JobSpec.make("diagnostic", tag="bad", callback=lambda: None)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("chip", "pentium"), ("package", "water"), ("direction", "up"),
+])
+def test_unknown_model_names_are_configuration_errors(field, value):
+    with pytest.raises(ConfigurationError, match=f"unknown {field} '{value}'"):
+        ModelSpec(nx=4, ny=4, **{field: value}).build()
+
+
+def test_registered_campaign_hashes_are_pinned():
+    """Stored campaign results stay warm: a change to any spec, its
+    defaults or its hash input moves one of these, and must re-pin it
+    together with a ``SPEC_VERSION`` bump."""
+    from repro.experiments.design_space import design_space_campaign
+    from repro.experiments.dtm_study import dtm_campaign
+    from repro.experiments.fig11 import fig11_campaign
+    from repro.experiments.fig12 import fig12_campaign
+
+    assert {
+        "fig11": fig11_campaign().content_hash,
+        "fig12": fig12_campaign().content_hash,
+        "dtm": dtm_campaign().content_hash,
+        "design_space": design_space_campaign().content_hash,
+    } == {
+        "fig11": "f8044fa8189b7a7d7c3c6753ec26cbc2efa8156d4daf3d8b9f38473dd25c4fe2",
+        "fig12": "8ab3ad80c48207e33ca34abab96b6089540df13fcade4500609a1fe59a0ef346",
+        "dtm": "03b41cc25808c6114926a71fa9b4be0133af67c08cf38bedad42f898952031ca",
+        "design_space": "9dbbc3370e49833c1dca2574cd2dcafa37ded6b24dc36980f0267bf69e1ddd68",
+    }
+
+
 def test_registered_campaigns_cross_the_pool_boundary():
     """Every registered campaign's jobs, and what a job returns, survive
     the pickling that a pool worker's call and return go through."""

@@ -46,15 +46,6 @@ def test_block_average_time_series_shape():
     )
 
 
-def test_block_max_bounds_average():
-    plan = ev6_floorplan()
-    mapping = GridMapping(plan, nx=16, ny=16)
-    field = np.random.default_rng(1).random(mapping.n_cells)
-    avg = mapping.cell_to_block_average(field)
-    mx = mapping.cell_to_block_max(field)
-    assert np.all(mx >= avg - 1e-12)
-
-
 def test_power_round_trip_uniform_grid():
     # On an aligned grid, distributing then averaging a density is exact.
     plan = uniform_grid_floorplan(8e-3, 8e-3, nx=4, ny=4)

@@ -47,13 +47,6 @@ def test_material_rejects_nonpositive_properties():
         Fluid("bad", 1.0, 1.0, 1.0, kinematic_viscosity=0.0)
 
 
-def test_with_conductivity_copies():
-    doped = SILICON.with_conductivity(120.0)
-    assert doped.conductivity == 120.0
-    assert doped.density == SILICON.density
-    assert SILICON.conductivity == 100.0  # original untouched
-
-
 def test_registries_are_keyed_by_name():
     assert MATERIALS["silicon"] is SILICON
     assert FLUIDS["mineral_oil"] is MINERAL_OIL

@@ -93,8 +93,6 @@ class TestBpred:
             np.array([0, 4], dtype=np.int64), np.array([True, False])
         )
         assert predictor.predictions == 2
-        predictor.reset_statistics()
-        assert predictor.predictions == 0
 
 
 class TestCaches:

@@ -53,12 +53,18 @@ def test_system_matrix_buffers_are_frozen():
     assert system.toarray().shape == (2, 2)
     mutable = system.copy()
     mutable.data[0] = 99.0  # a copy is fair game
-    # invalidate() + reassembly still produces a fresh frozen matrix
-    net.invalidate()
-    again = net.system_matrix
-    assert again is not system
-    assert not again.data.flags.writeable
-    np.testing.assert_allclose(again.toarray(), system.toarray())
+
+
+def test_network_vectors_are_read_only():
+    """The network is immutable: an in-place edit of a vector the
+    cached system matrix was built from raises."""
+    net, a, _ = build_two_node()
+    with pytest.raises(ValueError, match="read-only"):
+        net.ambient_conductance[a] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        net.capacitance[a] = 5.0
+    np.testing.assert_allclose(net.system_matrix.toarray(),
+                               [[0.5, -0.5], [-0.5, 0.75]])
 
 
 def test_parallel_conductances_accumulate():
@@ -233,13 +239,14 @@ class PerEdgeNetworkBuilder:
 
 @pytest.mark.parametrize("package", ["air", "oil"])
 def test_array_appends_equal_per_edge_build(monkeypatch, package):
-    from repro.experiments.common import ev6_air_model, ev6_oil_model
+    from repro.campaign import ModelSpec
 
-    build = ev6_air_model if package == "air" else ev6_oil_model
-    arrays = build(nx=12, ny=12).network
+    spec = ModelSpec(package=package, nx=12, ny=12,
+                     include_secondary=package == "oil")
+    arrays = spec.build().network
     monkeypatch.setattr("repro.rcmodel.grid.NetworkBuilder",
                         PerEdgeNetworkBuilder)
-    per_edge = build(nx=12, ny=12).network
+    per_edge = spec.build().network
     for a, b in ((arrays.system_matrix, per_edge.system_matrix),
                  (arrays.laplacian, per_edge.laplacian)):
         for field in ("data", "indices", "indptr"):

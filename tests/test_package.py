@@ -1,5 +1,8 @@
 """Tests for cooling-configuration descriptions."""
 
+import ast
+import pathlib
+
 import pytest
 
 from repro.convection.flow import FlowDirection, FlowSpec
@@ -137,3 +140,25 @@ class TestSecondaryPath:
             layer.footprint(DIE_W, DIE_H)[0] for layer in path.layers
         ]
         assert widths == sorted(widths)
+
+
+def test_packages_are_built_only_through_model_specs():
+    """An EV6 or Athlon model is a ``ModelSpec``: inside ``src/repro``
+    only the package layer, the spec, the CLI's ``.flp`` path and the
+    validation slabs of Figs. 2, 3 and 7 call the package builders."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    allowed = {"campaign/spec.py", "cli.py", "experiments/fig02.py",
+               "experiments/fig03.py", "experiments/fig07.py"}
+    builders = {"oil_silicon_package", "air_sink_package"}
+    callers = set()
+    for path in root.rglob("*.py"):
+        module = path.relative_to(root).as_posix()
+        if module.startswith("package/") or module in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in builders:
+                    callers.add(f"{module}:{node.lineno}")
+    assert not callers, f"build these models with ModelSpec: {sorted(callers)}"

@@ -14,9 +14,8 @@ import pytest
 from repro import obs
 from repro.analysis import power_variation_study
 from repro.analysis.reverse_power import block_response_matrix
-from repro.campaign import JobSpec
+from repro.campaign import JobSpec, ModelSpec
 from repro.errors import SolverError
-from repro.experiments.common import ev6_oil_model
 from repro.experiments.fig12 import fig12_ensemble_campaign
 from repro.solver import steady_state, steady_state_with_leakage
 from repro.solver.backends import LINEAR_BACKEND
@@ -24,7 +23,7 @@ from repro.solver.backends import LINEAR_BACKEND
 
 @pytest.fixture(scope="module")
 def model():
-    return ev6_oil_model(nx=8, ny=8, uniform_h=True)
+    return ModelSpec(nx=8, ny=8, uniform_h=True).build()
 
 
 def _counted(fn, *args, **kwargs):

@@ -11,9 +11,9 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.campaign import JobSpec
+from repro.campaign import JobSpec, ModelSpec
 from repro.errors import PowerTraceError
-from repro.experiments.common import ev6_oil_model, gcc_synthesized_trace
+from repro.experiments.common import gcc_synthesized_trace
 from repro.experiments.fig12 import fig12_ensemble_campaign
 from repro.solver import PiecewiseConstantSchedule
 
@@ -84,7 +84,7 @@ def test_batched_runner_equals_materialized_reference(package, stride, init):
 
 
 def test_cached_grid_operators_equal_operator_expressions():
-    model = ev6_oil_model(nx=12, ny=12, uniform_h=True)
+    model = ModelSpec(nx=12, ny=12, uniform_h=True).build()
     rng = np.random.default_rng(4)
     powers = rng.uniform(0.0, 5.0, (model.n_blocks, 3))
     for k in range(3):
@@ -150,7 +150,7 @@ def test_trace_job_holds_one_factor_at_a_time(monkeypatch):
 
 @pytest.fixture(scope="module")
 def oil_model():
-    return ev6_oil_model(nx=6, ny=6, uniform_h=True)
+    return ModelSpec(nx=6, ny=6, uniform_h=True).build()
 
 
 @pytest.mark.parametrize("powers, match", [

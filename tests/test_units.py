@@ -2,33 +2,16 @@
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.units import (
     DEFAULT_AMBIENT_KELVIN,
-    ZERO_CELSIUS_IN_KELVIN,
-    celsius_to_kelvin,
-    kelvin_to_celsius,
     mm,
     require_fraction,
     require_non_negative,
     require_positive,
     um,
 )
-
-
-def test_celsius_kelvin_roundtrip_scalar():
-    assert celsius_to_kelvin(45.0) == pytest.approx(318.15)
-    assert kelvin_to_celsius(celsius_to_kelvin(45.0)) == pytest.approx(45.0)
-
-
-def test_celsius_kelvin_arrays():
-    temps = np.array([0.0, 25.0, 100.0])
-    kelvin = celsius_to_kelvin(temps)
-    assert isinstance(kelvin, np.ndarray)
-    np.testing.assert_allclose(kelvin, temps + ZERO_CELSIUS_IN_KELVIN)
-    np.testing.assert_allclose(kelvin_to_celsius(kelvin), temps)
 
 
 def test_default_ambient_is_45c():
